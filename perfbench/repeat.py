@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Runs the benchmark several times per workload, one seed per run, and
-reports each metric's median, quartiles and spread with its sample count.
+"""Runs the benchmark several times per workload, with seeds 1 to N and
+BENCHMARK.json's run_seconds, and reports each metric's median, quartiles
+and spread with its sample count.
 
 Run from the root of a checkout:
 
@@ -56,8 +57,6 @@ def summarize(runs):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workload", action="append", help="default: every workload")
     parser.add_argument("--out", help="write the summary as JSON")
@@ -65,7 +64,7 @@ def main():
 
     with open("BENCHMARK.json") as f:
         spec = json.load(f)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     bounds = {m["name"]: m.get("bound") for m in spec["end_to_end"]}
 
@@ -73,7 +72,7 @@ def main():
     for workload in workloads:
         runs = []
         for i in range(args.runs):
-            runs.append(run_once(workload, args.first_seed + i, seconds, args.trace))
+            runs.append(run_once(workload, i + 1, seconds, args.trace))
             print(f"{workload}: run {i + 1}/{args.runs} done", file=sys.stderr)
         summary = summarize(runs)
         report["workloads"][workload] = summary

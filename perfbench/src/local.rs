@@ -32,19 +32,24 @@ impl Shape {
     }
 }
 
-/// One cycle of the interleave: 26 queries, half distribution-only and half
-/// CLI-shaped. The counts put the median inside the k = 5 / 199-row block
-/// (38–65 % of the latencies) and the 90th percentile inside the k = 10 CLI
-/// block (85–100 %), whose latency is about a third U-Topk; U-Topk is about
-/// a quarter of the cycle's time. k = 10 on the 1,971-row relation is left
-/// out: at ~5 s per CLI query a run would hold too few queries for a p90.
+/// One cycle of the interleave: 40 queries, half distribution-only and half
+/// CLI-shaped. Sorted by latency the blocks are 199 rows k = 3 (0–22.5 %),
+/// 1,971 rows k = 3 (22.5–37.5 %), 199 rows k = 5 (37.5–67.5 %, holding
+/// the median), 1,971 rows k = 5 (67.5–97.5 %, holding the 90th
+/// percentile), then one CLI query at k = 10 on 1,971 rows. Up to k = 5 the
+/// DP is nearly all of a query, so the percentiles follow the DP. The
+/// k = 10 query is about three quarters U-Topk and most of the cycle's
+/// time, so `queries_per_s` follows U-Topk: U-Topk is about 60 % of the
+/// cycle, and a 2x change in it moves the rate by more than a quarter.
+/// k = 10 on 199 rows is left out: a third of it is U-Topk, two thirds DP,
+/// and its second of DP per cycle would dilute both signals.
 const MIX: [(usize, usize, usize, usize); 5] = [
     // (relation, k, distribution-only count, CLI count)
-    (0, 3, 4, 2),
-    (1, 3, 2, 2),
-    (0, 5, 4, 3),
-    (1, 5, 2, 2),
-    (0, 10, 1, 4),
+    (0, 3, 5, 4),
+    (1, 3, 3, 3),
+    (0, 5, 6, 6),
+    (1, 5, 6, 6),
+    (1, 10, 0, 1),
 ];
 
 fn shapes() -> Vec<Shape> {
@@ -114,14 +119,21 @@ pub fn run(opts: &Opts, report: &mut Report) {
             .expect("every shape has a reference")
     };
 
-    // The closed loop: whole shuffled cycles until the window is spent.
+    // The closed loop: whole shuffled cycles until the window is spent and
+    // there are enough queries for a p90.
     let mut rng = Rng::new(opts.seed);
     let mut ops: Vec<Shape> = Vec::new();
     let mut latencies = Vec::new();
     let mut cycle_rates = Vec::new();
     let window = opts.window();
     let start = Instant::now();
-    while whole_cycles_left(start.elapsed(), cycle_rates.len(), window) {
+    while whole_cycles_left(
+        start.elapsed(),
+        cycle_rates.len(),
+        latencies.len(),
+        opts.min_queries(),
+        window,
+    ) {
         let mut cycle = shapes();
         rng.shuffle(&mut cycle);
         let cycle_start = Instant::now();

@@ -30,8 +30,9 @@ use crate::layers::Input;
 use crate::trace::Tracer;
 use crate::util::Report;
 
-/// How many times each workload sets up; `setup_s` is the median.
-pub const SETUPS: usize = 3;
+/// How many times each workload sets up; `setup_s` is the median. Set-ups
+/// take milliseconds, so nine cost little and steady the median.
+pub const SETUPS: usize = 9;
 
 /// The end-to-end metrics every untraced run reports (`BENCHMARK.json`).
 const END_TO_END: [(&str, &str); 5] = [
@@ -101,6 +102,16 @@ impl Opts {
         };
         Duration::from_secs_f64(seconds)
     }
+
+    /// The fewest queries a cycle-based loop runs: enough that at least ten
+    /// lie beyond the 90th percentile when it is reported (untraced runs).
+    pub fn min_queries(&self) -> usize {
+        if self.trace {
+            0
+        } else {
+            110
+        }
+    }
 }
 
 fn usage() -> ! {
@@ -119,16 +130,18 @@ fn main() {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let Some(workload) = flag("--workload") else {
-        usage()
-    };
-    let parse = |name: &str, default: &str| flag(name).unwrap_or_else(|| default.to_string());
+    let required = |name: &str| flag(name).unwrap_or_else(|| usage());
+    let workload = required("--workload");
     let opts = Opts {
-        seed: parse("--seed", "1").parse().unwrap_or_else(|_| usage()),
-        seconds: parse("--seconds", "10").parse().unwrap_or_else(|_| usage()),
-        trace: parse("--trace", "0") == "1",
-        ttk: PathBuf::from(parse("--ttk", "ttk")),
-        work_dir: PathBuf::from(parse("--work-dir", ".bench_build/perfbench")),
+        seed: required("--seed").parse().unwrap_or_else(|_| usage()),
+        seconds: required("--seconds").parse().unwrap_or_else(|_| usage()),
+        trace: match required("--trace").as_str() {
+            "0" => false,
+            "1" => true,
+            _ => usage(),
+        },
+        ttk: PathBuf::from(required("--ttk")),
+        work_dir: PathBuf::from(required("--work-dir")),
     };
     std::fs::create_dir_all(&opts.work_dir).expect("create the work directory");
 

@@ -112,11 +112,13 @@ fn live_rows(rng: &mut Rng, next_id: &mut u64, count: usize) -> Vec<SourceTuple>
 struct Setup {
     daemon: Daemon,
     client: RemoteQueryClient,
-    initial: Vec<SourceTuple>,
 }
 
-/// Generates and writes the relations, starts the daemon, seeds the live
-/// dataset and answers a first query.
+/// Generates and writes the relations and starts the daemon, which imports
+/// and scores them before it publishes its address. The set-up ends there:
+/// a first request would wait out a part of the daemon's 10 ms accept poll
+/// that depends on a race with its start, which splits set-up times into
+/// several modes. Seeding the live dataset follows outside the timed set-up.
 fn setup(opts: &Opts, work: &WorkDir) -> Setup {
     let mut args = vec!["serve".to_string()];
     for (name, segments, seed) in STATIC {
@@ -131,23 +133,7 @@ fn setup(opts: &Opts, work: &WorkDir) -> Setup {
     let daemon = Daemon::start(&opts.ttk, &args, work.path("port"), work.path("serve.log"));
     let client = RemoteQueryClient::new(daemon.addr.clone())
         .with_connect_options(ConnectOptions::default().with_timeout(Duration::from_secs(30)));
-    let mut next_id = 0;
-    let initial = live_rows(
-        &mut Rng::new(opts.seed).fork(99),
-        &mut next_id,
-        INITIAL_ROWS,
-    );
-    client
-        .append(LIVE, initial.clone(), true)
-        .expect("seed the live dataset");
-    client
-        .execute(STATIC[0].0, &TopkQuery::new(1))
-        .expect("first query");
-    Setup {
-        daemon,
-        client,
-        initial,
-    }
+    Setup { daemon, client }
 }
 
 struct Read {
@@ -292,11 +278,11 @@ pub fn run(opts: &Opts, report: &mut Report) {
         kept = Some(setup(opts, &work));
         setups.push(start.elapsed().as_secs_f64());
     }
-    let Setup {
-        daemon,
-        client,
-        initial,
-    } = kept.expect("at least one set-up");
+    let Setup { daemon, client } = kept.expect("at least one set-up");
+    let initial = live_rows(&mut Rng::new(opts.seed).fork(99), &mut 0, INITIAL_ROWS);
+    client
+        .append(LIVE, initial.clone(), true)
+        .expect("seed the live dataset");
 
     // In-process references over the same CSV files (the import layer).
     let expr = parse_expression(SCORE_EXPR).expect("valid score expression");
@@ -380,9 +366,10 @@ pub fn run(opts: &Opts, report: &mut Report) {
     };
     let reads = &log.reads;
     let latencies: Vec<f64> = reads.iter().map(|r| ms(r.end - r.start)).collect();
+    let qps = reads.len() as f64 / elapsed.as_secs_f64();
     if !opts.trace {
         report.metric("setup_s", quantile(&setups, 0.5), "s");
-        report.metric("queries_per_s", median_rate(reads, elapsed), "1/s");
+        report.metric("queries_per_s", qps, "1/s");
         report.metric("query_p50_ms", quantile(&latencies, 0.5), "ms");
         report.metric("query_p90_ms", quantile(&latencies, 0.9), "ms");
         report.metric("peak_rss_mb", rss, "MB");
@@ -391,7 +378,6 @@ pub fn run(opts: &Opts, report: &mut Report) {
 
     // Per-layer metrics from the traced half.
     let first_qps = first.reads.len() as f64 / first_elapsed.as_secs_f64();
-    let qps = reads.len() as f64 / elapsed.as_secs_f64();
     report.metric("trace.overhead_pct", (first_qps / qps - 1.0) * 100.0, "%");
     for read in reads {
         let op = tracer.begin_op();
@@ -469,21 +455,6 @@ pub fn run(opts: &Opts, report: &mut Report) {
             .work_dir
             .join(format!("spans-serve-mixed-{}.tsv", opts.seed)),
     );
-}
-
-/// Reads per second: the median over the run's whole seconds of the reads
-/// completed in each.
-fn median_rate(reads: &[Read], elapsed: Duration) -> f64 {
-    let Some(first) = reads.iter().map(|r| r.start).min() else {
-        return 0.0;
-    };
-    let mut per_second = vec![0.0; elapsed.as_secs().max(1) as usize];
-    for read in reads {
-        if let Some(slot) = per_second.get_mut((read.end - first).as_secs() as usize) {
-            *slot += 1.0;
-        }
-    }
-    quantile(&per_second, 0.5)
 }
 
 /// Replays the acknowledged appends into an in-process `AppendLog` with the

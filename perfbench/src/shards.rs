@@ -144,7 +144,13 @@ pub fn run(opts: &Opts, report: &mut Report) {
     let mut cycle_rates = Vec::new();
     let window = opts.window();
     let start = Instant::now();
-    while whole_cycles_left(start.elapsed(), cycle_rates.len(), window) {
+    while whole_cycles_left(
+        start.elapsed(),
+        cycle_rates.len(),
+        latencies.len(),
+        opts.min_queries(),
+        window,
+    ) {
         let mut cycle = CYCLE;
         rng.shuffle(&mut cycle);
         let cycle_start = Instant::now();

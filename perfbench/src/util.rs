@@ -290,7 +290,7 @@ impl Daemon {
                 panic!("daemon exited during start-up ({status}): {log}");
             }
             assert!(Instant::now() < deadline, "daemon did not publish its port");
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(Duration::from_micros(500));
         }
     }
 
@@ -333,9 +333,16 @@ impl Drop for Daemon {
     }
 }
 
-/// Whether another whole cycle fits: cycles run while the window, less half
-/// a cycle's measured length, is not yet spent — so a run ends within half
-/// a cycle of the window on either side.
-pub fn whole_cycles_left(elapsed: Duration, cycles: usize, window: Duration) -> bool {
-    cycles == 0 || elapsed + elapsed / (2 * cycles as u32) < window
+/// Whether another whole cycle runs: until `min_queries` queries are done,
+/// and then while the window, less half a cycle's measured length, is not
+/// yet spent — so a run ends within half a cycle of the window on either
+/// side unless a slow stretch needs more cycles for its queries.
+pub fn whole_cycles_left(
+    elapsed: Duration,
+    cycles: usize,
+    queries: usize,
+    min_queries: usize,
+    window: Duration,
+) -> bool {
+    cycles == 0 || queries < min_queries || elapsed + elapsed / (2 * cycles as u32) < window
 }
