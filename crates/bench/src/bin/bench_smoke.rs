@@ -12,12 +12,14 @@
 //! scan variants of `fig09_scan_depth` (depth only, streamed single-source
 //! prefix, sharded merge prefix), a sharded **spill** scan with per-run
 //! prefetching on and off (tracking the I/O-overlap win of the transport
-//! layer), one end-to-end main-algorithm query, a loopback `ttk serve` pair —
-//! cold execution vs result-cache hit for the identical query — and a
-//! loopback remote-shard pair — scan-gate pushdown vs forced full replay —
-//! whose `remote_pushdown` summary records the tuples actually shipped per
-//! query each way. Enough signal to catch a hot-path regression without
-//! turning CI into a benchmark farm.
+//! layer), one end-to-end main-algorithm query, the U-Topk search at k = 10
+//! on the same relation (`u_topk/k10`, the half of a default `ttk query`
+//! beside the distribution), a loopback `ttk serve` pair — cold execution vs
+//! result-cache hit for the identical query — and a loopback remote-shard
+//! pair — scan-gate pushdown vs forced full replay — whose `remote_pushdown`
+//! summary records the tuples actually shipped per query each way. Enough
+//! signal to catch a hot-path regression without turning CI into a benchmark
+//! farm.
 //!
 //! The emitted JSON doubles as the CI regression gate's input: `bench_compare`
 //! diffs a fresh run against the committed `BENCH_baseline.json` per sample
@@ -29,9 +31,9 @@ use std::time::{Duration, Instant};
 
 use ttk_bench::{evaluation_area, P_TAU};
 use ttk_core::{
-    scan_depth, serve_query, serve_stream, AppendLog, Dataset, DatasetRegistry, LiveDataset,
-    QueryServeOptions, RankScan, RemoteQueryClient, RemoteShardDataset, ResultCache, ScanGate,
-    ServeOptions, Session, ShardScanGate, TopkQuery,
+    scan_depth, serve_query, serve_stream, u_topk, AppendLog, Dataset, DatasetRegistry,
+    LiveDataset, QueryServeOptions, RankScan, RemoteQueryClient, RemoteShardDataset, ResultCache,
+    ScanGate, ServeOptions, Session, ShardScanGate, TopkQuery, UTopkConfig,
 };
 use ttk_pdb::{CsvOptions, SpillIndex, SpillOptions};
 use ttk_uncertain::{
@@ -253,6 +255,11 @@ fn main() {
         session
             .execute(&dataset, &TopkQuery::new(5).with_u_topk(false))
             .unwrap()
+    }));
+    // U-Topk's best-first search on the same relation, as every default
+    // `ttk query` runs it next to the distribution: 180,008 states at k = 10.
+    samples.push(measure("u_topk/k10", 10, || {
+        u_topk(table, 10, &UTopkConfig::default()).unwrap()
     }));
 
     // The live-dataset path: staging + sealing an append log (the sort into

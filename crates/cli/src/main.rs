@@ -1866,7 +1866,10 @@ fn print_answer_summary(answer: &ttk_core::QueryAnswer) {
         }
     }
     if let Some(u) = &answer.u_topk {
-        println!("U-Topk: {}", u.vector);
+        println!(
+            "U-Topk: {} ({} states expanded, depth {})",
+            u.vector, u.expansions, u.deepest_position
+        );
         if let Some(p) = answer.u_topk_percentile() {
             println!("U-Topk score percentile within the distribution: {:.3}", p);
         }
@@ -2460,6 +2463,7 @@ mod tests {
             let u = remote.answer.u_topk.as_ref().expect("U-Topk requested");
             let ru = reference.u_topk.as_ref().expect("U-Topk requested");
             assert_eq!(u.vector, ru.vector);
+            assert_eq!(u.expansions, ru.expansions);
             assert_eq!(u.deepest_position, ru.deepest_position);
         }
 

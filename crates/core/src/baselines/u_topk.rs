@@ -12,10 +12,40 @@
 //! probability. Because extending a state can only lower its probability,
 //! the first state that reaches `k` appearing tuples is the optimal answer
 //! (the "optimal number of accessed tuples" property of \[18\]).
+//!
+//! # State layout
+//!
+//! A frontier state is a `Copy` value of four words: its probability, the
+//! next rank position to decide, how many tuples it has selected, and the
+//! arena index of the last one. The selected tuples live once, in a
+//! search-owned arena of `(position, parent)` cells: an include step
+//! appends one cell pointing at the state's previous last cell, so a child
+//! shares its whole selection with its parent. Only the answer's chain is
+//! turned into tuple ids, and its score is summed then, from `0.0` in
+//! selection order, as a running per-state score would have been. The
+//! arena grows by at most one cell per expansion and is indexed by `usize`,
+//! so its indices cannot wrap for any [`UTopkConfig::max_expansions`].
+//!
+//! # Excluded mass
+//!
+//! Deciding the tuple at position `p` conditions on the probability mass its
+//! ME group has already excluded. No state stores that mass, because it is
+//! fixed by `p`: a state at `p` whose group has no included member has
+//! excluded exactly that group's members ranked above `p`. (Every earlier
+//! member was decided by an ancestor; including one would make the group
+//! included, and an exclusion that leaves the group no mass kills the
+//! state.) The mass is therefore a rank-order prefix sum within the group,
+//! filled lazily per position up to the deepest one the search reaches. It
+//! is summed member by member from `0.0`, in the order a per-state map of
+//! excluded mass would accumulate it, so every probability, the heap order
+//! (probability, then position) and the push order match that per-state
+//! search exactly: answers, `expansions`, `deepest_position` and the
+//! expansion-limit error are bit-identical to it. The per-state search is
+//! kept as the test oracle in `tests/support/u_topk_oracle.rs`.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
-use ttk_uncertain::{Error, Result, TopkVector, TupleId, TupleSource, UncertainTable};
+use ttk_uncertain::{Error, Result, TopkVector, TupleSource, UncertainTable};
 
 use crate::scan::RankScan;
 use crate::scan_depth::ScanGate;
@@ -48,22 +78,22 @@ pub struct UTopkAnswer {
     pub deepest_position: usize,
 }
 
-#[derive(Debug, Clone)]
+/// One frontier state; its selected tuples are a chain of [`Selections`]
+/// cells ending at `last`.
+#[derive(Debug, Clone, Copy)]
 struct SearchState {
     probability: f64,
     /// Next rank position to decide.
     next: usize,
-    selected: Vec<TupleId>,
-    score: f64,
-    /// Per-group probability mass excluded so far (groups without an
-    /// included member only).
-    excluded: HashMap<usize, f64>,
-    included_groups: Vec<usize>,
+    /// Number of selected tuples.
+    selected: usize,
+    /// Arena cell of the last selected tuple ([`ROOT`] before the first).
+    last: usize,
 }
 
 impl PartialEq for SearchState {
     fn eq(&self, other: &Self) -> bool {
-        self.probability == other.probability
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for SearchState {}
@@ -79,6 +109,101 @@ impl Ord for SearchState {
         self.probability
             .total_cmp(&other.probability)
             .then(self.next.cmp(&other.next))
+    }
+}
+
+/// The arena's sentinel cell: the parent of every first selection.
+const ROOT: usize = 0;
+
+/// One selected tuple: its rank position and the cell selected before it.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    position: usize,
+    parent: usize,
+}
+
+/// The search-owned arena every state's selection chain lives in. Chains
+/// run from a state's last selection back to [`ROOT`] in strictly
+/// decreasing rank position.
+struct Selections {
+    cells: Vec<Cell>,
+}
+
+impl Selections {
+    fn new() -> Self {
+        Selections {
+            cells: vec![Cell {
+                position: usize::MAX,
+                parent: ROOT,
+            }],
+        }
+    }
+
+    /// Appends `position` after the chain ending at `parent`; returns the
+    /// new chain's last cell.
+    fn push(&mut self, position: usize, parent: usize) -> usize {
+        self.cells.push(Cell { position, parent });
+        self.cells.len() - 1
+    }
+
+    /// Whether the chain ending at `last` selects a member of `group`, whose
+    /// first member (in rank order) sits at `first_member`.
+    fn holds_group(
+        &self,
+        table: &UncertainTable,
+        mut last: usize,
+        group: usize,
+        first_member: usize,
+    ) -> bool {
+        while last != ROOT {
+            let cell = self.cells[last];
+            if cell.position < first_member {
+                return false;
+            }
+            if table.group_index(cell.position) == group {
+                return true;
+            }
+            last = cell.parent;
+        }
+        false
+    }
+
+    /// The vector the chain ending at `last` selects: its ids in selection
+    /// (rank) order and their scores summed in that order from `0.0`.
+    fn vector(&self, table: &UncertainTable, mut last: usize, probability: f64) -> TopkVector {
+        let mut positions = Vec::new();
+        while last != ROOT {
+            let cell = self.cells[last];
+            positions.push(cell.position);
+            last = cell.parent;
+        }
+        positions.reverse();
+        let score = positions
+            .iter()
+            .fold(0.0, |sum, &pos| sum + table.tuple(pos).score());
+        let ids = positions.iter().map(|&pos| table.tuple(pos).id()).collect();
+        TopkVector::new(ids, score, probability)
+    }
+}
+
+/// Rank-order prefix sums of ME-group mass, filled lazily: entry `p` is the
+/// summed probability of the members of `p`'s group ranked above `p`.
+struct MassAbove {
+    filled: Vec<f64>,
+}
+
+impl MassAbove {
+    fn at(&mut self, table: &UncertainTable, pos: usize) -> f64 {
+        while self.filled.len() <= pos {
+            let p = self.filled.len();
+            let members = table.group_members(p);
+            let mass = match members.partition_point(|&m| m < p).checked_sub(1) {
+                None => 0.0,
+                Some(i) => self.filled[members[i]] + table.tuple(members[i]).prob(),
+            };
+            self.filled.push(mass);
+        }
+        self.filled[pos]
     }
 }
 
@@ -120,14 +245,18 @@ pub fn u_topk(
     if k == 0 {
         return Err(Error::InvalidParameter("k must be at least 1".into()));
     }
+    if k > table.group_count() {
+        // A world holds at most one tuple per ME group.
+        return Ok(None);
+    }
+    let mut selections = Selections::new();
+    let mut mass_above = MassAbove { filled: Vec::new() };
     let mut heap = BinaryHeap::new();
     heap.push(SearchState {
         probability: 1.0,
         next: 0,
-        selected: Vec::new(),
-        score: 0.0,
-        excluded: HashMap::new(),
-        included_groups: Vec::new(),
+        selected: 0,
+        last: ROOT,
     });
     let mut expansions: u64 = 0;
     let mut deepest = 0usize;
@@ -141,9 +270,9 @@ pub fn u_topk(
             )));
         }
         deepest = deepest.max(state.next);
-        if state.selected.len() == k {
+        if state.selected == k {
             return Ok(Some(UTopkAnswer {
-                vector: TopkVector::new(state.selected, state.score, state.probability),
+                vector: selections.vector(table, state.last, state.probability),
                 expansions,
                 deepest_position: deepest,
             }));
@@ -154,55 +283,50 @@ pub fn u_topk(
         let pos = state.next;
         let tuple = table.tuple(pos);
         let group = table.group_index(pos);
-        let singleton = table.group_members(pos).len() == 1;
-        let has_included = state.included_groups.contains(&group);
+        let members = table.group_members(pos);
+        let singleton = members.len() == 1;
+        let has_included =
+            members[0] < pos && selections.holds_group(table, state.last, group, members[0]);
+        if has_included {
+            // The group's member is already in: this tuple is certainly out.
+            heap.push(SearchState {
+                next: pos + 1,
+                ..state
+            });
+            continue;
+        }
+        let excluded_mass = mass_above.at(table, pos);
 
         // Include branch.
-        if !has_included {
-            let excluded_mass = state.excluded.get(&group).copied().unwrap_or(0.0);
-            let denom = 1.0 - excluded_mass;
-            if denom > 1e-15 {
-                let probability = state.probability / denom * tuple.prob();
-                if probability > 0.0 {
-                    let mut s = state.clone();
-                    s.probability = probability;
-                    s.next = pos + 1;
-                    s.selected.push(tuple.id());
-                    s.score += tuple.score();
-                    if !singleton {
-                        s.excluded.remove(&group);
-                        s.included_groups.push(group);
-                    }
-                    heap.push(s);
-                }
+        let denom = 1.0 - excluded_mass;
+        if denom > 1e-15 {
+            let probability = state.probability / denom * tuple.prob();
+            if probability > 0.0 {
+                heap.push(SearchState {
+                    probability,
+                    next: pos + 1,
+                    selected: state.selected + 1,
+                    last: selections.push(pos, state.last),
+                });
             }
         }
         // Exclude branch.
-        let (probability, new_excluded) = if has_included {
-            (state.probability, None)
-        } else if singleton {
-            (state.probability * tuple.probability().complement(), None)
+        let probability = if singleton {
+            state.probability * tuple.probability().complement()
         } else {
-            let excluded_mass = state.excluded.get(&group).copied().unwrap_or(0.0);
-            let denom = 1.0 - excluded_mass;
             let numer = 1.0 - excluded_mass - tuple.prob();
             if denom <= 1e-15 || numer <= 0.0 {
-                (0.0, None)
+                0.0
             } else {
-                (
-                    state.probability / denom * numer,
-                    Some(excluded_mass + tuple.prob()),
-                )
+                state.probability / denom * numer
             }
         };
         if probability > 0.0 {
-            let mut s = state;
-            s.probability = probability;
-            s.next = pos + 1;
-            if let Some(mass) = new_excluded {
-                s.excluded.insert(group, mass);
-            }
-            heap.push(s);
+            heap.push(SearchState {
+                probability,
+                next: pos + 1,
+                ..state
+            });
         }
     }
     Ok(None)
@@ -211,6 +335,7 @@ pub fn u_topk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ttk_uncertain::TupleId;
 
     fn soldier_table() -> UncertainTable {
         UncertainTable::builder()
@@ -292,6 +417,22 @@ mod tests {
         assert!(u_topk(&table, 1, &UTopkConfig::default())
             .unwrap()
             .is_some());
+
+        // 40 tuples in 20 two-member groups: no world holds 21 tuples. The
+        // answer must come without a search, which would walk all 2^20
+        // equally likely selections before giving up.
+        let mut builder = UncertainTable::builder();
+        for id in 0..40u64 {
+            builder = builder.tuple(id, id as f64, 0.5).unwrap();
+        }
+        for pair in 0..20u64 {
+            builder = builder.me_rule([2 * pair, 2 * pair + 1]);
+        }
+        let table = builder.build().unwrap();
+        assert_eq!(table.group_count(), 20);
+        assert!(u_topk(&table, 21, &UTopkConfig { max_expansions: 1 })
+            .unwrap()
+            .is_none());
     }
 
     #[test]
