@@ -12,18 +12,23 @@
 //! scan variants of `fig09_scan_depth` (depth only, streamed single-source
 //! prefix, sharded merge prefix), a sharded **spill** scan with per-run
 //! prefetching on and off (tracking the I/O-overlap win of the transport
-//! layer), one end-to-end main-algorithm query, the U-Topk search at k = 10
-//! on the same relation (`u_topk/k10`, the half of a default `ttk query`
-//! beside the distribution), a loopback `ttk serve` pair — cold execution vs
-//! result-cache hit for the identical query — and a loopback remote-shard
-//! pair — scan-gate pushdown vs forced full replay — whose `remote_pushdown`
-//! summary records the tuples actually shipped per query each way. Enough
-//! signal to catch a hot-path regression without turning CI into a benchmark
-//! farm.
+//! layer), three end-to-end main-algorithm queries, all distribution only
+//! (`query/main/k5` and `query/main/k10` on the smoke relation,
+//! `query/main-1971/k5` on the 1,971-row relation of the same seed), the
+//! U-Topk search at k = 10 on the smoke relation (`u_topk/k10`, the half of
+//! a default `ttk query` beside the distribution), a loopback `ttk serve`
+//! pair — cold execution vs result-cache hit for the identical query — and
+//! a loopback remote-shard pair — scan-gate pushdown vs forced full replay —
+//! whose `remote_pushdown` summary records the tuples actually shipped per
+//! query each way. Enough signal to catch a hot-path regression without
+//! turning CI into a benchmark farm.
 //!
 //! The emitted JSON doubles as the CI regression gate's input: `bench_compare`
 //! diffs a fresh run against the committed `BENCH_baseline.json` per sample
-//! name and fails the build on slowdowns past its threshold.
+//! name and fails the build on slowdowns past its threshold. The top-level
+//! `available_parallelism` field records the cores the run had, since the
+//! main-algorithm queries run their segments on every core.
+//! `bench_compare` reads only the samples' `name` and `mean_ns`.
 
 use std::net::TcpListener;
 use std::sync::{mpsc, Arc};
@@ -44,6 +49,9 @@ use ttk_uncertain::{
 /// Segments of the smoke dataset — an order of magnitude below the paper's
 /// evaluation area so a CI leg finishes in seconds.
 const SEGMENTS: usize = 60;
+/// Segments of the larger relation (1,971 tuples) the 1,971-row samples
+/// use.
+const LARGE_SEGMENTS: usize = 600;
 const SEED: u64 = 9;
 const ITERS: usize = 30;
 
@@ -247,13 +255,23 @@ fn main() {
         );
     }
 
-    // The end-to-end query costs seconds per run — a handful of iterations
-    // is plenty for trend tracking.
+    // The end-to-end main-algorithm queries, distribution only: k = 5 and
+    // k = 10 on the smoke relation and k = 5 on the 1,971-row relation
+    // (600 segments of the same seed). Each DP step lands with its own
+    // number here; a handful of iterations is plenty for trend tracking.
     let dataset = Dataset::table(table.clone());
     let mut session = Session::new();
-    samples.push(measure("query/main/k5", 3, || {
+    for k in [5, 10] {
+        samples.push(measure(&format!("query/main/k{k}"), 3, || {
+            session
+                .execute(&dataset, &TopkQuery::new(k).with_u_topk(false))
+                .unwrap()
+        }));
+    }
+    let large = Dataset::table(evaluation_area(LARGE_SEGMENTS, SEED).table().clone());
+    samples.push(measure("query/main-1971/k5", 3, || {
         session
-            .execute(&dataset, &TopkQuery::new(5).with_u_topk(false))
+            .execute(&large, &TopkQuery::new(5).with_u_topk(false))
             .unwrap()
     }));
     // U-Topk's best-first search on the same relation, as every default
@@ -391,7 +409,7 @@ fn main() {
     // is an order of magnitude bigger than the smoke table so the depth/n gap
     // is visible: the Theorem-2 depth grows with k and the probability mix,
     // not with n, while full replay ships every row.
-    const PUSHDOWN_SEGMENTS: usize = 600;
+    const PUSHDOWN_SEGMENTS: usize = LARGE_SEGMENTS;
     const PUSHDOWN_SHARDS: usize = 4;
     const PUSHDOWN_K: usize = 5;
     const PUSHDOWN_RUNS: usize = 5;
@@ -492,6 +510,8 @@ fn main() {
 
     // Hand-rolled JSON: the workspace has no serde (offline build).
     let mut json = String::from("{\n");
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    json.push_str(&format!("  \"available_parallelism\": {cores},\n"));
     json.push_str(&format!(
         "  \"dataset\": {{\"generator\": \"cartel\", \"segments\": {SEGMENTS}, \"seed\": {SEED}, \"tuples\": {}}},\n",
         table.len()

@@ -9,8 +9,55 @@
 //!
 //! The drivers in [`super`] decide how tables are translated into rows and
 //! which exits are enabled; the engine is agnostic to those decisions.
+//!
+//! # Cells and the witness arena
+//!
+//! A cell is a score distribution held as parallel columns: the scores
+//! (ascending), their probabilities, and, when witnesses are tracked, one
+//! `(probability, cell)` pair per line. That cell indexes an arena of
+//! `(TupleId, parent)` cells, and a witness vector is the chain from its
+//! cell up to the root, first id first. The include branch prepends the
+//! row's tuple to every witness it carries down: one pushed cell whose
+//! parent is the old chain, so a witness shares the rest of its vector
+//! with the one it came from, and a prepend costs one 16-byte cell instead
+//! of a copied id vector. Ids are walked out only for the final cell's
+//! lines (at most `max_lines` per run), into the worker's flat result
+//! store.
+//!
+//! Cells that no surviving line reaches any more are dead. After a row,
+//! once the arena has grown to twice what its last compaction kept (and
+//! to at least 16,384 cells), the chains the live cells reach are copied
+//! into a fresh arena, shared tails once. The arena therefore stays
+//! proportional to the live lines, as the per-line id vectors it replaced
+//! were, instead of growing with every row: 1,971 rows at k = 10 peaked at
+//! ~151,000 cells per segment without it. It is cleared when the next run
+//! starts.
+//!
+//! # Per-worker scratch
+//!
+//! Everything else a run needs also belongs to the worker: the two rows of
+//! cells the recurrence alternates between, the compaction's second arena
+//! and forwarding table, a spare set of columns that every merge writes
+//! its sorted union into and then swaps with its target, and the heap
+//! coalescer's `next`/`prev`/`stamp` vectors and binary heap.
+//! A run clears them and keeps their capacity, so a worker that runs many
+//! segments stops allocating once its buffers have grown to its largest
+//! cell.
+//!
+//! # Bit-identity
+//!
+//! The columnar kernels perform the floating-point operations of the
+//! scalar recurrence on [`ScoreDistribution`] in the same order — exclude
+//! is `shifted_scaled(0.0, p, None)`, each include branch is
+//! `merge_from(&below.shifted_scaled(score, p, Some(id)))`, and each cell
+//! is coalesced as [`ScoreDistribution::coalesce`] would — and they keep the
+//! same witnesses, so [`run`] is bit-identical to it, witness ids included.
+//! `tests/support/dp_engine_oracle.rs` keeps that recurrence as the
+//! reference and `tests/dp_parity.rs` proptests the engine against it.
 
-use ttk_uncertain::{CoalescePolicy, ScoreColumns, ScoreDistribution, TupleId};
+use ttk_uncertain::{CoalescePolicy, ScoreDistribution, TupleId};
+
+use super::columns::{Finished, ScoreColumns, Span, Workspace};
 
 /// One row of the dynamic-programming table.
 #[derive(Debug, Clone)]
@@ -73,36 +120,74 @@ impl Default for EngineConfig {
     }
 }
 
+/// Everything one worker reuses from one engine run to the next: the two
+/// rows of cells the recurrence alternates between and the kernels'
+/// [`Workspace`] (witness arena, spare columns, coalescing buffers).
+///
+/// A run clears the cells and the arena before it starts and leaves every
+/// buffer's capacity in place, so a worker that runs many segments stops
+/// allocating once its buffers have grown.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    workspace: Workspace,
+    current: Vec<ScoreColumns>,
+    next: Vec<ScoreColumns>,
+}
+
 /// Runs the dynamic program and returns the distribution of the total score
 /// of top-`k` selections over `rows`, where a selection may only have its
 /// last selected row at a position `r` with `exits[r] == true`.
 ///
 /// `exits.len()` must equal `rows.len()`.
 ///
-/// The working cells are held as [`ScoreColumns`] — parallel score and
-/// probability columns — so the two inner-loop operations run columnar: the
-/// exclude branch scales the probability column in place (a branch-free,
-/// auto-vectorizable pass with no allocation) and the include branch fuses
-/// shift, scale and merge into one sorted-union sweep that only materializes
-/// witnesses for surviving lines. Both perform the floating-point arithmetic
-/// in exactly the order of the scalar [`ScoreDistribution`] operations, so
-/// the returned distribution is bit-identical to the point-at-a-time
-/// formulation.
+/// The returned distribution is bit-identical to the point-at-a-time
+/// formulation on [`ScoreDistribution`]. This entry point runs on fresh
+/// scratch; the driver keeps one scratch per worker and reuses it across
+/// the segments the worker claims.
 pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> ScoreDistribution {
+    let mut store = Finished::default();
+    let span = run_in(&mut Scratch::default(), rows, exits, k, config, &mut store);
+    store.distribution(span)
+}
+
+/// [`run`] on a worker's `scratch`, with the distribution appended to
+/// `store`; returns where it sits there.
+///
+/// The working cells are [`ScoreColumns`], so the two inner-loop operations
+/// run columnar: the exclude branch scales the probability column in place
+/// and the include branch fuses shift, scale and merge into one sorted-union
+/// sweep into the workspace's spare columns. A witness carried down a
+/// branch is one arena cell, and ids are walked out only for the final
+/// cell's lines.
+pub(crate) fn run_in(
+    scratch: &mut Scratch,
+    rows: &[DpRow],
+    exits: &[bool],
+    k: usize,
+    config: &EngineConfig,
+    store: &mut Finished,
+) -> Span {
     assert_eq!(rows.len(), exits.len(), "one exit flag per row");
     if k == 0 || rows.is_empty() {
-        return ScoreDistribution::empty();
+        return ScoreColumns::empty().store_in(&scratch.workspace, store);
     }
+    let Scratch {
+        workspace,
+        current,
+        next,
+    } = scratch;
+    workspace.clear_witnesses();
+    for cells in [&mut *current, &mut *next] {
+        cells.resize_with(k + 1, ScoreColumns::empty);
+        cells.iter_mut().for_each(ScoreColumns::clear);
+    }
+    let unit = ScoreColumns::unit(config.track_witnesses);
 
     // `current[j]` holds D_{i+1, j} while processing row i (bottom-up).
     // Column 0 is *not* stored: the recurrence consults `exits[i]` directly
-    // when it needs D_{i+1, 0}. `next` is the double buffer the new cells are
-    // written into; the two swap every row, so the cell vectors are
-    // allocated once.
-    let mut current: Vec<ScoreColumns> = vec![ScoreColumns::empty(); k + 1];
-    let mut next: Vec<ScoreColumns> = vec![ScoreColumns::empty(); k + 1];
-    let unit = ScoreColumns::unit(config.track_witnesses);
-
+    // when it needs D_{i+1, 0}, and `current[0]` stays empty in both rows of
+    // cells to model the blocked exit. The new cells are written into
+    // `next`; the two swap every row.
     for i in (0..rows.len()).rev() {
         let row = &rows[i];
         let exclude_p = row.exclude_probability();
@@ -113,44 +198,39 @@ pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> S
         // on the iteration order.
         for j in (1..=k).rev() {
             // Exclude branch: row i contributes nothing.
-            let mut dist = std::mem::take(&mut current[j]);
-            dist.scale_in_place(exclude_p);
+            let mut cell = std::mem::take(&mut current[j]);
+            cell.scale_in_place(exclude_p);
             // Include branch: row i contributes one tuple; the remaining j-1
             // selections come from below (or from the exit when j == 1).
-            let below: &ScoreColumns = if j == 1 {
-                if exits[i] {
-                    &unit
-                } else {
-                    // Blocked exit point: distribution (0, 0), i.e. empty.
-                    &current[0]
-                }
-            } else {
-                &current[j - 1]
+            let below = match j {
+                1 if exits[i] => &unit,
+                1 => &current[0],
+                _ => &current[j - 1],
             };
             if !below.is_empty() {
                 match row {
                     DpRow::Simple { id, score, prob } => {
-                        let prepend = config.track_witnesses.then_some(*id);
-                        dist.merge_shifted_scaled(below, *score, *prob, prepend);
+                        cell.merge_shifted_scaled(below, *score, *prob, *id, workspace);
                     }
                     DpRow::Rule { branches } => {
-                        for (id, score, prob) in branches {
-                            let prepend = config.track_witnesses.then_some(*id);
-                            dist.merge_shifted_scaled(below, *score, *prob, prepend);
+                        for &(id, score, prob) in branches {
+                            cell.merge_shifted_scaled(below, score, prob, id, workspace);
                         }
                     }
                 }
             }
             if config.max_lines > 0 {
-                dist.coalesce(config.max_lines, config.coalesce_policy);
+                cell.coalesce(config.max_lines, config.coalesce_policy, workspace);
             }
-            next[j] = dist;
+            // The stale buffers of `next[j]` take the emptied slot, so no
+            // cell's capacity is ever dropped.
+            current[j] = std::mem::replace(&mut next[j], cell);
         }
-        // current[0] stays empty in both buffers: it only models the blocked
-        // exit.
-        std::mem::swap(&mut current, &mut next);
+        std::mem::swap(current, next);
+        // Every live witness is in `current` now; `next` holds stale cells.
+        workspace.compact(current);
     }
-    std::mem::take(&mut current[k]).into_distribution()
+    current[k].store_in(workspace, store)
 }
 
 #[cfg(test)]

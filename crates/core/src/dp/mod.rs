@@ -13,8 +13,9 @@
 //! 3. translates each segment into a row sequence where every other ME group
 //!    is compressed into a *rule tuple* (§3.3.1) and exit points are enabled
 //!    only inside the segment (§3.3.2), and
-//! 4. runs the engine once per segment and merges the resulting
-//!    distributions.
+//! 4. runs the engine once per segment, on every core when the work is
+//!    large enough, and merges the resulting distributions in segment
+//!    order.
 //!
 //! On a table without mutual exclusion the decomposition degenerates to a
 //! single segment spanning all tuples, i.e. exactly the basic algorithm of
@@ -23,19 +24,63 @@
 //! [`materialized_topk_score_distribution`] — it is the reference the
 //! streaming path is property-tested against and the baseline the benches
 //! quantify the streaming win with.
+//!
+//! # Segment workers
+//!
+//! The per-segment dynamic programs are independent, so the driver builds
+//! every segment's rows first and runs them on up to
+//! `available_parallelism()` workers. Workers claim segments, largest
+//! (most rows) first, from one atomic counter; each owns one engine scratch
+//! (see [`engine`]) for all the segments it claims, and the calling thread
+//! is one of them.
+//!
+//! *Merge order.* Each worker appends its segments' results to a flat
+//! store of its own; the driver looks them up by segment index and merges
+//! them — `merge_from`, then `coalesce` when lines are bounded — in
+//! segment order, exactly as one sequential loop would merge them. Which worker ran a segment, and when,
+//! never reaches the arithmetic, so the output is bit-identical for every
+//! worker count. One worker runs the same loop on the calling thread.
+//!
+//! *When helpers start.* Only when the engine work, Σ rows × k over the
+//! segments, reaches 6,000 cells, and never for a query a batch worker
+//! runs (the batch already occupies the cores). Measured with release
+//! builds on 2 vCPUs (best of 9), one worker against two:
+//!
+//! - Below ~4,000 cells a helper gains nothing: 2,402 and 2,860 cells
+//!   (k = 2) run 0.2–0.5 ms alone and slightly slower with a helper;
+//!   3,879 cells (199 rows, k = 3) ~0.8 ms either way.
+//! - Around the cutoff a serial DP takes a few milliseconds and a helper
+//!   saves ~30 %: 4,947 cells (1,971 rows, k = 3) 2.8 → 2.0 ms, 6,724
+//!   cells (199 rows, k = 4) 5 → 3.7 ms.
+//! - Above it two workers approach twice the speed: 10,255 cells (1,971
+//!   rows, k = 5) 41 → 23 ms.
+//! - A helper brings its own scratch and result store, so every DP it
+//!   joins costs memory as well as a thread start. The cutoff keeps the
+//!   largest DPs of the benchmark's serving workloads (3,879 and 4,947
+//!   cells) on the calling thread.
 
+mod columns;
 pub mod engine;
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ttk_uncertain::{
     CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable,
 };
 
+use crate::query::resolve_threads;
 use crate::scan::{RankScan, ScanPrefix};
 use crate::scan_depth::{scan_depth, ScanGate};
-use engine::{DpRow, EngineConfig};
+use columns::{Finished, Span};
+use engine::{DpRow, EngineConfig, Scratch};
+
+/// Engine work — Σ rows × k over a query's segments — from which
+/// [`run_on_prefix_table`] starts helper workers (the measurements behind
+/// it are in the module doc).
+const PARALLEL_MIN_CELLS: usize = 6_000;
 
 /// How the driver decomposes a table with ME groups into per-ending dynamic
 /// programs.
@@ -128,7 +173,7 @@ pub fn topk_score_distribution_streamed(
     }
     let mut gate = ScanGate::new(k, config.p_tau)?;
     let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
-    topk_from_prefix(&prefix, k, config)
+    topk_from_prefix(&prefix, k, config, 0)
 }
 
 /// The pre-streaming pipeline: compute the Theorem-2 depth over the full
@@ -152,18 +197,20 @@ pub fn materialized_topk_score_distribution(
     }
     let depth = scan_depth(table, k, config.p_tau)?;
     let working = table.truncate(depth);
-    run_on_prefix_table(&working, depth, k, config)
+    run_on_prefix_table(&working, depth, k, config, 0)
 }
 
 /// Runs the per-segment dynamic programs over an already-collected scan
-/// prefix. Shared by the streaming entry points and the batch
+/// prefix on at most `max_workers` workers (0 = one per available core).
+/// Shared by the streaming entry points and the batch
 /// [`crate::query::Executor`].
 pub(crate) fn topk_from_prefix(
     prefix: &ScanPrefix,
     k: usize,
     config: &MainConfig,
+    max_workers: usize,
 ) -> Result<MainOutput> {
-    run_on_prefix_table(&prefix.table, prefix.depth(), k, config)
+    run_on_prefix_table(&prefix.table, prefix.depth(), k, config, max_workers)
 }
 
 fn run_on_prefix_table(
@@ -171,6 +218,7 @@ fn run_on_prefix_table(
     depth: usize,
     k: usize,
     config: &MainConfig,
+    max_workers: usize,
 ) -> Result<MainOutput> {
     if working.len() < k {
         // No possible world can contain k tuples from the considered prefix;
@@ -189,22 +237,17 @@ fn run_on_prefix_table(
         track_witnesses: config.track_witnesses,
     };
 
-    let segments = build_segments(working, config.me_strategy);
+    let jobs = segment_jobs(working, k, config.me_strategy);
+    let cells: usize = jobs.iter().map(|(rows, _)| rows.len() * k).sum();
+    let workers = if cells < PARALLEL_MIN_CELLS {
+        1
+    } else {
+        resolve_threads(max_workers, jobs.len())
+    };
+    let partials = run_segments(&jobs, k, &engine_config, workers);
     let mut distribution = ScoreDistribution::empty();
-    let mut executed = 0usize;
-    for segment in &segments {
-        // A vector's last member sits at position ≥ k-1; segments entirely
-        // above that can never host an ending.
-        if segment.end < k {
-            continue;
-        }
-        let (rows, exits) = build_rows(working, segment.clone(), k);
-        if rows.is_empty() {
-            continue;
-        }
-        executed += 1;
-        let partial = engine::run(&rows, &exits, k, &engine_config);
-        distribution.merge_from(&partial);
+    for job in 0..jobs.len() {
+        distribution.merge_from(&partials.get(job));
         if config.max_lines > 0 {
             distribution.coalesce(config.max_lines, config.coalesce_policy);
         }
@@ -217,8 +260,94 @@ fn run_on_prefix_table(
     Ok(MainOutput {
         distribution,
         scan_depth: depth,
-        segments: executed,
+        segments: jobs.len(),
     })
+}
+
+/// The engine rows and exit flags of one ending segment.
+type SegmentRows = (Vec<DpRow>, Vec<bool>);
+
+/// The engine input of every segment that can host the end of a top-`k`
+/// vector, in segment order.
+fn segment_jobs(working: &UncertainTable, k: usize, strategy: MeStrategy) -> Vec<SegmentRows> {
+    // A vector's last member sits at position ≥ k-1; segments entirely
+    // above that can never host an ending.
+    build_segments(working, strategy)
+        .into_iter()
+        .filter(|segment| segment.end >= k)
+        .map(|segment| build_rows(working, segment, k))
+        .filter(|(rows, _)| !rows.is_empty())
+        .collect()
+}
+
+/// The partial distributions of a query's segments: each worker's
+/// [`Finished`] store, and per job the worker that ran it and where its
+/// result sits in that worker's store.
+struct Partials {
+    stores: Vec<Finished>,
+    spans: Vec<(usize, Span)>,
+}
+
+impl Partials {
+    /// The partial distribution of `job`.
+    fn get(&self, job: usize) -> ScoreDistribution {
+        let (worker, span) = self.spans[job];
+        self.stores[worker].distribution(span)
+    }
+}
+
+/// Runs the engine once per job on `workers` workers.
+///
+/// Jobs are claimed largest first from one atomic counter, so the longest
+/// DPs start early and the short ones fill in around them. The calling
+/// thread is one of the workers and `workers - 1` helpers join it; with one
+/// worker the same loop runs alone on the calling thread. Each worker owns
+/// one [`Scratch`] and one [`Finished`] store for every job it claims. The
+/// results are looked up by job, so which worker ran a job, and when,
+/// cannot reach the caller's merge.
+fn run_segments(jobs: &[SegmentRows], k: usize, config: &EngineConfig, workers: usize) -> Partials {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&job| Reverse(jobs[job].0.len()));
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut scratch = Scratch::default();
+        let mut store = Finished::default();
+        let mut done = Vec::new();
+        loop {
+            let slot = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&job) = order.get(slot) else { break };
+            let (rows, exits) = &jobs[job];
+            let span = engine::run_in(&mut scratch, rows, exits, k, config, &mut store);
+            done.push((job, span));
+        }
+        (store, done)
+    };
+    let results = std::thread::scope(|scope| {
+        // A helper the system cannot start leaves its share to the others.
+        let helpers: Vec<_> = (1..workers)
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, work).ok())
+            .collect();
+        let mut results = vec![work()];
+        for helper in helpers {
+            results.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
+    });
+    let mut partials = Partials {
+        stores: Vec::with_capacity(results.len()),
+        spans: vec![(0, Span::default()); jobs.len()],
+    };
+    for (worker, (store, done)) in results.into_iter().enumerate() {
+        for (job, span) in done {
+            partials.spans[job] = (worker, span);
+        }
+        partials.stores.push(store);
+    }
+    partials
 }
 
 /// Decomposes positions `0..table.len()` into ending segments.
@@ -257,7 +386,7 @@ fn build_segments(table: &UncertainTable, strategy: MeStrategy) -> Vec<Range<usi
 /// above it are removed entirely (they are automatically absent whenever the
 /// ending tuple exists); this situation only arises for single non-lead
 /// segments. Exit points are enabled exactly at the segment rows.
-fn build_rows(table: &UncertainTable, segment: Range<usize>, _k: usize) -> (Vec<DpRow>, Vec<bool>) {
+fn build_rows(table: &UncertainTable, segment: Range<usize>, _k: usize) -> SegmentRows {
     let start = segment.start;
     // The group of a single non-lead ending tuple: its higher-ranked members
     // must be dropped from the prefix rows. A lead-region segment never has
@@ -626,6 +755,42 @@ mod tests {
         // more than ... it should stay close to 1 for this tiny table.
         assert!(out.distribution.total_probability() > 0.9);
         assert!(out.scan_depth <= table.len());
+    }
+
+    #[test]
+    fn segment_workers_cannot_change_the_output() {
+        // The 199-row CarTel relation at k = 5, decomposed both ways, run on
+        // every worker count against the one-worker loop — including more
+        // workers than segments.
+        let area = ttk_datagen::cartel::generate_area(&ttk_datagen::cartel::CartelConfig {
+            segments: 60,
+            seed: 9,
+            ..ttk_datagen::cartel::CartelConfig::default()
+        })
+        .unwrap();
+        let k = 5;
+        let config = MainConfig::default();
+        let depth = scan_depth(area.table(), k, config.p_tau).unwrap();
+        let working = area.table().truncate(depth);
+        let engine_config = EngineConfig::default();
+        for strategy in [MeStrategy::LeadRegions, MeStrategy::PerEnding] {
+            let jobs = segment_jobs(&working, k, strategy);
+            assert!(jobs.len() > 3, "{strategy:?}: {} segments", jobs.len());
+            let run = |jobs: &[SegmentRows], workers| {
+                let partials = run_segments(jobs, k, &engine_config, workers);
+                (0..jobs.len())
+                    .map(|job| partials.get(job))
+                    .collect::<Vec<_>>()
+            };
+            let serial = run(&jobs, 1);
+            assert!(serial.iter().any(|partial| !partial.is_empty()));
+            for workers in [2, 3, 8] {
+                let parallel = run(&jobs, workers);
+                assert_eq!(parallel, serial, "{strategy:?}, {workers} workers");
+            }
+            let few = run(&jobs[..3], 8);
+            assert_eq!(few, serial[..3], "{strategy:?}, 8 workers on 3 segments");
+        }
     }
 
     #[test]

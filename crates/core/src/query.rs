@@ -187,11 +187,17 @@ impl QueryAnswer {
 /// Every execution — regardless of the [`Algorithm`] chosen — flows through
 /// [`TupleSource`] + [`ScanGate`]: the gate implements Theorem 2 for the
 /// four bounded algorithms and stays open for the exhaustive ground truth,
-/// which simply needs the entire stream.
+/// which simply needs the entire stream. The main algorithm's per-segment
+/// dynamic programs run on every core once they are large enough (see
+/// [`crate::dp`]), except in a batch's worker threads, which already
+/// occupy the cores.
 #[derive(Debug)]
 pub struct Executor {
     scan: RankScan,
     gate: ScanGate,
+    /// Most workers a main-algorithm DP may run its segments on (0 = one
+    /// per available core).
+    dp_workers: usize,
 }
 
 impl Default for Executor {
@@ -199,6 +205,7 @@ impl Default for Executor {
         Executor {
             scan: RankScan::new(),
             gate: ScanGate::open(),
+            dp_workers: 0,
         }
     }
 }
@@ -207,6 +214,16 @@ impl Executor {
     /// Creates an executor with empty scratch buffers.
     pub fn new() -> Self {
         Executor::default()
+    }
+
+    /// An executor for a batch worker thread, whose main-algorithm DPs run
+    /// every segment on that thread: the batch's workers already occupy the
+    /// cores.
+    pub(crate) fn batch_worker() -> Self {
+        Executor {
+            dp_workers: 1,
+            ..Executor::default()
+        }
     }
 
     /// Executes a query against an in-memory table.
@@ -277,7 +294,7 @@ impl Executor {
                         MeStrategy::PerEnding
                     },
                 };
-                let out = topk_from_prefix(&prefix, query.k, &config)?;
+                let out = topk_from_prefix(&prefix, query.k, &config, self.dp_workers)?;
                 (out.distribution, out.scan_depth)
             }
             Algorithm::StateExpansion | Algorithm::KCombo => {
@@ -329,15 +346,77 @@ impl Executor {
             None
         };
 
-        Ok(QueryAnswer {
+        let answer = QueryAnswer {
             distribution,
             typical,
             u_topk: u_topk_answer,
             scan_depth,
             distribution_time,
             typical_time,
-        })
+        };
+        if cfg!(debug_assertions) {
+            if let Some(violation) = answer_violation(&answer, query.k) {
+                panic!("a top-{} answer breaks an invariant: {violation}", query.k);
+            }
+        }
+        Ok(answer)
     }
+}
+
+/// The first invariant that `answer`, the answer to a top-`k` query, breaks,
+/// or `None` when it keeps them all:
+///
+/// - the total mass is at most 1 + 1e-9;
+/// - scores are finite and strictly ascending;
+/// - probabilities are finite and non-negative;
+/// - every witness holds exactly `k` distinct ids, and its probability is
+///   at most its line's mass × (1 + 1e-12);
+/// - every typical score is a support point of the distribution.
+///
+/// The [`Executor`] checks every answer it returns in debug builds.
+pub(crate) fn answer_violation(answer: &QueryAnswer, k: usize) -> Option<String> {
+    let points = answer.distribution.points();
+    let mass = answer.distribution.total_probability();
+    if mass.is_nan() || mass > 1.0 + 1e-9 {
+        return Some(format!("the total mass is {mass}"));
+    }
+    for (line, point) in points.iter().enumerate() {
+        if !point.score.is_finite() {
+            return Some(format!("line {line} has score {}", point.score));
+        }
+        if line > 0 && points[line - 1].score >= point.score {
+            return Some(format!(
+                "line {line}'s score {} does not exceed the previous line's {}",
+                point.score,
+                points[line - 1].score
+            ));
+        }
+        if !point.probability.is_finite() || point.probability < 0.0 {
+            return Some(format!("line {line} has probability {}", point.probability));
+        }
+        let Some(witness) = &point.witness else {
+            continue;
+        };
+        let ids = &witness.ids;
+        let repeated = (1..ids.len()).any(|i| ids[..i].contains(&ids[i]));
+        if ids.len() != k || repeated {
+            return Some(format!(
+                "line {line}'s witness {ids:?} is not {k} distinct ids"
+            ));
+        }
+        if witness.probability.is_nan() || witness.probability > point.probability * (1.0 + 1e-12) {
+            return Some(format!(
+                "line {line}'s witness probability {} exceeds the line's mass {}",
+                witness.probability, point.probability
+            ));
+        }
+    }
+    answer
+        .typical
+        .answers
+        .iter()
+        .find(|typical| !points.iter().any(|point| point.score == typical.score))
+        .map(|typical| format!("typical score {} is not a support point", typical.score))
 }
 
 /// Resolves a thread-count request (`0` = one per available CPU) against the
@@ -448,6 +527,93 @@ mod tests {
         assert!(Executor::new()
             .execute(&table, &TopkQuery::new(10))
             .is_err());
+    }
+
+    /// `answer` with its distribution's points passed through `corrupt`.
+    fn corrupted(
+        answer: &QueryAnswer,
+        corrupt: impl FnOnce(&mut Vec<ttk_uncertain::DistributionPoint>),
+    ) -> QueryAnswer {
+        let mut points = answer.distribution.points().to_vec();
+        corrupt(&mut points);
+        QueryAnswer {
+            distribution: ScoreDistribution::from_points(points),
+            ..answer.clone()
+        }
+    }
+
+    #[test]
+    fn answer_check_reports_the_first_broken_invariant() {
+        let table = soldier_table();
+        let query = TopkQuery::new(2)
+            .with_p_tau(1e-9)
+            .with_max_lines(0)
+            .with_u_topk(false);
+        let answer = Executor::new().execute(&table, &query).unwrap();
+        assert_eq!(answer_violation(&answer, 2), None);
+        // The witnesses hold two ids each, so the same answer fails as a
+        // top-3 answer.
+        let wrong_k = answer_violation(&answer, 3).unwrap();
+        assert!(wrong_k.contains("is not 3 distinct ids"), "{wrong_k}");
+
+        let cases: Vec<(QueryAnswer, &str)> = vec![
+            (
+                corrupted(&answer, |points| points[0].probability += 0.5),
+                "the total mass is",
+            ),
+            (
+                corrupted(&answer, |points| points[1].score = f64::NAN),
+                "line 1 has score NaN",
+            ),
+            (
+                corrupted(&answer, |points| points.swap(1, 2)),
+                "line 2's score",
+            ),
+            (
+                corrupted(&answer, |points| points[2].score = points[1].score),
+                "line 2's score",
+            ),
+            (
+                corrupted(&answer, |points| points[0].probability = -1e-3),
+                "line 0 has probability",
+            ),
+            (
+                corrupted(&answer, |points| points[1].probability = f64::INFINITY),
+                "the total mass is inf",
+            ),
+            (
+                corrupted(&answer, |points| {
+                    points[1].witness.as_mut().unwrap().ids.pop();
+                }),
+                "line 1's witness",
+            ),
+            (
+                corrupted(&answer, |points| {
+                    let ids = &mut points[1].witness.as_mut().unwrap().ids;
+                    ids[1] = ids[0];
+                }),
+                "is not 2 distinct ids",
+            ),
+            (
+                corrupted(&answer, |points| {
+                    let line = &mut points[3];
+                    line.witness.as_mut().unwrap().probability = line.probability * 1.001;
+                }),
+                "line 3's witness probability",
+            ),
+            (
+                {
+                    let mut answer = answer.clone();
+                    answer.typical.answers[0].score += 0.5;
+                    answer
+                },
+                "is not a support point",
+            ),
+        ];
+        for (case, expected) in cases {
+            let violation = answer_violation(&case, 2).expect(expected);
+            assert!(violation.contains(expected), "{violation} vs {expected}");
+        }
     }
 
     #[test]

@@ -1193,7 +1193,7 @@ pub(crate) fn fan_out<A, W, S>(
             let order = &order;
             let work = &work;
             scope.spawn(move || {
-                let mut executor = Executor::new();
+                let mut executor = Executor::batch_worker();
                 loop {
                     let slot = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(&index) = order.get(slot) else { break };

@@ -84,8 +84,7 @@ pub use feed::{FeedSender, PrefetchPolicy, TupleFeed};
 pub use handle::ScanHandle;
 pub use merge::{partition_round_robin, MergeSource};
 pub use pmf::{
-    scores_equal, CoalescePolicy, DistributionPoint, Histogram, ScoreColumns, ScoreDistribution,
-    VectorWitness,
+    scores_equal, CoalescePolicy, DistributionPoint, Histogram, ScoreDistribution, VectorWitness,
 };
 pub use probability::{Probability, PROBABILITY_EPSILON};
 pub use source::{

@@ -535,441 +535,6 @@ impl ScoreDistribution {
     }
 }
 
-/// A columnar (structure-of-arrays) working set for the dynamic program's
-/// inner loop: scores, probabilities and witnesses held in parallel columns
-/// instead of a `Vec` of [`DistributionPoint`]s.
-///
-/// The array-of-structs layout of [`ScoreDistribution`] is the right shape
-/// for consumers — every point carries its witness — but the recurrence of
-/// §3.2 touches millions of cells, and there the layout is hostile: the
-/// exclude branch clones every point (witness vectors included) just to scale
-/// the probabilities, and the include branch materializes a shifted/scaled
-/// copy that the subsequent merge immediately tears apart again. The columnar
-/// form fixes both:
-///
-/// * [`scale_in_place`](Self::scale_in_place) multiplies the probability
-///   column in place — a branch-free pass over contiguous `f64`s the compiler
-///   auto-vectorizes, with no allocation at all;
-/// * [`merge_shifted_scaled`](Self::merge_shifted_scaled) fuses steps (2) and
-///   (3) of §3.2 into one sorted-union pass that computes shifted scores and
-///   scaled probabilities on the fly and only allocates a witness vector for
-///   lines that actually survive the merge;
-/// * [`coalesce`](Self::coalesce) scans for the closest pair over the
-///   contiguous score column instead of striding through 40-byte points.
-///
-/// Every operation performs the floating-point arithmetic in exactly the
-/// order of the equivalent [`ScoreDistribution`] calls
-/// ([`shifted_scaled`](ScoreDistribution::shifted_scaled) followed by
-/// [`merge_from`](ScoreDistribution::merge_from), and
-/// [`coalesce`](ScoreDistribution::coalesce)), so results are bit-identical
-/// to the scalar path — no reassociation, no fused multiply-adds.
-///
-/// Witness tracking is all-or-nothing: the witness column is either empty
-/// (witnesses disabled) or exactly as long as the score column. Mixing a
-/// tracked operand with an untracked one is unsupported (debug-asserted).
-///
-/// ```
-/// use ttk_uncertain::ScoreColumns;
-///
-/// // D = 0.3 · unit  ∪  (unit shifted by 5.0, scaled by 0.7)
-/// let unit = ScoreColumns::unit(false);
-/// let mut d = unit.clone();
-/// d.scale_in_place(0.3);
-/// d.merge_shifted_scaled(&unit, 5.0, 0.7, None);
-/// let dist = d.into_distribution();
-/// assert_eq!(dist.pairs().collect::<Vec<_>>(), vec![(0.0, 0.3), (5.0, 0.7)]);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScoreColumns {
-    /// Total scores, ascending.
-    scores: Vec<f64>,
-    /// Probability mass per score line (parallel to `scores`).
-    probs: Vec<f64>,
-    /// Witness per score line: parallel to `scores` when witnesses are
-    /// tracked, empty otherwise.
-    witnesses: Vec<VectorWitness>,
-}
-
-/// One candidate pair in the coalescing heap: the gap between line `left`
-/// and its right neighbour at the time the entry was pushed. Ordered by
-/// `(gap, left)` so the heap pops exactly the pair the scan-for-minimum loop
-/// would pick (leftmost on equal gaps); `stamp` detects stale entries.
-#[derive(Debug, PartialEq)]
-struct GapEntry {
-    gap: f64,
-    left: u32,
-    stamp: u32,
-}
-
-impl Eq for GapEntry {}
-
-impl PartialOrd for GapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.gap
-            .total_cmp(&other.gap)
-            .then(self.left.cmp(&other.left))
-            .then(self.stamp.cmp(&other.stamp))
-    }
-}
-
-impl ScoreColumns {
-    /// The empty working set (no mass) — the engine's initial cell value and
-    /// the "blocked exit point" of §3.3.2.
-    pub fn empty() -> Self {
-        ScoreColumns::default()
-    }
-
-    /// The unit distribution (score 0, probability 1): the enabled exit point
-    /// of the dynamic program. With `track_witnesses` the single line carries
-    /// an empty witness vector for the recurrence to extend.
-    pub fn unit(track_witnesses: bool) -> Self {
-        ScoreColumns {
-            scores: vec![0.0],
-            probs: vec![1.0],
-            witnesses: if track_witnesses {
-                vec![VectorWitness::empty()]
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    /// Number of score lines.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
-    /// True when the working set carries no mass.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-
-    /// Drops every line, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.scores.clear();
-        self.probs.clear();
-        self.witnesses.clear();
-    }
-
-    /// Scales every probability (line and witness) by `factor` in place — the
-    /// exclude branch of the recurrence. Equivalent to
-    /// [`ScoreDistribution::shifted_scaled`]`(0.0, factor, None)` including
-    /// its `score + 0.0` normalization of negative zeros, but with no
-    /// allocation: the probability column is multiplied in a branch-free pass
-    /// over contiguous `f64`s. A non-positive `factor` empties the set.
-    pub fn scale_in_place(&mut self, factor: f64) {
-        if factor <= 0.0 {
-            self.clear();
-            return;
-        }
-        for s in &mut self.scores {
-            *s += 0.0;
-        }
-        for p in &mut self.probs {
-            *p *= factor;
-        }
-        for w in &mut self.witnesses {
-            w.probability *= factor;
-        }
-    }
-
-    /// Merges `below` — shifted by `delta`, scaled by `factor`, with
-    /// `prepend` pushed onto the front of every witness — into `self`: the
-    /// include branch of the recurrence, i.e. steps (2) and (3) of §3.2 fused
-    /// into a single sorted-union pass.
-    ///
-    /// Bit-identical to `self.merge_from(&below.shifted_scaled(delta, factor,
-    /// prepend))` on the equivalent [`ScoreDistribution`]s: shifted scores
-    /// and scaled probabilities are computed on the fly in the same order,
-    /// equal lines (under [`scores_equal`]) sum as `self + below` and keep
-    /// the strictly more probable witness. The difference is purely
-    /// mechanical — no intermediate shifted copy exists, and a witness vector
-    /// is only allocated for `below` lines that survive the merge.
-    pub fn merge_shifted_scaled(
-        &mut self,
-        below: &ScoreColumns,
-        delta: f64,
-        factor: f64,
-        prepend: Option<TupleId>,
-    ) {
-        if factor <= 0.0 || below.is_empty() {
-            return;
-        }
-        let tracked = !below.witnesses.is_empty();
-        debug_assert!(
-            self.is_empty() || self.witnesses.is_empty() != tracked,
-            "mixing witness-tracked and untracked operands"
-        );
-        if self.is_empty() {
-            self.scores.extend(below.scores.iter().map(|s| s + delta));
-            self.probs.extend(below.probs.iter().map(|p| p * factor));
-            self.witnesses.reserve(below.witnesses.len());
-            for w in &below.witnesses {
-                self.witnesses.push(Self::materialize(w, factor, prepend));
-            }
-            return;
-        }
-        let (a_len, b_len) = (self.len(), below.len());
-        let mut scores = Vec::with_capacity(a_len + b_len);
-        let mut probs = Vec::with_capacity(a_len + b_len);
-        let mut witnesses = Vec::with_capacity(if tracked { a_len + b_len } else { 0 });
-        let old_scores = std::mem::take(&mut self.scores);
-        let old_probs = std::mem::take(&mut self.probs);
-        let mut old_witnesses = std::mem::take(&mut self.witnesses).into_iter();
-        let (mut ia, mut ib) = (0, 0);
-        while ia < a_len && ib < b_len {
-            let a_score = old_scores[ia];
-            let b_score = below.scores[ib] + delta;
-            if scores_equal(a_score, b_score) {
-                scores.push(a_score);
-                probs.push(old_probs[ia] + below.probs[ib] * factor);
-                if tracked {
-                    let mut w = old_witnesses.next().expect("tracked witness column");
-                    let bw = &below.witnesses[ib];
-                    if bw.probability * factor > w.probability {
-                        w = Self::materialize(bw, factor, prepend);
-                    }
-                    witnesses.push(w);
-                }
-                ia += 1;
-                ib += 1;
-            } else if a_score < b_score {
-                scores.push(a_score);
-                probs.push(old_probs[ia]);
-                if tracked {
-                    witnesses.push(old_witnesses.next().expect("tracked witness column"));
-                }
-                ia += 1;
-            } else {
-                scores.push(b_score);
-                probs.push(below.probs[ib] * factor);
-                if tracked {
-                    witnesses.push(Self::materialize(&below.witnesses[ib], factor, prepend));
-                }
-                ib += 1;
-            }
-        }
-        while ia < a_len {
-            scores.push(old_scores[ia]);
-            probs.push(old_probs[ia]);
-            if tracked {
-                witnesses.push(old_witnesses.next().expect("tracked witness column"));
-            }
-            ia += 1;
-        }
-        while ib < b_len {
-            scores.push(below.scores[ib] + delta);
-            probs.push(below.probs[ib] * factor);
-            if tracked {
-                witnesses.push(Self::materialize(&below.witnesses[ib], factor, prepend));
-            }
-            ib += 1;
-        }
-        self.scores = scores;
-        self.probs = probs;
-        self.witnesses = witnesses;
-    }
-
-    /// The shifted/scaled/prepended copy of one witness — exactly the mapping
-    /// [`ScoreDistribution::shifted_scaled`] applies, deferred to the moment
-    /// the witness is known to survive.
-    fn materialize(w: &VectorWitness, factor: f64, prepend: Option<TupleId>) -> VectorWitness {
-        let mut ids = Vec::with_capacity(w.ids.len() + usize::from(prepend.is_some()));
-        if let Some(id) = prepend {
-            ids.push(id);
-        }
-        ids.extend_from_slice(&w.ids);
-        VectorWitness {
-            ids,
-            probability: w.probability * factor,
-        }
-    }
-
-    /// Coalesces lines until at most `max_lines` remain — the columnar
-    /// equivalent of [`ScoreDistribution::coalesce`], merging the same pairs
-    /// in the same order with the same arithmetic (bit-identical results).
-    ///
-    /// Two implementations with identical output are dispatched on size. For
-    /// a handful of merges the scalar rescan-after-every-merge loop wins: the
-    /// scan is a branch-light pass over the contiguous score column and
-    /// allocates nothing. Past the crossover the lazy min-heap version takes
-    /// over, dropping the cost from O((n − max)·n) to O(n log n) — the
-    /// difference between the dynamic program spending its time rescanning
-    /// for the closest pair and spending it on actual convolution.
-    pub fn coalesce(&mut self, max_lines: usize, policy: CoalescePolicy) {
-        if max_lines == 0 || self.len() <= max_lines {
-            return;
-        }
-        // Scan cost ~ excess·n, heap cost ~ (n + excess)·log n plus five
-        // allocations; the constant below puts the crossover where the two
-        // measure about even.
-        if (self.len() - max_lines) * self.len() < 8192 {
-            self.coalesce_scan(max_lines, policy);
-        } else {
-            self.coalesce_heap(max_lines, policy);
-        }
-    }
-
-    /// The allocation-free scan-for-minimum coalescing loop: optimal for a
-    /// small number of merges over a short score column.
-    fn coalesce_scan(&mut self, max_lines: usize, policy: CoalescePolicy) {
-        while self.len() > max_lines {
-            let mut best = 0;
-            let mut best_gap = f64::INFINITY;
-            for i in 0..self.scores.len() - 1 {
-                let gap = self.scores[i + 1] - self.scores[i];
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = i;
-                }
-            }
-            let right_score = self.scores.remove(best + 1);
-            let right_prob = self.probs.remove(best + 1);
-            let merged_prob = self.probs[best] + right_prob;
-            self.scores[best] = match policy {
-                CoalescePolicy::PaperMean => (self.scores[best] + right_score) / 2.0,
-                CoalescePolicy::WeightedMean => {
-                    (self.scores[best] * self.probs[best] + right_score * right_prob) / merged_prob
-                }
-            };
-            self.probs[best] = merged_prob;
-            if !self.witnesses.is_empty() {
-                let right_witness = self.witnesses.remove(best + 1);
-                if right_witness.probability > self.witnesses[best].probability {
-                    self.witnesses[best] = right_witness;
-                }
-            }
-        }
-    }
-
-    /// Heap-based coalescing: the closest pair is tracked in a lazy min-heap
-    /// over the neighbour gaps, with a doubly-linked list threading the
-    /// surviving lines. A merge invalidates at most the two gaps adjacent to
-    /// the merged pair; fresh entries are pushed and stale ones discarded on
-    /// pop via per-line stamps. The selection order is identical to the
-    /// scan — the heap orders by `(gap, position)` and the scan keeps the
-    /// leftmost line on equal gaps (scores are ascending, so gaps are never
-    /// negative zero and `f64::total_cmp` agrees with `<` on them) — and the
-    /// merge arithmetic is untouched, so results stay bit-exact.
-    fn coalesce_heap(&mut self, max_lines: usize, policy: CoalescePolicy) {
-        let n = self.len();
-        let tracked = !self.witnesses.is_empty();
-        // Line `i` is alive while `next[i] != DEAD`; `next`/`prev` thread the
-        // surviving lines in ascending-score order (original indices never
-        // reorder, so index order == scan order). `stamp[i]` versions the gap
-        // between line `i` and its current right neighbour.
-        const TAIL: u32 = u32::MAX;
-        const DEAD: u32 = u32::MAX - 1;
-        let mut next: Vec<u32> = (1..n as u32).chain([TAIL]).collect();
-        let mut prev: Vec<u32> = [TAIL].into_iter().chain(0..n as u32 - 1).collect();
-        let mut stamp: Vec<u32> = vec![0; n];
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<GapEntry>> = (0..n - 1)
-            .map(|i| {
-                std::cmp::Reverse(GapEntry {
-                    gap: self.scores[i + 1] - self.scores[i],
-                    left: i as u32,
-                    stamp: 0,
-                })
-            })
-            .collect();
-        let mut remaining = n;
-        while remaining > max_lines {
-            let entry = heap.pop().expect("a gap per excess line").0;
-            let left = entry.left as usize;
-            // Stale: the left line died, or its right-neighbour gap changed
-            // since the entry was pushed.
-            if next[left] == DEAD || entry.stamp != stamp[left] {
-                continue;
-            }
-            let right = next[left] as usize;
-            debug_assert_ne!(next[right], DEAD);
-            let right_score = self.scores[right];
-            let right_prob = self.probs[right];
-            let merged_prob = self.probs[left] + right_prob;
-            self.scores[left] = match policy {
-                CoalescePolicy::PaperMean => (self.scores[left] + right_score) / 2.0,
-                CoalescePolicy::WeightedMean => {
-                    (self.scores[left] * self.probs[left] + right_score * right_prob) / merged_prob
-                }
-            };
-            self.probs[left] = merged_prob;
-            if tracked && self.witnesses[right].probability > self.witnesses[left].probability {
-                self.witnesses.swap(left, right);
-            }
-            // Unlink `right` and refresh the two affected gaps.
-            let after = next[right];
-            next[left] = after;
-            next[right] = DEAD;
-            if after != TAIL {
-                prev[after as usize] = left as u32;
-            }
-            remaining -= 1;
-            stamp[left] = stamp[left].wrapping_add(1);
-            if after != TAIL {
-                heap.push(std::cmp::Reverse(GapEntry {
-                    gap: self.scores[after as usize] - self.scores[left],
-                    left: left as u32,
-                    stamp: stamp[left],
-                }));
-            }
-            let before = prev[left];
-            if before != TAIL {
-                let before = before as usize;
-                stamp[before] = stamp[before].wrapping_add(1);
-                heap.push(std::cmp::Reverse(GapEntry {
-                    gap: self.scores[left] - self.scores[before],
-                    left: before as u32,
-                    stamp: stamp[before],
-                }));
-            }
-        }
-        // Compact the survivors in place, preserving order.
-        let mut keep = 0;
-        for (i, &slot) in next.iter().enumerate().take(n) {
-            if slot != DEAD {
-                if keep != i {
-                    self.scores[keep] = self.scores[i];
-                    self.probs[keep] = self.probs[i];
-                    if tracked {
-                        self.witnesses.swap(keep, i);
-                    }
-                }
-                keep += 1;
-            }
-        }
-        self.scores.truncate(keep);
-        self.probs.truncate(keep);
-        if tracked {
-            self.witnesses.truncate(keep);
-        }
-    }
-
-    /// Converts the working set into the consumer-facing
-    /// [`ScoreDistribution`] (witnesses attached when tracked, `None`
-    /// otherwise), consuming the columns.
-    pub fn into_distribution(self) -> ScoreDistribution {
-        let tracked = !self.witnesses.is_empty();
-        let mut points = Vec::with_capacity(self.scores.len());
-        let mut witnesses = self.witnesses.into_iter();
-        for (score, probability) in self.scores.into_iter().zip(self.probs) {
-            points.push(DistributionPoint {
-                score,
-                probability,
-                witness: if tracked { witnesses.next() } else { None },
-            });
-        }
-        ScoreDistribution { points }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1172,174 +737,5 @@ mod tests {
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].total_score(), 5.0);
         assert_eq!(vs[0].ids().len(), 2);
-    }
-
-    /// Converts a distribution whose points either all carry witnesses or
-    /// none do into the columnar form (test-only seam: production code builds
-    /// columns through `unit`/`merge_shifted_scaled`).
-    fn columns_of(d: &ScoreDistribution) -> ScoreColumns {
-        let tracked = d.points().iter().all(|p| p.witness.is_some()) && !d.is_empty();
-        ScoreColumns {
-            scores: d.points().iter().map(|p| p.score).collect(),
-            probs: d.points().iter().map(|p| p.probability).collect(),
-            witnesses: if tracked {
-                d.points()
-                    .iter()
-                    .map(|p| p.witness.clone().unwrap())
-                    .collect()
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    fn witnessed(pairs: &[(f64, f64)], seed: u64) -> ScoreDistribution {
-        let points = pairs
-            .iter()
-            .enumerate()
-            .map(|(i, &(score, probability))| DistributionPoint {
-                score,
-                probability,
-                witness: Some(VectorWitness {
-                    ids: vec![TupleId(seed + i as u64), TupleId(seed + 100 + i as u64)],
-                    probability: probability * 0.9,
-                }),
-            })
-            .collect();
-        ScoreDistribution::from_points(points)
-    }
-
-    #[test]
-    fn columns_scale_matches_shifted_scaled_bit_exactly() {
-        let base = witnessed(&[(-0.0, 0.25), (1.5, 0.5), (8.0, 0.125)], 7);
-        for factor in [0.3, 1.0, 0.0, -1.0] {
-            let scalar = base.shifted_scaled(0.0, factor, None);
-            let mut cols = columns_of(&base);
-            cols.scale_in_place(factor);
-            // PartialEq compares exact f64 bits — including the `-0.0 + 0.0`
-            // normalization of the score column.
-            assert_eq!(cols.into_distribution(), scalar, "factor {factor}");
-        }
-    }
-
-    #[test]
-    fn columns_merge_matches_shift_then_merge_bit_exactly() {
-        // Scores engineered so the union hits every branch: strictly
-        // interleaved lines, epsilon-equal lines (witness comparison both
-        // ways), and tails on both sides.
-        let acc = witnessed(&[(1.0, 0.2), (4.0, 0.4), (9.0, 0.1), (12.0, 0.05)], 1);
-        let below = witnessed(
-            &[(0.5, 0.3), (2.0 + 1e-13, 0.9), (7.0, 0.6), (20.0, 0.01)],
-            50,
-        );
-        for (delta, factor, prepend) in [
-            (2.0, 0.7, Some(TupleId(999))),
-            (0.0, 1.0, None),
-            (-3.0, 0.001, Some(TupleId(5))),
-        ] {
-            let mut scalar = acc.clone();
-            scalar.merge_from(&below.shifted_scaled(delta, factor, prepend));
-            let mut cols = columns_of(&acc);
-            cols.merge_shifted_scaled(&columns_of(&below), delta, factor, prepend);
-            assert_eq!(cols.into_distribution(), scalar, "delta {delta}");
-        }
-        // Merging into an empty accumulator reproduces the clone path.
-        let mut scalar = ScoreDistribution::empty();
-        scalar.merge_from(&below.shifted_scaled(1.0, 0.5, Some(TupleId(3))));
-        let mut cols = ScoreColumns::empty();
-        cols.merge_shifted_scaled(&columns_of(&below), 1.0, 0.5, Some(TupleId(3)));
-        assert_eq!(cols.into_distribution(), scalar);
-        // A non-positive factor is a no-op, like merging an emptied shift.
-        let mut cols = columns_of(&acc);
-        cols.merge_shifted_scaled(&columns_of(&below), 1.0, 0.0, None);
-        assert_eq!(cols.into_distribution(), acc);
-    }
-
-    #[test]
-    fn columns_merge_without_witnesses() {
-        let acc = dist(&[(1.0, 0.2), (4.0, 0.4)]);
-        let below = dist(&[(0.5, 0.3), (4.0, 0.25)]);
-        let mut scalar = acc.clone();
-        scalar.merge_from(&below.shifted_scaled(0.0, 0.5, None));
-        let mut cols = columns_of(&acc);
-        cols.merge_shifted_scaled(&columns_of(&below), 0.0, 0.5, None);
-        assert_eq!(cols.into_distribution(), scalar);
-    }
-
-    #[test]
-    fn columns_coalesce_matches_distribution_coalesce_bit_exactly() {
-        let base = witnessed(
-            &[
-                (1.0, 0.1),
-                (1.4, 0.3),
-                (2.0, 0.2),
-                (5.0, 0.15),
-                (5.3, 0.05),
-                (9.0, 0.2),
-            ],
-            11,
-        );
-        for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
-            for max_lines in [4, 2, 1] {
-                let mut scalar = base.clone();
-                scalar.coalesce(max_lines, policy);
-                let mut cols = columns_of(&base);
-                cols.coalesce(max_lines, policy);
-                assert_eq!(
-                    cols.into_distribution(),
-                    scalar,
-                    "policy {policy:?} max_lines {max_lines}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn columns_coalesce_heap_matches_scan_on_many_lines() {
-        // A few hundred lines with deliberately repeated gap values, so the
-        // heap's (gap, position) tie-break is exercised against the scalar
-        // scan's leftmost-strictly-smaller rule at every merge.
-        let mut x = 0u64;
-        let mut score = 0.0;
-        let pairs: Vec<(f64, f64)> = (0..300)
-            .map(|_| {
-                // Deterministic xorshift; gaps drawn from a small set of
-                // discrete values to force plenty of exact ties.
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                score += [0.5, 1.0, 1.0, 2.0, 0.25][(x % 5) as usize];
-                (score, 0.001 + (x % 997) as f64 / 1000.0)
-            })
-            .collect();
-        let base = witnessed(&pairs, 1000);
-        for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
-            for max_lines in [200, 64, 7] {
-                let mut scalar = base.clone();
-                scalar.coalesce(max_lines, policy);
-                let mut cols = columns_of(&base);
-                cols.coalesce(max_lines, policy);
-                assert_eq!(
-                    cols.into_distribution(),
-                    scalar,
-                    "policy {policy:?} max_lines {max_lines}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn columns_unit_round_trips() {
-        assert_eq!(
-            ScoreColumns::unit(true).into_distribution(),
-            ScoreDistribution::unit()
-        );
-        assert_eq!(
-            ScoreColumns::unit(false).into_distribution(),
-            ScoreDistribution::singleton(0.0, 1.0, None)
-        );
-        assert!(ScoreColumns::empty().is_empty());
-        assert_eq!(ScoreColumns::unit(true).len(), 1);
     }
 }
