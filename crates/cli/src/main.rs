@@ -751,8 +751,9 @@ fn resolve_dataset(
     }
 }
 
-/// Set by the SIGINT/SIGTERM handler; the daemon accept loops poll it and
-/// drain in-flight connections instead of dying mid-stream.
+/// Set by the SIGINT/SIGTERM handler; the daemon runtime's drain watcher
+/// polls it, and the daemon drains in-flight connections instead of dying
+/// mid-stream.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 /// Installs the graceful-shutdown signal handler (SIGINT + SIGTERM). The

@@ -2,9 +2,9 @@
 //!
 //! Before this module, `ttk serve-shard`, `ttk coordinator` and `ttk serve`
 //! each hand-rolled the same lifecycle: bind a listener (optionally
-//! advertising the bound port through an atomically-written port file), poll
-//! a non-blocking accept loop against a shutdown flag, bound concurrency
-//! with a worker pool, isolate per-connection failures, and drain in-flight
+//! advertising the bound port through an atomically-written port file), run
+//! an accept loop that honours a shutdown flag, bound concurrency with a
+//! worker pool, isolate per-connection failures, and drain in-flight
 //! connections on exit. [`run_daemon`] is that lifecycle extracted once:
 //!
 //! * **Admission control.** Accepted connections are handed to a bounded
@@ -24,27 +24,33 @@
 //! * **Stall protection.** [`DaemonOptions::write_timeout`] arms
 //!   `set_write_timeout` on every accepted socket, so a client that stops
 //!   reading mid-reply costs its worker a bounded wait, not forever.
-//! * **Drain discipline.** The accept loop polls the caller's shutdown flag
-//!   (set by a signal handler the *binary* installs — this crate forbids
-//!   unsafe code) and the handler-requested drain
-//!   ([`DaemonControl::request_drain`], how `ttk coordinator --max-leases`
-//!   exits). On either, or after [`DaemonOptions::max_conns`] served
-//!   connections, the loop stops accepting, the channel closes, and every
-//!   in-flight connection is joined before [`run_daemon`] returns its
-//!   [`DaemonReport`].
+//! * **Drain discipline.** The accept loop blocks in `accept`, so a new
+//!   connection is picked up the moment it arrives. Two flags ask it to
+//!   stop: the caller's shutdown flag (set by a signal handler the *binary*
+//!   installs — this crate forbids unsafe code) and the handler-requested
+//!   drain ([`DaemonControl::request_drain`], how `ttk coordinator
+//!   --max-leases` exits). A watcher thread checks them every 10 ms; once
+//!   either is set, it dials the listener once to wake the blocked `accept`
+//!   (loopback of the same family for a wildcard bind). The loop checks the
+//!   flags after every accept and drops that connection unserved when
+//!   draining. [`DaemonOptions::max_conns`] ends the loop inline, right
+//!   after the last handoff. Either way the loop stops accepting, the
+//!   channel closes, and every in-flight connection is joined before
+//!   [`run_daemon`] returns its [`DaemonReport`].
 //!
 //! Transient accept failures (an aborted handshake, fd pressure) are logged
 //! and survived; [`MAX_CONSECUTIVE_ACCEPT_FAILURES`] of them back-to-back —
 //! or one fatal listener error — end the daemon with an error after the
 //! in-flight connections drain.
 
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, TrySendError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How long the accept loop sleeps between polls of an idle listener.
+/// How often the drain watcher checks the stop flags while the accept loop
+/// blocks in `accept`.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
 /// How long the handoff loop sleeps between attempts to hand a connection
@@ -193,25 +199,20 @@ pub struct DaemonReport {
     pub reason: DrainReason,
 }
 
-/// Binds the daemon listener on `listen`, switches it to non-blocking
-/// polling, and — when `port_file` is set — advertises the bound address
-/// through an atomically-written file (the `--listen 127.0.0.1:0` +
-/// `--port-file` handshake scripts and tests use). Returns the listener and
-/// the bound `host:port`.
+/// Binds the daemon listener on `listen` and — when `port_file` is set —
+/// advertises the bound address through an atomically-written file (the
+/// `--listen 127.0.0.1:0` + `--port-file` handshake scripts and tests use).
+/// Returns the listener and the bound `host:port`.
 ///
 /// # Errors
 ///
-/// A human-readable message when the bind, the non-blocking switch, or the
-/// port-file write fails.
+/// A human-readable message when the bind or the port-file write fails.
 pub fn bind_daemon_listener(
     listen: &str,
     port_file: Option<&str>,
 ) -> Result<(TcpListener, String), String> {
     let listener =
         TcpListener::bind(listen).map_err(|e| format!("cannot listen on {listen}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot poll the listener: {e}"))?;
     let bound = listener
         .local_addr()
         .map_err(|e| e.to_string())?
@@ -269,14 +270,17 @@ fn peer_of(stream: &TcpStream) -> String {
 /// the shed policy, and joins every in-flight connection before returning.
 ///
 /// The caller owns `shutdown` (typically a `static` its signal handler
-/// flips); the runtime only reads it. The listener must be non-blocking —
-/// [`bind_daemon_listener`] arranges that.
+/// flips); the runtime only reads it. The loop blocks in `accept` (the
+/// listener is switched to blocking mode if it was not), and a watcher
+/// thread wakes it with one connection of its own once a drain is
+/// requested — see the module doc.
 ///
 /// # Errors
 ///
-/// A human-readable message when the listener dies (a fatal accept error,
-/// or [`MAX_CONSECUTIVE_ACCEPT_FAILURES`] transient ones back-to-back),
-/// when every worker exits while connections still arrive, or when
+/// A human-readable message when the listener's mode or address cannot be
+/// read or set, when the listener dies (a fatal accept error, or
+/// [`MAX_CONSECUTIVE_ACCEPT_FAILURES`] transient ones back-to-back), when
+/// every worker exits while connections still arrive, or when
 /// `options.workers` is zero. In-flight connections are joined before any
 /// error returns.
 pub fn run_daemon<H: ConnectionHandler>(
@@ -289,8 +293,9 @@ pub fn run_daemon<H: ConnectionHandler>(
         return Err("a daemon needs at least one worker".to_string());
     }
     listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("cannot poll the listener: {e}"))?;
+        .set_nonblocking(false)
+        .map_err(|e| format!("cannot block on the listener: {e}"))?;
+    let wake = wake_address(listener)?;
 
     let control = DaemonControl::new(shutdown);
     // The rendezvous handoff: capacity 0 means `try_send` only succeeds
@@ -324,6 +329,11 @@ pub fn run_daemon<H: ConnectionHandler>(
         }
         drop(conn_rx); // Workers hold the only receiver handles now.
 
+        // Disconnected when the accept loop ends, which stops the watcher.
+        let (loop_done, watcher_done) = channel::<()>();
+        let watcher_control = &control;
+        scope.spawn(move || watch_for_drain(watcher_control, wake, &watcher_done));
+
         let mut served = 0u64;
         let mut shed = 0u64;
         let mut consecutive_failures = 0usize;
@@ -335,10 +345,6 @@ pub fn run_daemon<H: ConnectionHandler>(
                 Ok((stream, _)) => {
                     consecutive_failures = 0;
                     stream
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
                 }
                 Err(e) if accept_error_is_transient(&e) => {
                     consecutive_failures += 1;
@@ -354,14 +360,14 @@ pub fn run_daemon<H: ConnectionHandler>(
                 }
                 Err(e) => break Err(format!("accept failed fatally: {e}")),
             };
-            // Accepted sockets are blocking again (handlers speak framed
-            // exchanges, not polls), with the stall bound armed when
-            // configured. A socket refusing either is dead on arrival:
-            // log and move on, exactly like any other per-connection error.
-            if let Err(e) = stream.set_nonblocking(false) {
-                eprintln!("connection {}: cannot unpoll: {e}", peer_of(&stream));
-                continue;
+            // A drain request (or the watcher's wake-up connection): the
+            // connection just accepted is dropped unserved.
+            if control.draining() {
+                break Ok(drain_reason(&control));
             }
+            // The stall bound is armed when configured. A socket refusing it
+            // is dead on arrival: log and move on, exactly like any other
+            // per-connection error.
             if let Some(timeout) = options.write_timeout {
                 if let Err(e) = stream.set_write_timeout(Some(timeout)) {
                     eprintln!(
@@ -420,8 +426,9 @@ pub fn run_daemon<H: ConnectionHandler>(
             }
         };
 
-        // Whatever ended the loop, close the channel and join every
-        // in-flight connection before reporting.
+        // Whatever ended the loop, stop the watcher, close the channel and
+        // join every in-flight connection before reporting.
+        drop(loop_done);
         drop(conn_tx);
         let in_flight = workers.iter().filter(|w| !w.is_finished()).count();
         if in_flight > 0 {
@@ -442,6 +449,34 @@ pub fn run_daemon<H: ConnectionHandler>(
             reason,
         })
     })
+}
+
+/// Where the drain watcher dials to wake a blocked `accept`: the listener's
+/// own address, with a wildcard IP replaced by loopback of the same family.
+fn wake_address(listener: &TcpListener) -> Result<SocketAddr, String> {
+    let mut addr = listener
+        .local_addr()
+        .map_err(|e| format!("cannot read the listener address: {e}"))?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
+}
+
+/// The drain watcher: checks the stop flags every [`ACCEPT_POLL`] and, once
+/// the daemon is draining, connects to `wake` so the accept loop returns
+/// from `accept` and sees the flags. A failed wake-up is retried on the
+/// next poll. Returns after a successful wake-up, or as soon as the accept
+/// loop has ended (`done` disconnects).
+fn watch_for_drain(control: &DaemonControl<'_>, wake: SocketAddr, done: &Receiver<()>) {
+    while let Err(RecvTimeoutError::Timeout) = done.recv_timeout(ACCEPT_POLL) {
+        if control.draining() && TcpStream::connect_timeout(&wake, ACCEPT_POLL).is_ok() {
+            return;
+        }
+    }
 }
 
 /// Which drain condition fired (shutdown wins: it is the operator's word).
@@ -542,6 +577,59 @@ mod tests {
             let report = daemon.join().expect("daemon").expect("clean exit");
             assert_eq!(report.served, 1);
             assert_eq!(report.reason, DrainReason::Shutdown);
+        });
+    }
+
+    /// A daemon on a wildcard address that no client ever dials still
+    /// drains when the flag flips: the watcher wakes the blocked `accept`
+    /// through loopback. Were the loop not yet blocked when the flag flips,
+    /// the test would still pass — it can only fail by hanging, which the
+    /// timeout turns into a failure.
+    #[test]
+    fn idle_wildcard_daemon_drains_on_shutdown() {
+        let (listener, _) = bind_daemon_listener("0.0.0.0:0", None).expect("bind");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (report_tx, report_rx) = mpsc::channel();
+        let flag = Arc::clone(&shutdown);
+        std::thread::spawn(move || {
+            let report = run_daemon(&listener, &Echo, &DaemonOptions::default(), &flag);
+            let _ = report_tx.send(report);
+        });
+        std::thread::sleep(ACCEPT_POLL * 3);
+        shutdown.store(true, Ordering::SeqCst);
+        let report = report_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the idle daemon drained")
+            .expect("clean exit");
+        assert_eq!(report.served, 0);
+        assert_eq!(report.reason, DrainReason::Shutdown);
+    }
+
+    /// Sequential round trips on an idle daemon pay no accept poll: the
+    /// loop is blocked in `accept` when each client dials.
+    #[test]
+    fn sequential_round_trips_do_not_wait_for_an_accept_poll() {
+        let (listener, addr) = local_listener();
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let daemon =
+                scope.spawn(|| run_daemon(&listener, &Echo, &DaemonOptions::default(), &shutdown));
+            let mut trips: Vec<Duration> = (0..21u8)
+                .map(|byte| {
+                    let start = std::time::Instant::now();
+                    assert_eq!(echo_round_trip(&addr, byte), byte);
+                    start.elapsed()
+                })
+                .collect();
+            shutdown.store(true, Ordering::SeqCst);
+            let report = daemon.join().expect("daemon").expect("clean exit");
+            assert_eq!(report.served, 21);
+            trips.sort();
+            let median = trips[trips.len() / 2];
+            assert!(
+                median < ACCEPT_POLL / 2,
+                "median round trip {median:?} (all: {trips:?})"
+            );
         });
     }
 

@@ -31,8 +31,8 @@
 //!   negotiates v1/v2/v3 per connection and replays a shard through the
 //!   conservative [`ShardScanGate`] bound.
 //! * [`daemon`] — the shared daemon runtime all three serving binaries run
-//!   on: listener setup with atomic port files, the non-blocking accept
-//!   loop, a bounded worker pool with rendezvous handoff, saturation
+//!   on: listener setup with atomic port files, the blocking accept loop
+//!   and its drain watcher, a bounded worker pool with rendezvous handoff, saturation
 //!   shedding, write-timeout stall protection, and signal/handler-requested
 //!   draining — behind one small [`ConnectionHandler`] trait.
 //! * [`registry`] — the state a query-serving daemon keeps resident: the

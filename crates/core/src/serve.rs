@@ -5,17 +5,26 @@
 //! v3 pushdown client speaks first (a query frame right after connecting),
 //! so the server peeks the socket under a short grace window. Data waiting
 //! → read the query, answer with a v3 hello and stream only the
-//! [`ShardScanGate`]-bounded prefix, draining client bound updates
-//! mid-replay and closing with a stopped-at trailer. Silence → the peer is
-//! a v1/v2 client; serve the full replay exactly as previous releases did.
+//! [`ShardScanGate`]-bounded prefix, closing with a stopped-at trailer.
+//! Silence → the peer is a v1/v2 client; serve the full replay exactly as
+//! previous releases did.
+//!
+//! A pushdown client keeps sending bound updates on the same socket while
+//! the replay runs. A helper thread blocks on the socket's read half,
+//! parses them, and publishes the largest mass (and whether the client hung
+//! up) through atomics; every [`ServeOptions::drain_every`] tuples the
+//! replay loop reads those atomics and never waits on the socket. When the
+//! replay ends, it shuts down the read side so the helper returns and is
+//! joined before [`serve_stream`] does.
 //!
 //! The function is transport-specific (`TcpStream`) because the negotiation
-//! is: it needs `peek`, read timeouts, and an independently readable clone
-//! of the write half. Everything protocol-level (frames, gates) lives in
-//! `ttk_uncertain::wire` and [`crate::scan_depth`].
+//! is: it needs `peek`, read timeouts, a second handle on the socket for the
+//! helper, and `shutdown` to wake it. Everything protocol-level (frames,
+//! gates) lives in `ttk_uncertain::wire` and [`crate::scan_depth`].
 
 use std::io::{BufWriter, Read};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use ttk_uncertain::wire::{self, ControlFrame, ControlParser, PushdownQuery, StoppedAt};
@@ -68,7 +77,8 @@ pub struct ServeOptions {
     /// How long to wait for a client query frame before falling back to the
     /// full v1/v2 replay.
     pub pushdown_wait: Duration,
-    /// Drain client bound updates every this many shipped tuples.
+    /// Apply the client's latest bound update, and notice a client that
+    /// hung up, every this many shipped tuples.
     pub drain_every: u64,
     /// Most tuples packed into one block frame when the client negotiates
     /// columnar blocks (the effective size is the smaller of this and the
@@ -96,8 +106,9 @@ impl Default for ServeOptions {
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on a source failure, a malformed query frame, or local
-/// socket configuration failures.
+/// [`Error::Source`] on a source failure, a malformed query frame, local
+/// socket configuration failures, or when the thread that reads a pushdown
+/// client's bound updates cannot be started.
 pub fn serve_stream(
     stream: TcpStream,
     source: &mut dyn TupleSource,
@@ -206,8 +217,8 @@ fn serve_legacy(
 }
 
 /// The v3 query-mode path: read the query frame, answer with the v3 hello,
-/// replay through a [`ShardScanGate`] while draining bound updates off the
-/// client half of the socket, and close with the stopped-at trailer.
+/// replay through a [`ShardScanGate`] while a helper thread follows the
+/// client's bound updates, and close with the stopped-at trailer.
 ///
 /// A client that announced block capability (the kind-19 query frame) gets
 /// the same gated prefix packed into kind-20 block frames; the gate still
@@ -223,17 +234,110 @@ fn serve_pushdown(
     // keep the grace-window timeout for the remainder rather than blocking
     // forever on a half-written frame from a dying client.
     let (query, max_block) = wire::read_query_negotiated(&mut (&stream))?;
-    let mut gate = match query.k {
+    let gate = match query.k {
         0 => None,
         k => Some(ShardScanGate::new(k as usize, query.p_tau)?),
     };
     let block_cap = max_block.map(|m| (m as usize).min(options.block_tuples.max(1)));
 
-    // Bound updates are drained with tiny timed reads mid-replay.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(1)))
-        .map_err(|e| io_config(&e))?;
+    // From here on only the helper reads, and it blocks until the client
+    // sends or the replay shuts the read side down.
+    stream.set_read_timeout(None).map_err(|e| io_config(&e))?;
     let read_half = stream.try_clone().map_err(|e| io_config(&e))?;
+    let updates = BoundUpdates::default();
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name("ttk-bound-updates".to_string())
+            .spawn_scoped(scope, || updates.follow(&read_half))
+            .map_err(|e| Error::Source(format!("starting the bound-update reader: {e}")))?;
+        // Dropped on every exit from the replay, so the scope can join the
+        // helper.
+        let _wake = ShutdownReadOnDrop(&read_half);
+        replay_gated(
+            stream, source, assignment, options, gate, block_cap, &updates,
+        )
+    })
+}
+
+/// The client's bound updates as the helper thread publishes them for the
+/// replay loop, which only ever loads them. Each atomic is the whole
+/// message and publishes no other data, so both sides use `Relaxed`.
+#[derive(Default)]
+struct BoundUpdates {
+    /// The bits of the largest mass announced so far. Masses are
+    /// non-negative, so `fetch_max` on the bits orders them like the values.
+    mass_bits: AtomicU64,
+    /// Set once the client closed its half of the socket.
+    closed: AtomicBool,
+}
+
+impl BoundUpdates {
+    /// The helper thread: reads control frames until the client closes its
+    /// half, the socket fails, or the replay shuts the read side down. A
+    /// failed read or a malformed frame ends the updates, not the replay,
+    /// which falls back to its local-only bound.
+    fn follow(&self, mut read_half: &TcpStream) {
+        let mut parser = ControlParser::new();
+        let mut buf = [0u8; 256];
+        loop {
+            match read_half.read(&mut buf) {
+                Ok(0) => {
+                    self.closed.store(true, Ordering::Relaxed);
+                    return;
+                }
+                Ok(n) => parser.extend(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+            loop {
+                match parser.next_frame() {
+                    Ok(Some(ControlFrame::Bound(mass))) => {
+                        // The gate only ever raises its remote mass, so a
+                        // NaN, negative or zero update would change nothing.
+                        if mass > 0.0 {
+                            self.mass_bits.fetch_max(mass.to_bits(), Ordering::Relaxed);
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(_) => return,
+                }
+            }
+        }
+    }
+
+    /// The largest mass announced so far (0.0 before any update).
+    fn mass(&self) -> f64 {
+        f64::from_bits(self.mass_bits.load(Ordering::Relaxed))
+    }
+
+    /// Whether the client has closed its half of the socket.
+    fn client_closed(&self) -> bool {
+        self.closed.load(Ordering::Relaxed)
+    }
+}
+
+/// Shuts down the read side of the socket when dropped, which returns the
+/// helper blocked in [`BoundUpdates::follow`].
+struct ShutdownReadOnDrop<'a>(&'a TcpStream);
+
+impl Drop for ShutdownReadOnDrop<'_> {
+    fn drop(&mut self) {
+        // Fails only when the socket is already dead, which also ends the
+        // helper's read.
+        let _ = self.0.shutdown(Shutdown::Read);
+    }
+}
+
+/// The v3 replay proper: hello, the gated prefix, and the trailer.
+fn replay_gated(
+    stream: TcpStream,
+    source: &mut dyn TupleSource,
+    assignment: Option<&ShardAssignment>,
+    options: &ServeOptions,
+    mut gate: Option<ShardScanGate>,
+    block_cap: Option<usize>,
+    updates: &BoundUpdates,
+) -> Result<ServeSummary> {
     let writer = WireWriter::v3(BufWriter::new(stream), source.size_hint(), assignment);
     let mut writer = match writer {
         Ok(writer) => writer,
@@ -248,8 +352,6 @@ fn serve_pushdown(
         }
     };
 
-    let mut parser = ControlParser::new();
-    let mut updates_dead = false;
     let mut scanned = 0u64;
     let mut shipped = 0u64;
     let mut block = TupleBlock::default();
@@ -285,11 +387,12 @@ fn serve_pushdown(
             }
         }
         shipped += 1;
-        if !updates_dead && shipped.is_multiple_of(options.drain_every) {
-            match drain_bounds(&read_half, &mut parser, gate.as_mut()) {
-                Ok(false) => {}
-                Ok(true) => break StopReason::ClientGone,
-                Err(_) => updates_dead = true,
+        if shipped.is_multiple_of(options.drain_every) {
+            if updates.client_closed() {
+                break StopReason::ClientGone;
+            }
+            if let Some(gate) = &mut gate {
+                gate.update_remote_mass(updates.mass());
             }
         }
     };
@@ -323,40 +426,6 @@ fn serve_pushdown(
         pushdown: true,
         wire_bytes,
     })
-}
-
-/// Reads whatever control bytes are waiting (bounded by the 1 ms read
-/// timeout), feeds complete bound frames into the gate, and reports whether
-/// the client closed its half of the socket.
-fn drain_bounds(
-    read_half: &TcpStream,
-    parser: &mut ControlParser,
-    mut gate: Option<&mut ShardScanGate>,
-) -> Result<bool> {
-    let mut buf = [0u8; 256];
-    loop {
-        match (&mut (&*read_half)).read(&mut buf) {
-            Ok(0) => return Ok(true),
-            Ok(n) => {
-                parser.extend(&buf[..n]);
-                if n < buf.len() {
-                    break;
-                }
-            }
-            Err(e) if would_block(&e) => break,
-            Err(e) => return Err(Error::Source(format!("draining bound updates: {e}"))),
-        }
-    }
-    while let Some(frame) = parser.next_frame()? {
-        match frame {
-            ControlFrame::Bound(mass) => {
-                if let Some(gate) = gate.as_deref_mut() {
-                    gate.update_remote_mass(mass);
-                }
-            }
-        }
-    }
-    Ok(false)
 }
 
 /// The [`PushdownQuery`] a client announces for a given query shape:

@@ -7,15 +7,17 @@
 //! boundary. A producer that errors mid-stream must surface as
 //! `Error::Source` on the consumer, never hang or truncate.
 
-use std::net::TcpListener;
+use std::io::BufReader;
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use ttk_core::{
     serve_stream, ConnectOptions, Dataset, QueryAnswer, RemoteShardDataset, ScanPath, ServeOptions,
-    ServeSummary, Session, ShardScanGate, TopkQuery,
+    ServeSummary, Session, ShardScanGate, StopReason, TopkQuery,
 };
+use ttk_uncertain::wire::{self, PushdownQuery, WireReader};
 use ttk_uncertain::{
     Error, LeaseRegistry, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple,
     TupleFeed, TupleSource, UncertainTable, UncertainTuple, VecSource, WireWriter,
@@ -833,4 +835,108 @@ fn remote_source_failure_is_forwarded_through_the_wire() {
         matches!(&err, Error::Source(m) if m.contains("shard backend failed")),
         "{err:?}"
     );
+}
+
+/// Yields `tuples`, pausing before tuple `pause_at` until the test signals
+/// `resume` — so a test can act on the socket while the replay is
+/// mid-stream, whatever the socket buffers could have absorbed.
+struct PausingSource {
+    tuples: Vec<SourceTuple>,
+    served: usize,
+    pause_at: usize,
+    resume: mpsc::Receiver<()>,
+}
+
+impl TupleSource for PausingSource {
+    fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
+        if self.served == self.pause_at {
+            let _ = self.resume.recv();
+        }
+        let next = self.tuples.get(self.served).copied();
+        self.served += 1;
+        Ok(next)
+    }
+}
+
+/// Serves one connection through [`serve_stream`] on a background thread,
+/// reporting its result through the returned channel.
+fn serve_one(
+    mut source: impl TupleSource + Send + 'static,
+) -> (String, mpsc::Receiver<Result<ServeSummary>>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (sender, receiver) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let _ = sender.send(serve_stream(
+            stream,
+            &mut source,
+            None,
+            &ServeOptions::default(),
+        ));
+    });
+    (addr, receiver)
+}
+
+/// Dials `addr` as a full-stream (k = 0) block client and reads the hello.
+fn full_stream_client(addr: &str) -> WireReader<BufReader<TcpStream>> {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    wire::write_query_blocks(&mut &stream, &PushdownQuery { k: 0, p_tau: 0.0 }, 512).unwrap();
+    let mut reader = WireReader::new(BufReader::new(stream));
+    reader.hello().unwrap();
+    reader
+}
+
+/// A full-stream client that reads the hello and one block and then drops
+/// its socket: the server stops short of the end with `ClientGone` — and
+/// returns at all, which it only does once its bound-update helper thread
+/// has been joined.
+#[test]
+fn serve_stream_stops_when_a_full_stream_client_vanishes() {
+    const ROWS: u64 = 20_000;
+    let (resume, paused) = mpsc::channel();
+    let (addr, summaries) = serve_one(PausingSource {
+        tuples: descending_tuples(ROWS),
+        served: 0,
+        pause_at: 2_048,
+        resume: paused,
+    });
+    let mut client = full_stream_client(&addr);
+    let block = client.next_block(512).unwrap().expect("a first block");
+    assert!(!block.is_empty());
+    drop(client);
+    resume.send(()).unwrap();
+    let summary = summaries
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve_stream returned")
+        .expect("a vanished client is a summary, not an error");
+    assert!(summary.pushdown, "{summary:?}");
+    assert_eq!(summary.reason, StopReason::ClientGone, "{summary:?}");
+    assert!(summary.shipped < ROWS, "{summary:?}");
+}
+
+/// A client that reads the whole stream and keeps its socket open: the
+/// server shuts down its read side after the trailer, so the helper blocked
+/// on that socket returns and `serve_stream` completes while the client is
+/// still connected.
+#[test]
+fn serve_stream_returns_while_the_client_holds_its_socket() {
+    const ROWS: u64 = 3_000;
+    let (addr, summaries) = serve_one(VecSource::new(descending_tuples(ROWS)));
+    let mut client = full_stream_client(&addr);
+    let mut received = 0u64;
+    while let Some(block) = client.next_block(512).unwrap() {
+        received += block.len() as u64;
+    }
+    assert_eq!(received, ROWS);
+    let summary = summaries
+        .recv_timeout(Duration::from_secs(30))
+        .expect("serve_stream returned with the client still connected")
+        .expect("clean replay");
+    assert_eq!(summary.reason, StopReason::Exhausted, "{summary:?}");
+    assert_eq!(summary.shipped, ROWS);
+    drop(client);
 }

@@ -506,7 +506,7 @@ pub struct StoppedAt {
     pub gate_limited: bool,
 }
 
-/// A control frame a v3 server drains off the client half of the socket
+/// A control frame a v3 server reads off the client half of the socket
 /// mid-replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlFrame {
@@ -514,8 +514,8 @@ pub enum ControlFrame {
     Bound(f64),
 }
 
-/// Incremental decoder for client→server control frames: the server reads
-/// whatever bytes are available without blocking, feeds them in with
+/// Incremental decoder for client→server control frames: the server feeds
+/// whatever bytes each read returns in with
 /// [`extend`](ControlParser::extend), and pops complete frames with
 /// [`next_frame`](ControlParser::next_frame) — partial frames stay buffered
 /// across reads.
