@@ -43,7 +43,7 @@ struct Witness {
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     arena: Vec<Cell>,
-    /// Cells the last [`compact`](Self::compact) of this run kept.
+    /// Cells the last [`compact`](Self::compact) kept.
     kept: usize,
     /// The arena a compaction copies the live chains into.
     moved: Vec<Cell>,
@@ -59,20 +59,13 @@ pub(crate) struct Workspace {
     heap: BinaryHeap<Reverse<GapEntry>>,
 }
 
-/// Arena cells (16 bytes each) a run may hold before its first compaction.
+/// Arena cells (16 bytes each) a worker may hold before its first compaction.
 /// Thresholds from 8,192 to 65,536 cells timed alike (within run-to-run
 /// noise) on both CarTel relations at k = 5, 8 and 10; the smaller one
 /// keeps less memory.
 const COMPACT_FROM: usize = 1 << 14;
 
 impl Workspace {
-    /// Forgets every witness chain. Columns built before the call must not
-    /// be read afterwards.
-    pub(crate) fn clear_witnesses(&mut self) {
-        self.arena.clear();
-        self.kept = 0;
-    }
-
     /// Copies the chains the witnesses of `live` reach into a fresh arena
     /// and points the witnesses at the copies, once the arena has grown to
     /// twice what the last compaction kept (and at least
@@ -83,7 +76,7 @@ impl Workspace {
     /// tail still share its copy, so the arena stays proportional to the
     /// live lines instead of growing with every row. Ids and witness
     /// probabilities are untouched.
-    pub(crate) fn compact(&mut self, live: &mut [ScoreColumns]) {
+    pub(crate) fn compact<'a>(&mut self, live: impl IntoIterator<Item = &'a mut ScoreColumns>) {
         if self.arena.len() < COMPACT_FROM.max(2 * self.kept) {
             return;
         }
@@ -224,6 +217,15 @@ impl ScoreColumns {
         self.scores.clear();
         self.probs.clear();
         self.witnesses.clear();
+    }
+
+    /// Makes `self` a copy of `other`, keeping `self`'s allocated capacity.
+    /// The copied witnesses share their chains with `other`'s.
+    pub(crate) fn copy_from(&mut self, other: &ScoreColumns) {
+        self.clear();
+        self.scores.extend_from_slice(&other.scores);
+        self.probs.extend_from_slice(&other.probs);
+        self.witnesses.extend_from_slice(&other.witnesses);
     }
 
     /// Scales every probability (line and witness) by `factor` in place: the

@@ -1,6 +1,6 @@
 //! The generic dynamic-programming engine shared by the main algorithm.
 //!
-//! The engine runs the bottom-up recurrence of §3.2 over an abstract sequence
+//! The engine runs the recurrence of §3.2 forward over an abstract sequence
 //! of [`DpRow`]s. A row is either a *simple* uncertain tuple or a *rule
 //! tuple* (§3.3.1) compressing an ME group into one row whose include branch
 //! enumerates the member tuples. Exit points (the auxiliary column 0 of the
@@ -10,54 +10,78 @@
 //! The drivers in [`super`] decide how tables are translated into rows and
 //! which exits are enabled; the engine is agnostic to those decisions.
 //!
+//! # Forward cells and exit rows
+//!
+//! The state is `k` cells `G[0..k)`: `G[j]` is the score distribution of
+//! "exactly `j` of the rows applied so far are present, the rest absent",
+//! and `G[0]` starts as the unit (score 0, probability 1). Applying a row
+//! with exclude probability `q` updates `j = k − 1` down to 1 — scale
+//! `G[j]` by `q`, merge `G[j − 1]` shifted by each branch's score and
+//! scaled by its probability, coalesce — and finally scales `G[0]` by `q`.
+//! Descending `j` reads each `G[j − 1]` before it changes.
+//!
+//! Before an exit row is applied, each of its branches adds
+//! `p · shift(G[k − 1])` into the answer cell, which is then coalesced:
+//! those are the selections whose last member is that row. Later rows
+//! never scale the answer, because rows below a vector's last member do not
+//! affect it. A vector's rows are the ones it selects, so the order of the
+//! rows above an exit changes only the float order of the sums, never the
+//! distribution.
+//!
+//! Running forward lets the driver share work between ending segments: it
+//! folds the rows every segment shares into a base state once and copies
+//! that base per segment (`Forward`).
+//!
 //! # Cells and the witness arena
 //!
 //! A cell is a score distribution held as parallel columns: the scores
 //! (ascending), their probabilities, and, when witnesses are tracked, one
 //! `(probability, cell)` pair per line. That cell indexes an arena of
 //! `(TupleId, parent)` cells, and a witness vector is the chain from its
-//! cell up to the root, first id first. The include branch prepends the
-//! row's tuple to every witness it carries down: one pushed cell whose
-//! parent is the old chain, so a witness shares the rest of its vector
-//! with the one it came from, and a prepend costs one 16-byte cell instead
-//! of a copied id vector. Ids are walked out only for the final cell's
-//! lines (at most `max_lines` per run), into the worker's flat result
+//! cell up to the root. The include branch puts the row's tuple in front
+//! of every witness it carries: one pushed cell whose parent is the old
+//! chain, so a witness shares the rest of its vector with the one it came
+//! from, and a step costs one 16-byte cell instead of a copied id vector.
+//! The chain therefore lists the rows last applied first; [`run`] returns
+//! each witness in row order. Ids are walked out only for the answer's
+//! lines (at most `max_lines` per segment), into the worker's flat result
 //! store.
 //!
 //! Cells that no surviving line reaches any more are dead. After a row,
 //! once the arena has grown to twice what its last compaction kept (and
-//! to at least 16,384 cells), the chains the live cells reach are copied
-//! into a fresh arena, shared tails once. The arena therefore stays
-//! proportional to the live lines, as the per-line id vectors it replaced
-//! were, instead of growing with every row: 1,971 rows at k = 10 peaked at
-//! ~151,000 cells per segment without it. It is cleared when the next run
-//! starts.
+//! to at least 16,384 cells), the chains the live cells — the base, the
+//! working cells and the answer — reach are copied into a fresh arena,
+//! shared tails once. The arena therefore stays proportional to the live
+//! lines instead of growing with every row.
 //!
 //! # Per-worker scratch
 //!
-//! Everything else a run needs also belongs to the worker: the two rows of
-//! cells the recurrence alternates between, the compaction's second arena
-//! and forwarding table, a spare set of columns that every merge writes
-//! its sorted union into and then swaps with its target, and the heap
-//! coalescer's `next`/`prev`/`stamp` vectors and binary heap.
-//! A run clears them and keeps their capacity, so a worker that runs many
-//! segments stops allocating once its buffers have grown to its largest
-//! cell.
+//! Everything else a worker needs also belongs to it: the compaction's
+//! second arena and forwarding table, a spare set of columns that every
+//! merge writes its sorted union into and then swaps with its target, and
+//! the heap coalescer's `next`/`prev`/`stamp` vectors and binary heap.
+//! Copying the base into the working cells reuses their capacity, so a
+//! worker that runs many segments stops allocating once its buffers have
+//! grown to its largest cell.
 //!
-//! # Bit-identity
+//! # Kernels
 //!
 //! The columnar kernels perform the floating-point operations of the
 //! scalar recurrence on [`ScoreDistribution`] in the same order — exclude
 //! is `shifted_scaled(0.0, p, None)`, each include branch is
 //! `merge_from(&below.shifted_scaled(score, p, Some(id)))`, and each cell
 //! is coalesced as [`ScoreDistribution::coalesce`] would — and they keep the
-//! same witnesses, so [`run`] is bit-identical to it, witness ids included.
-//! `tests/support/dp_engine_oracle.rs` keeps that recurrence as the
-//! reference and `tests/dp_parity.rs` proptests the engine against it.
+//! same witnesses, so [`run`] is bit-identical to the scalar forward
+//! recurrence, witness ids included. `tests/support/dp_engine_oracle.rs`
+//! keeps that recurrence as the reference and `tests/dp_parity.rs`
+//! proptests the engine against it.
 
 use ttk_uncertain::{CoalescePolicy, ScoreDistribution, TupleId};
 
 use super::columns::{Finished, ScoreColumns, Span, Workspace};
+
+/// One include branch of a row: `(id, score, probability)`.
+pub(crate) type Branch = (TupleId, f64, f64);
 
 /// One row of the dynamic-programming table.
 #[derive(Debug, Clone)]
@@ -84,7 +108,7 @@ impl DpRow {
     pub fn exclude_probability(&self) -> f64 {
         match self {
             DpRow::Simple { prob, .. } => (1.0 - prob).max(0.0),
-            DpRow::Rule { branches } => (1.0 - branches.iter().map(|b| b.2).sum::<f64>()).max(0.0),
+            DpRow::Rule { branches } => exclude_probability(branches),
         }
     }
 
@@ -95,6 +119,20 @@ impl DpRow {
             DpRow::Rule { branches } => branches.len(),
         }
     }
+
+    /// The row's include branches.
+    fn branches(&self) -> std::borrow::Cow<'_, [Branch]> {
+        match self {
+            DpRow::Simple { id, score, prob } => vec![(*id, *score, *prob)].into(),
+            DpRow::Rule { branches } => branches.as_slice().into(),
+        }
+    }
+}
+
+/// Probability that a row with these include branches contributes no tuple.
+/// A one-branch row is a simple tuple: `1 − p` either way.
+fn exclude_probability(branches: &[Branch]) -> f64 {
+    (1.0 - branches.iter().map(|b| b.2).sum::<f64>()).max(0.0)
 }
 
 /// Tuning knobs of the engine.
@@ -120,117 +158,181 @@ impl Default for EngineConfig {
     }
 }
 
-/// Everything one worker reuses from one engine run to the next: the two
-/// rows of cells the recurrence alternates between and the kernels'
-/// [`Workspace`] (witness arena, spare columns, coalescing buffers).
-///
-/// A run clears the cells and the arena before it starts and leaves every
-/// buffer's capacity in place, so a worker that runs many segments stops
-/// allocating once its buffers have grown.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    workspace: Workspace,
-    current: Vec<ScoreColumns>,
-    next: Vec<ScoreColumns>,
-}
-
 /// Runs the dynamic program and returns the distribution of the total score
 /// of top-`k` selections over `rows`, where a selection may only have its
-/// last selected row at a position `r` with `exits[r] == true`.
+/// last selected row at a position `r` with `exits[r] == true`. Witness ids
+/// are listed in row order.
 ///
 /// `exits.len()` must equal `rows.len()`.
 ///
-/// The returned distribution is bit-identical to the point-at-a-time
-/// formulation on [`ScoreDistribution`]. This entry point runs on fresh
-/// scratch; the driver keeps one scratch per worker and reuses it across
-/// the segments the worker claims.
+/// The returned distribution is bit-identical to the point-at-a-time forward
+/// recurrence on [`ScoreDistribution`]. This entry point runs on fresh
+/// scratch, starting from the unit; the driver keeps one `Forward` per
+/// worker and reuses it across the segments the worker claims.
 pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> ScoreDistribution {
+    assert_eq!(rows.len(), exits.len(), "one exit flag per row");
+    if k == 0 || rows.is_empty() {
+        return ScoreDistribution::empty();
+    }
+    let mut forward = Forward::new(k, *config);
+    forward.start();
+    for (i, (row, &exit)) in rows.iter().zip(exits).enumerate() {
+        let branches = row.branches();
+        if exit {
+            forward.exit(&branches);
+        }
+        if i + 1 < rows.len() {
+            forward.apply(&branches);
+        }
+    }
     let mut store = Finished::default();
-    let span = run_in(&mut Scratch::default(), rows, exits, k, config, &mut store);
-    store.distribution(span)
+    let span = forward.finish(&mut store);
+    // The chains list the last applied row first.
+    let mut points = store.distribution(span).points().to_vec();
+    for witness in points.iter_mut().filter_map(|point| point.witness.as_mut()) {
+        witness.ids.reverse();
+    }
+    ScoreDistribution::from_points(points)
 }
 
-/// [`run`] on a worker's `scratch`, with the distribution appended to
-/// `store`; returns where it sits there.
+/// The forward recurrence on one worker: a base state of folded rows, the
+/// working cells of the current segment, its answer cell, and the kernels'
+/// [`Workspace`] (witness arena, spare columns, coalescing buffers).
+///
+/// A segment runs as [`start`](Self::start) (the working cells become a
+/// copy of the base), then [`apply`](Self::apply) and
+/// [`exit`](Self::exit) per row, then [`finish`](Self::finish). Between
+/// segments [`fold`](Self::fold) extends the base. The base, the working
+/// cells and the answer share the worker's witness arena, and every
+/// compaction keeps the chains all three reach.
+#[derive(Debug)]
+pub(crate) struct Forward {
+    config: EngineConfig,
+    workspace: Workspace,
+    /// `G[0..k)` after every folded row.
+    base: Vec<ScoreColumns>,
+    /// `G[0..k)` of the segment in progress; empty between segments.
+    cells: Vec<ScoreColumns>,
+    /// The segment's distribution so far; empty between segments.
+    answer: ScoreColumns,
+}
+
+impl Forward {
+    /// A worker's state for top-`k` selections (`k ≥ 1`): the base is the
+    /// unit in `G[0]`, no row folded yet.
+    pub(crate) fn new(k: usize, config: EngineConfig) -> Self {
+        assert!(k > 0, "top-0 selections have no rows");
+        let mut base = vec![ScoreColumns::empty(); k];
+        base[0] = ScoreColumns::unit(config.track_witnesses);
+        Forward {
+            config,
+            workspace: Workspace::default(),
+            base,
+            cells: vec![ScoreColumns::empty(); k],
+            answer: ScoreColumns::empty(),
+        }
+    }
+
+    /// Applies a row to the base.
+    pub(crate) fn fold(&mut self, branches: &[Branch]) {
+        apply_row(&mut self.base, branches, &self.config, &mut self.workspace);
+        self.compact();
+    }
+
+    /// Starts a segment: the working cells become a copy of the base.
+    pub(crate) fn start(&mut self) {
+        for (cell, base) in self.cells.iter_mut().zip(&self.base) {
+            cell.copy_from(base);
+        }
+    }
+
+    /// Applies a row to the working cells.
+    pub(crate) fn apply(&mut self, branches: &[Branch]) {
+        apply_row(&mut self.cells, branches, &self.config, &mut self.workspace);
+        self.compact();
+    }
+
+    /// Adds the selections ending at a row with these branches to the
+    /// answer: `p · shift(G[k − 1])` per branch, then coalesces it. The
+    /// row itself is not applied.
+    pub(crate) fn exit(&mut self, branches: &[Branch]) {
+        let Forward {
+            config,
+            workspace,
+            cells,
+            answer,
+            ..
+        } = self;
+        let top = &cells[cells.len() - 1];
+        if top.is_empty() {
+            return;
+        }
+        for &(id, score, prob) in branches {
+            answer.merge_shifted_scaled(top, score, prob, id, workspace);
+        }
+        if config.max_lines > 0 {
+            answer.coalesce(config.max_lines, config.coalesce_policy, workspace);
+        }
+        self.compact();
+    }
+
+    /// Ends the segment: appends the answer to `store`, with each witness
+    /// listing the last applied row first, and returns where it sits there.
+    pub(crate) fn finish(&mut self, store: &mut Finished) -> Span {
+        let span = self.answer.store_in(&self.workspace, store);
+        self.answer.clear();
+        self.cells.iter_mut().for_each(ScoreColumns::clear);
+        span
+    }
+
+    /// Compacts the witness arena to the chains the base, the working cells
+    /// and the answer reach.
+    fn compact(&mut self) {
+        let Forward {
+            workspace,
+            base,
+            cells,
+            answer,
+            ..
+        } = self;
+        workspace.compact(
+            base.iter_mut()
+                .chain(cells.iter_mut())
+                .chain(std::iter::once(answer)),
+        );
+    }
+}
+
+/// Applies one row to the cells `G[0..k)` in place.
 ///
 /// The working cells are [`ScoreColumns`], so the two inner-loop operations
 /// run columnar: the exclude branch scales the probability column in place
 /// and the include branch fuses shift, scale and merge into one sorted-union
-/// sweep into the workspace's spare columns. A witness carried down a
-/// branch is one arena cell, and ids are walked out only for the final
-/// cell's lines.
-pub(crate) fn run_in(
-    scratch: &mut Scratch,
-    rows: &[DpRow],
-    exits: &[bool],
-    k: usize,
+/// sweep into the workspace's spare columns.
+fn apply_row(
+    cells: &mut [ScoreColumns],
+    branches: &[Branch],
     config: &EngineConfig,
-    store: &mut Finished,
-) -> Span {
-    assert_eq!(rows.len(), exits.len(), "one exit flag per row");
-    if k == 0 || rows.is_empty() {
-        return ScoreColumns::empty().store_in(&scratch.workspace, store);
-    }
-    let Scratch {
-        workspace,
-        current,
-        next,
-    } = scratch;
-    workspace.clear_witnesses();
-    for cells in [&mut *current, &mut *next] {
-        cells.resize_with(k + 1, ScoreColumns::empty);
-        cells.iter_mut().for_each(ScoreColumns::clear);
-    }
-    let unit = ScoreColumns::unit(config.track_witnesses);
-
-    // `current[j]` holds D_{i+1, j} while processing row i (bottom-up).
-    // Column 0 is *not* stored: the recurrence consults `exits[i]` directly
-    // when it needs D_{i+1, 0}, and `current[0]` stays empty in both rows of
-    // cells to model the blocked exit. The new cells are written into
-    // `next`; the two swap every row.
-    for i in (0..rows.len()).rev() {
-        let row = &rows[i];
-        let exclude_p = row.exclude_probability();
-        // Descending j lets the exclude branch *take* `current[j]` and scale
-        // it in place — `current[j]` is never read again this row once the
-        // cells above it are done, while `current[j - 1]` (the include
-        // branch's input) has not been touched yet. Cell values do not depend
-        // on the iteration order.
-        for j in (1..=k).rev() {
-            // Exclude branch: row i contributes nothing.
-            let mut cell = std::mem::take(&mut current[j]);
-            cell.scale_in_place(exclude_p);
-            // Include branch: row i contributes one tuple; the remaining j-1
-            // selections come from below (or from the exit when j == 1).
-            let below = match j {
-                1 if exits[i] => &unit,
-                1 => &current[0],
-                _ => &current[j - 1],
-            };
-            if !below.is_empty() {
-                match row {
-                    DpRow::Simple { id, score, prob } => {
-                        cell.merge_shifted_scaled(below, *score, *prob, *id, workspace);
-                    }
-                    DpRow::Rule { branches } => {
-                        for &(id, score, prob) in branches {
-                            cell.merge_shifted_scaled(below, score, prob, id, workspace);
-                        }
-                    }
-                }
+    workspace: &mut Workspace,
+) {
+    let exclude_p = exclude_probability(branches);
+    for j in (1..cells.len()).rev() {
+        let (lower, upper) = cells.split_at_mut(j);
+        let (cell, below) = (&mut upper[0], &lower[j - 1]);
+        // Exclude branch: the row contributes nothing.
+        cell.scale_in_place(exclude_p);
+        // Include branch: the row contributes one tuple on top of j - 1
+        // from the rows before it.
+        if !below.is_empty() {
+            for &(id, score, prob) in branches {
+                cell.merge_shifted_scaled(below, score, prob, id, workspace);
             }
-            if config.max_lines > 0 {
-                cell.coalesce(config.max_lines, config.coalesce_policy, workspace);
-            }
-            // The stale buffers of `next[j]` take the emptied slot, so no
-            // cell's capacity is ever dropped.
-            current[j] = std::mem::replace(&mut next[j], cell);
         }
-        std::mem::swap(current, next);
-        // Every live witness is in `current` now; `next` holds stale cells.
-        workspace.compact(current);
+        if config.max_lines > 0 {
+            cell.coalesce(config.max_lines, config.coalesce_policy, workspace);
+        }
     }
-    current[k].store_in(workspace, store)
+    cells[0].scale_in_place(exclude_p);
 }
 
 #[cfg(test)]

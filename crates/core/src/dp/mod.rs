@@ -10,12 +10,30 @@
 //!    is allowed to read,
 //! 2. decomposes the (rank-ordered) tuples into *ending segments* — maximal
 //!    lead-tuple regions and individual non-lead tuples (§3.3.3),
-//! 3. translates each segment into a row sequence where every other ME group
-//!    is compressed into a *rule tuple* (§3.3.1) and exit points are enabled
-//!    only inside the segment (§3.3.2), and
-//! 4. runs the engine once per segment, on every core when the work is
-//!    large enough, and merges the resulting distributions in segment
-//!    order.
+//! 3. orders the prefix's ME groups by their last member: a group whose
+//!    last member ranks above a segment's start is *closed* for that
+//!    segment and every later one, and a group with members on both sides
+//!    of the start is *open*,
+//! 4. runs the engine forward once per worker: the worker folds each closed
+//!    group into a base state once, as one whole row (a *rule tuple* of its
+//!    members, §3.3.1, or a simple row for a singleton); per segment it
+//!    copies the base, applies one row per open group holding its members
+//!    above the segment's start (in first-member order), then the
+//!    segment's tuples as the only exit rows (§3.3.2). A single non-lead
+//!    ending tuple's own group gets no row: its members above it are absent
+//!    whenever it exists.
+//! 5. merges the segments' distributions in segment order.
+//!
+//! Every segment sees exactly the rows the paper's per-ending program
+//! builds for it, so the distribution is the paper's; what the fold saves
+//! is recomputing the closed groups per segment. On the 1,971-row CarTel
+//! relation at k = 5 that is 508 rows applied instead of 2,051 engine rows
+//! over 39 segments. The float sums and the coalescing run in a different
+//! order than one bottom-up program per segment would, so coalesced
+//! outputs differ from that order's in the last bits (and, under the
+//! paper's plain-mean coalescing, in the expected score by up to ~0.15 %
+//! on the CarTel relations); `tests/dp_parity.rs` holds the two within
+//! those bounds.
 //!
 //! On a table without mutual exclusion the decomposition degenerates to a
 //! single segment spanning all tuples, i.e. exactly the basic algorithm of
@@ -27,43 +45,43 @@
 //!
 //! # Segment workers
 //!
-//! The per-segment dynamic programs are independent, so the driver builds
-//! every segment's rows first and runs them on up to
-//! `available_parallelism()` workers. Workers claim segments, largest
-//! (most rows) first, from one atomic counter; each owns one engine scratch
-//! (see [`engine`]) for all the segments it claims, and the calling thread
-//! is one of them.
+//! Workers claim segments in segment order from one atomic counter, on up
+//! to `available_parallelism()` workers, and the calling thread is one of
+//! them. Each owns one `Forward` (see [`engine`]): before a segment it
+//! folds the groups that closed since its previous segment into its base,
+//! so its base only moves forward, and a segment's base is the same fold in
+//! the same order whichever worker runs it.
 //!
 //! *Merge order.* Each worker appends its segments' results to a flat
 //! store of its own; the driver looks them up by segment index and merges
 //! them — `merge_from`, then `coalesce` when lines are bounded — in
-//! segment order, exactly as one sequential loop would merge them. Which worker ran a segment, and when,
-//! never reaches the arithmetic, so the output is bit-identical for every
-//! worker count. One worker runs the same loop on the calling thread.
+//! segment order. Which worker ran a segment, and when, never reaches the
+//! arithmetic, so the output is bit-identical for every worker count. One
+//! worker runs the same loop on the calling thread.
 //!
-//! *When helpers start.* Only when the engine work, Σ rows × k over the
-//! segments, reaches 6,000 cells, and never for a query a batch worker
-//! runs (the batch already occupies the cores). Measured with release
-//! builds on 2 vCPUs (best of 9), one worker against two:
+//! *When helpers start.* Only when the work one worker would do, rows
+//! applied × k, reaches 2,000 cells, and never for a query a batch worker
+//! runs (the batch already occupies the cores). Rows applied count the
+//! closed groups once plus every segment's open rows and tuples. Measured
+//! with release builds on 2 vCPUs (best of 9), one worker against two, on
+//! the CarTel relations:
 //!
-//! - Below ~4,000 cells a helper gains nothing: 2,402 and 2,860 cells
-//!   (k = 2) run 0.2–0.5 ms alone and slightly slower with a helper;
-//!   3,879 cells (199 rows, k = 3) ~0.8 ms either way.
-//! - Around the cutoff a serial DP takes a few milliseconds and a helper
-//!   saves ~30 %: 4,947 cells (1,971 rows, k = 3) 2.8 → 2.0 ms, 6,724
-//!   cells (199 rows, k = 4) 5 → 3.7 ms.
-//! - Above it two workers approach twice the speed: 10,255 cells (1,971
-//!   rows, k = 5) 41 → 23 ms.
-//! - A helper brings its own scratch and result store, so every DP it
-//!   joins costs memory as well as a thread start. The cutoff keeps the
-//!   largest DPs of the benchmark's serving workloads (3,879 and 4,947
-//!   cells) on the calling thread.
+//! - Below the cutoff sit the serving workloads' DPs, which stay on the
+//!   calling thread. A helper loses on the 199- and 103-row relations at
+//!   k = 3 (1,464 cells 0.45 → 0.51 ms, 1,851 cells 0.42 → 0.49 ms). It
+//!   saves ~30 % on the 1,971-row relation at k = 3 (1,200 cells 3.1 →
+//!   2.2 ms), but it brings its own state and thread into a daemon's or a
+//!   shard client's process for a millisecond.
+//! - Above it two workers save 30–45 %: 2,540 cells (1,971 rows, k = 5)
+//!   22 → 16 ms, 4,365 cells (199 rows, k = 5) 12.6 → 8.8 ms, 14,180 cells
+//!   (199 rows, k = 10) 337 → 183 ms.
+//! - Work in rows × k ignores how many lines the cells hold, so the cutoff
+//!   is a compromise: 3,132 cells (103 rows, k = 4) runs 1.7 ms either way,
+//!   while 1,868 cells (1,971 rows, k = 4) would gain a third.
 
 mod columns;
 pub mod engine;
 
-use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -75,24 +93,29 @@ use crate::query::resolve_threads;
 use crate::scan::{RankScan, ScanPrefix};
 use crate::scan_depth::{scan_depth, ScanGate};
 use columns::{Finished, Span};
-use engine::{DpRow, EngineConfig, Scratch};
+use engine::{Branch, EngineConfig, Forward};
 
-/// Engine work — Σ rows × k over a query's segments — from which
+/// Engine work — rows one worker applies × k — from which
 /// [`run_on_prefix_table`] starts helper workers (the measurements behind
 /// it are in the module doc).
-const PARALLEL_MIN_CELLS: usize = 6_000;
+const PARALLEL_MIN_CELLS: usize = 2_000;
 
 /// How the driver decomposes a table with ME groups into per-ending dynamic
 /// programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MeStrategy {
-    /// One dynamic program per maximal lead-tuple region plus one per
-    /// non-lead tuple (§3.3.3). This is the refinement the paper recommends;
-    /// its cost is O(k·m·n) where m is the number of ME-correlated tuples.
+    /// One ending segment per maximal lead-tuple region plus one per
+    /// non-lead tuple (§3.3.3), the refinement the paper recommends. On top
+    /// of the closed groups, folded once per worker, a segment applies only
+    /// its open groups' rows and its own tuples, each row costing O(k)
+    /// cells — toward the paper's O(k·m·n), where m is the number of
+    /// ME-correlated tuples.
     #[default]
     LeadRegions,
-    /// One dynamic program per candidate ending tuple (the "simple
-    /// extension" of §3.3.2). Asymptotically slower — O(k·n²) — but a useful
+    /// One ending segment per candidate ending tuple (the "simple
+    /// extension" of §3.3.2). Every tuple recomputes the open groups above
+    /// it, so it applies more rows than [`LeadRegions`](Self::LeadRegions)
+    /// (one bottom-up program per tuple would cost O(k·n²)); a useful
     /// correctness oracle and ablation baseline.
     PerEnding,
 }
@@ -133,7 +156,8 @@ pub struct MainOutput {
     pub distribution: ScoreDistribution,
     /// Scan depth n actually used (Theorem 2).
     pub scan_depth: usize,
-    /// Number of per-segment dynamic programs executed.
+    /// Number of ending segments (§3.3.3) the forward pass ran: one copy
+    /// of the base state each, plus its open groups' rows and its tuples.
     pub segments: usize,
 }
 
@@ -200,8 +224,8 @@ pub fn materialized_topk_score_distribution(
     run_on_prefix_table(&working, depth, k, config, 0)
 }
 
-/// Runs the per-segment dynamic programs over an already-collected scan
-/// prefix on at most `max_workers` workers (0 = one per available core).
+/// Runs the forward pass over an already-collected scan prefix on at most
+/// `max_workers` workers (0 = one per available core).
 /// Shared by the streaming entry points and the batch
 /// [`crate::query::Executor`].
 pub(crate) fn topk_from_prefix(
@@ -237,17 +261,16 @@ fn run_on_prefix_table(
         track_witnesses: config.track_witnesses,
     };
 
-    let jobs = segment_jobs(working, k, config.me_strategy);
-    let cells: usize = jobs.iter().map(|(rows, _)| rows.len() * k).sum();
-    let workers = if cells < PARALLEL_MIN_CELLS {
+    let plan = Plan::new(working, k, config.me_strategy);
+    let workers = if plan.rows_applied() * k < PARALLEL_MIN_CELLS {
         1
     } else {
-        resolve_threads(max_workers, jobs.len())
+        resolve_threads(max_workers, plan.segments.len())
     };
-    let partials = run_segments(&jobs, k, &engine_config, workers);
+    let results = run_forward_pass(&plan, k, &engine_config, workers);
     let mut distribution = ScoreDistribution::empty();
-    for job in 0..jobs.len() {
-        distribution.merge_from(&partials.get(job));
+    for segment in 0..plan.segments.len() {
+        distribution.merge_from(&results.get(segment));
         if config.max_lines > 0 {
             distribution.coalesce(config.max_lines, config.coalesce_policy);
         }
@@ -260,65 +283,190 @@ fn run_on_prefix_table(
     Ok(MainOutput {
         distribution,
         scan_depth: depth,
-        segments: jobs.len(),
+        segments: plan.segments.len(),
     })
 }
 
-/// The engine rows and exit flags of one ending segment.
-type SegmentRows = (Vec<DpRow>, Vec<bool>);
-
-/// The engine input of every segment that can host the end of a top-`k`
-/// vector, in segment order.
-fn segment_jobs(working: &UncertainTable, k: usize, strategy: MeStrategy) -> Vec<SegmentRows> {
-    // A vector's last member sits at position ≥ k-1; segments entirely
-    // above that can never host an ending.
-    build_segments(working, strategy)
-        .into_iter()
-        .filter(|segment| segment.end >= k)
-        .map(|segment| build_rows(working, segment, k))
-        .filter(|(rows, _)| !rows.is_empty())
-        .collect()
+/// The forward pass's input: the ending segments in rank order, each with
+/// the closed groups its base folds and the open groups' rows it
+/// recomputes.
+struct Plan {
+    /// Every tuple's branch, group after group, each group's members in
+    /// rank order.
+    branches: Vec<Branch>,
+    /// Per ME group, its members' range in `branches`.
+    members: Vec<Range<usize>>,
+    /// Per position, the index of its tuple's branch in `branches`.
+    at: Vec<usize>,
+    /// The groups in the order the base folds them: by last member.
+    closing: Vec<usize>,
+    /// Every segment's open rows, one segment after another: a group and
+    /// how many of its members rank above the segment.
+    open: Vec<(usize, usize)>,
+    /// The segments that can host the end of a top-`k` vector.
+    segments: Vec<Segment>,
 }
 
-/// The partial distributions of a query's segments: each worker's
-/// [`Finished`] store, and per job the worker that ran it and where its
-/// result sits in that worker's store.
-struct Partials {
+/// One ending segment of a [`Plan`].
+struct Segment {
+    /// Positions of the ending tuples: the exit rows.
+    tuples: Range<usize>,
+    /// `closing[..closed]` rank above the segment entirely: the base of
+    /// this segment folds exactly those.
+    closed: usize,
+    /// This segment's rows in [`Plan::open`].
+    open: Range<usize>,
+}
+
+impl Plan {
+    fn new(table: &UncertainTable, k: usize, strategy: MeStrategy) -> Plan {
+        let mut branches = Vec::with_capacity(table.len());
+        let mut members = Vec::with_capacity(table.group_count());
+        let mut at = vec![0; table.len()];
+        for group in 0..table.group_count() {
+            let start = branches.len();
+            for &pos in table.group_positions(group) {
+                let t = table.tuple(pos);
+                at[pos] = branches.len();
+                branches.push((t.id(), t.score(), t.prob()));
+            }
+            members.push(start..branches.len());
+        }
+        // A group closes at its last member; `closed_before[pos]` counts the
+        // groups closed above `pos`.
+        let mut closing = Vec::with_capacity(table.group_count());
+        let mut closed_before = Vec::with_capacity(table.len());
+        for pos in 0..table.len() {
+            closed_before.push(closing.len());
+            if table.group_members(pos).last() == Some(&pos) {
+                closing.push(table.group_index(pos));
+            }
+        }
+        // Groups that can be open (two or more members), by first member.
+        let shared: Vec<usize> = (0..table.len())
+            .filter(|&pos| table.is_lead(pos) && table.group_members(pos).len() > 1)
+            .map(|pos| table.group_index(pos))
+            .collect();
+
+        let mut open = Vec::new();
+        let mut segments = Vec::new();
+        // A vector's last member sits at position ≥ k-1; segments entirely
+        // above that can never host an ending.
+        for tuples in build_segments(table, strategy) {
+            if tuples.end < k {
+                continue;
+            }
+            let start = tuples.start;
+            // A single non-lead ending tuple excludes its group's members
+            // above it whenever it exists, so that group gets no row. A
+            // lead-region segment's groups have no members above it.
+            let ending_group =
+                (tuples.len() == 1 && !table.is_lead(start)).then(|| table.group_index(start));
+            let first_open = open.len();
+            for &group in &shared {
+                let positions = table.group_positions(group);
+                if positions[0] >= start {
+                    break;
+                }
+                if Some(group) != ending_group && positions[positions.len() - 1] >= start {
+                    open.push((group, positions.partition_point(|&pos| pos < start)));
+                }
+            }
+            segments.push(Segment {
+                tuples,
+                closed: closed_before[start],
+                open: first_open..open.len(),
+            });
+        }
+        Plan {
+            branches,
+            members,
+            at,
+            closing,
+            open,
+            segments,
+        }
+    }
+
+    /// The row of `group`'s first `count` members: a rule tuple (§3.3.1),
+    /// or a simple row for one member.
+    fn group_row(&self, group: usize, count: usize) -> &[Branch] {
+        let start = self.members[group].start;
+        &self.branches[start..start + count]
+    }
+
+    /// The simple row of the tuple at `pos`.
+    fn tuple_row(&self, pos: usize) -> &[Branch] {
+        std::slice::from_ref(&self.branches[self.at[pos]])
+    }
+
+    /// Rows one worker applies when it runs every segment: the closed
+    /// groups once, then per segment its open rows and its tuples.
+    fn rows_applied(&self) -> usize {
+        let folded = self.segments.last().map_or(0, |segment| segment.closed);
+        folded
+            + self
+                .segments
+                .iter()
+                .map(|segment| segment.open.len() + segment.tuples.len())
+                .sum::<usize>()
+    }
+}
+
+/// The distributions of a query's segments: each worker's [`Finished`]
+/// store, and per segment the worker that ran it and where its result sits
+/// in that worker's store.
+struct SegmentResults {
     stores: Vec<Finished>,
     spans: Vec<(usize, Span)>,
 }
 
-impl Partials {
-    /// The partial distribution of `job`.
-    fn get(&self, job: usize) -> ScoreDistribution {
-        let (worker, span) = self.spans[job];
+impl SegmentResults {
+    /// The distribution of `segment`.
+    fn get(&self, segment: usize) -> ScoreDistribution {
+        let (worker, span) = self.spans[segment];
         self.stores[worker].distribution(span)
     }
 }
 
-/// Runs the engine once per job on `workers` workers.
+/// Runs the forward pass over the plan's segments on `workers` workers.
 ///
-/// Jobs are claimed largest first from one atomic counter, so the longest
-/// DPs start early and the short ones fill in around them. The calling
-/// thread is one of the workers and `workers - 1` helpers join it; with one
-/// worker the same loop runs alone on the calling thread. Each worker owns
-/// one [`Scratch`] and one [`Finished`] store for every job it claims. The
-/// results are looked up by job, so which worker ran a job, and when,
-/// cannot reach the caller's merge.
-fn run_segments(jobs: &[SegmentRows], k: usize, config: &EngineConfig, workers: usize) -> Partials {
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by_key(|&job| Reverse(jobs[job].0.len()));
+/// Workers claim segments in segment order from one atomic counter. Each
+/// owns one [`Forward`]: before a segment it folds the groups that closed
+/// since its last one into its base, so its base only moves forward, and
+/// every segment's base is the same fold in the same order on any worker.
+/// The calling thread is one of the workers and `workers - 1` helpers join
+/// it; with one worker the same loop runs alone on the calling thread.
+/// The results are looked up by segment, so which worker ran a segment,
+/// and when, cannot reach the caller's merge.
+fn run_forward_pass(plan: &Plan, k: usize, config: &EngineConfig, workers: usize) -> SegmentResults {
     let cursor = AtomicUsize::new(0);
     let work = || {
-        let mut scratch = Scratch::default();
+        let mut forward = Forward::new(k, *config);
+        let mut folded = 0;
         let mut store = Finished::default();
         let mut done = Vec::new();
         loop {
-            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&job) = order.get(slot) else { break };
-            let (rows, exits) = &jobs[job];
-            let span = engine::run_in(&mut scratch, rows, exits, k, config, &mut store);
-            done.push((job, span));
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(segment) = plan.segments.get(index) else {
+                break;
+            };
+            for &group in &plan.closing[folded..segment.closed] {
+                forward.fold(plan.group_row(group, plan.members[group].len()));
+            }
+            folded = segment.closed;
+            forward.start();
+            for &(group, count) in &plan.open[segment.open.clone()] {
+                forward.apply(plan.group_row(group, count));
+            }
+            for pos in segment.tuples.clone() {
+                let row = plan.tuple_row(pos);
+                forward.exit(row);
+                if pos + 1 < segment.tuples.end {
+                    forward.apply(row);
+                }
+            }
+            done.push((index, forward.finish(&mut store)));
         }
         (store, done)
     };
@@ -337,17 +485,17 @@ fn run_segments(jobs: &[SegmentRows], k: usize, config: &EngineConfig, workers: 
         }
         results
     });
-    let mut partials = Partials {
+    let mut segment_results = SegmentResults {
         stores: Vec::with_capacity(results.len()),
-        spans: vec![(0, Span::default()); jobs.len()],
+        spans: vec![(0, Span::default()); plan.segments.len()],
     };
     for (worker, (store, done)) in results.into_iter().enumerate() {
-        for (job, span) in done {
-            partials.spans[job] = (worker, span);
+        for (segment, span) in done {
+            segment_results.spans[segment] = (worker, span);
         }
-        partials.stores.push(store);
+        segment_results.stores.push(store);
     }
-    partials
+    segment_results
 }
 
 /// Decomposes positions `0..table.len()` into ending segments.
@@ -375,78 +523,6 @@ fn build_segments(table: &UncertainTable, strategy: MeStrategy) -> Vec<Range<usi
             segments
         }
     }
-}
-
-/// Builds the engine rows and exit flags for one ending segment.
-///
-/// Rows consist of (a) the tuples ranked above the segment, with every ME
-/// group that has two or more members in that prefix compressed into a rule
-/// tuple placed at its highest-ranked member, and (b) one simple row per
-/// segment position. Members of an ending tuple's own group that are ranked
-/// above it are removed entirely (they are automatically absent whenever the
-/// ending tuple exists); this situation only arises for single non-lead
-/// segments. Exit points are enabled exactly at the segment rows.
-fn build_rows(table: &UncertainTable, segment: Range<usize>, _k: usize) -> SegmentRows {
-    let start = segment.start;
-    // The group of a single non-lead ending tuple: its higher-ranked members
-    // must be dropped from the prefix rows. A lead-region segment never has
-    // such members (every segment member is the lead of its group).
-    let ending_group = if segment.len() == 1 && !table.is_lead(start) {
-        Some(table.group_index(start))
-    } else {
-        None
-    };
-
-    // Gather the prefix members of every group ranked above the segment.
-    let mut first_member: HashMap<usize, usize> = HashMap::new();
-    let mut members_above: HashMap<usize, Vec<usize>> = HashMap::new();
-    for pos in 0..start {
-        let g = table.group_index(pos);
-        if Some(g) == ending_group {
-            continue;
-        }
-        first_member.entry(g).or_insert(pos);
-        members_above.entry(g).or_default().push(pos);
-    }
-
-    let mut rows = Vec::with_capacity(start + segment.len());
-    let mut exits = Vec::with_capacity(start + segment.len());
-    for pos in 0..start {
-        let g = table.group_index(pos);
-        if Some(g) == ending_group || first_member.get(&g) != Some(&pos) {
-            continue;
-        }
-        let members = &members_above[&g];
-        if members.len() == 1 {
-            let t = table.tuple(pos);
-            rows.push(DpRow::Simple {
-                id: t.id(),
-                score: t.score(),
-                prob: t.prob(),
-            });
-        } else {
-            rows.push(DpRow::Rule {
-                branches: members
-                    .iter()
-                    .map(|&p| {
-                        let t = table.tuple(p);
-                        (t.id(), t.score(), t.prob())
-                    })
-                    .collect(),
-            });
-        }
-        exits.push(false);
-    }
-    for pos in segment {
-        let t = table.tuple(pos);
-        rows.push(DpRow::Simple {
-            id: t.id(),
-            score: t.score(),
-            prob: t.prob(),
-        });
-        exits.push(true);
-    }
-    (rows, exits)
 }
 
 /// Re-sorts every witness vector into table rank order.
@@ -761,7 +837,8 @@ mod tests {
     fn segment_workers_cannot_change_the_output() {
         // The 199-row CarTel relation at k = 5, decomposed both ways, run on
         // every worker count against the one-worker loop — including more
-        // workers than segments.
+        // workers than segments, whose bases fold different stretches of
+        // the closed groups.
         let area = ttk_datagen::cartel::generate_area(&ttk_datagen::cartel::CartelConfig {
             segments: 60,
             seed: 9,
@@ -774,21 +851,27 @@ mod tests {
         let working = area.table().truncate(depth);
         let engine_config = EngineConfig::default();
         for strategy in [MeStrategy::LeadRegions, MeStrategy::PerEnding] {
-            let jobs = segment_jobs(&working, k, strategy);
-            assert!(jobs.len() > 3, "{strategy:?}: {} segments", jobs.len());
-            let run = |jobs: &[SegmentRows], workers| {
-                let partials = run_segments(jobs, k, &engine_config, workers);
-                (0..jobs.len())
-                    .map(|job| partials.get(job))
+            let mut plan = Plan::new(&working, k, strategy);
+            assert!(
+                plan.segments.len() > 3,
+                "{strategy:?}: {} segments",
+                plan.segments.len()
+            );
+            assert!(plan.segments.last().unwrap().closed > 0 && !plan.open.is_empty());
+            let run = |plan: &Plan, workers| {
+                let results = run_forward_pass(plan, k, &engine_config, workers);
+                (0..plan.segments.len())
+                    .map(|segment| results.get(segment))
                     .collect::<Vec<_>>()
             };
-            let serial = run(&jobs, 1);
+            let serial = run(&plan, 1);
             assert!(serial.iter().any(|partial| !partial.is_empty()));
             for workers in [2, 3, 8] {
-                let parallel = run(&jobs, workers);
+                let parallel = run(&plan, workers);
                 assert_eq!(parallel, serial, "{strategy:?}, {workers} workers");
             }
-            let few = run(&jobs[..3], 8);
+            plan.segments.truncate(3);
+            let few = run(&plan, 8);
             assert_eq!(few, serial[..3], "{strategy:?}, 8 workers on 3 segments");
         }
     }

@@ -187,8 +187,8 @@ impl QueryAnswer {
 /// Every execution — regardless of the [`Algorithm`] chosen — flows through
 /// [`TupleSource`] + [`ScanGate`]: the gate implements Theorem 2 for the
 /// four bounded algorithms and stays open for the exhaustive ground truth,
-/// which simply needs the entire stream. The main algorithm's per-segment
-/// dynamic programs run on every core once they are large enough (see
+/// which simply needs the entire stream. The main algorithm's ending
+/// segments run on every core once they are large enough (see
 /// [`crate::dp`]), except in a batch's worker threads, which already
 /// occupy the cores.
 #[derive(Debug)]

@@ -1,17 +1,28 @@
-//! Bit-for-bit parity of the main dynamic program: the columnar engine
-//! against the scalar recurrence it replaced (kept in
-//! `support/dp_engine_oracle.rs`) on random row sequences built from the
-//! numerical edge cases, and pinned digests of the driver's output on the
-//! CarTel evaluation relations.
+//! Parity of the main dynamic program.
+//!
+//! - The columnar forward engine against the scalar forward recurrence it
+//!   implements (`support/dp_engine_oracle.rs`), bit for bit, on random row
+//!   sequences built from the numerical edge cases; and that recurrence
+//!   against the bottom-up one when nothing is coalesced.
+//! - The per-segment driver the forward pass replaced, kept as an oracle in
+//!   the same file: pinned digests of its output on the CarTel evaluation
+//!   relations prove it is that driver bit for bit.
+//! - The library's forward driver against the oracle within the tolerances
+//!   a different float and coalescing order allows, and pinned digests of
+//!   its own output.
 
 #[path = "support/dp_engine_oracle.rs"]
 mod dp_engine_oracle;
+mod support;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 use ttk_core::dp::engine::{self, DpRow, EngineConfig};
-use ttk_core::dp::{topk_score_distribution, MainConfig};
-use ttk_datagen::cartel::{generate_area, CartelConfig};
-use ttk_uncertain::{CoalescePolicy, ScoreDistribution, TupleId};
+use ttk_core::dp::{topk_score_distribution, MainConfig, MeStrategy};
+use ttk_datagen::cartel::area_table;
+use ttk_uncertain::{CoalescePolicy, ScoreDistribution, TupleId, UncertainTable};
 
 /// FNV-1a over every bit of a distribution: the line count, then per line
 /// the score and probability bits and the witness (absent, or its length,
@@ -140,17 +151,96 @@ proptest! {
     fn columnar_engine_matches_the_scalar_recurrence(case in case()) {
         let Case { rows, exits, k, config } = &case;
         let columnar = engine::run(rows, exits, *k, config);
-        let scalar = dp_engine_oracle::run(rows, exits, *k, config);
+        let scalar = dp_engine_oracle::run_forward(rows, exits, *k, config);
         prop_assert_eq!(&columnar, &scalar, "{:?}", case);
         prop_assert_eq!(digest(&columnar), digest(&scalar), "{:?}", case);
     }
+
+    /// With nothing coalesced the forward and bottom-up recurrences compute
+    /// the same distribution; only the order of the float sums differs.
+    #[test]
+    fn forward_recurrence_matches_bottom_up_unbounded(case in case()) {
+        let Case { rows, exits, k, config } = &case;
+        let config = EngineConfig { max_lines: 0, ..*config };
+        let forward = dp_engine_oracle::run_forward(rows, exits, *k, &config);
+        let bottom_up = dp_engine_oracle::run(rows, exits, *k, &config);
+        prop_assert_eq!(forward.len(), bottom_up.len(), "{:?}", case);
+        for (f, b) in forward.points().iter().zip(bottom_up.points()) {
+            prop_assert!((f.score - b.score).abs() < 1e-9, "{:?}", case);
+            prop_assert!((f.probability - b.probability).abs() < 1e-9, "{:?}", case);
+        }
+    }
 }
 
-/// [`digest`] of `topk_score_distribution` under the default
-/// [`MainConfig`] for k = 1..=10, on the CarTel relations of
-/// `generate_area` at seed 9: 60 segments (199 rows), then 600 segments
-/// (1,971 rows). Recorded from the per-segment engine before it gained a
-/// witness arena, worker-owned scratch and segment workers.
+/// The relations of `area_table` at seed 9: 60 segments (199 rows), then
+/// 600 segments (1,971 rows).
+fn cartel() -> &'static [UncertainTable; 2] {
+    static TABLES: OnceLock<[UncertainTable; 2]> = OnceLock::new();
+    TABLES.get_or_init(|| [60, 600].map(|segments| area_table(segments, 9).unwrap()))
+}
+
+/// The configurations the CarTel comparisons run under: the default
+/// [`MainConfig`] (PaperMean, witnesses tracked), then WeightedMean without
+/// witnesses, which reach neither mass nor scores.
+fn cartel_configs() -> [MainConfig; 2] {
+    [
+        MainConfig::default(),
+        MainConfig {
+            coalesce_policy: CoalescePolicy::WeightedMean,
+            track_witnesses: false,
+            ..MainConfig::default()
+        },
+    ]
+}
+
+/// The oracle's output on each [`cartel`] relation for k = 1..=10 under
+/// each of [`cartel_configs`], indexed `[config][relation][k - 1]`.
+///
+/// The scalar oracle takes ~40 s of CPU for all forty, most of it at
+/// k ≥ 7, so the tests share one computation on two threads, slowest runs
+/// first.
+fn oracle_on_cartel() -> &'static [[Vec<ScoreDistribution>; 2]; 2] {
+    static OUTPUT: OnceLock<[[Vec<ScoreDistribution>; 2]; 2]> = OnceLock::new();
+    OUTPUT.get_or_init(|| {
+        let mut jobs: Vec<(usize, usize, usize)> = (0..2)
+            .flat_map(|config| {
+                (0..2).flat_map(move |relation| (1..=10).map(move |k| (config, relation, k)))
+            })
+            .collect();
+        jobs.sort_by_key(|&(_, relation, k)| std::cmp::Reverse((k, relation)));
+        let next = AtomicUsize::new(0);
+        let done = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while let Some(&(config, relation, k)) =
+                        jobs.get(next.fetch_add(1, Ordering::Relaxed))
+                    {
+                        let out = dp_engine_oracle::topk_score_distribution(
+                            &cartel()[relation],
+                            k,
+                            &cartel_configs()[config],
+                        );
+                        done.lock().unwrap().push(((config, relation, k), out));
+                    }
+                });
+            }
+        });
+        let mut output: [[Vec<ScoreDistribution>; 2]; 2] = Default::default();
+        let mut done = done.into_inner().unwrap();
+        done.sort_by_key(|&(job, _)| job);
+        for ((config, relation, _), out) in done {
+            output[config][relation].push(out);
+        }
+        output
+    })
+}
+
+/// [`digest`] of the per-segment driver's output under the default
+/// [`MainConfig`] for k = 1..=10 on the [`cartel`] relations. Recorded from
+/// the library's per-segment engine before it gained a witness arena,
+/// worker-owned scratch and segment workers; that engine and its successor
+/// matched them bit for bit.
 const PINNED: [[u64; 10]; 2] = [
     [
         0xd27d_eead_b2ad_26cb,
@@ -180,21 +270,133 @@ const PINNED: [[u64; 10]; 2] = [
 
 #[test]
 fn cartel_distributions_are_pinned() {
-    for (segments, pins) in [60, 600].into_iter().zip(PINNED) {
-        let area = generate_area(&CartelConfig {
-            segments,
-            seed: 9,
-            ..CartelConfig::default()
-        })
-        .unwrap();
+    for ((table, outputs), pins) in cartel().iter().zip(&oracle_on_cartel()[0]).zip(PINNED) {
+        for ((k, output), pin) in (1..).zip(outputs).zip(pins) {
+            assert_eq!(digest(output), pin, "{} rows, k={k}", table.len());
+        }
+    }
+}
+
+/// [`digest`] of the library's `topk_score_distribution` under the default
+/// [`MainConfig`] for k = 1..=10 on the [`cartel`] relations, recorded from
+/// the forward driver when it replaced the per-segment one.
+const FORWARD_PINNED: [[u64; 10]; 2] = [
+    [
+        0x6173_b804_9b7e_22db,
+        0xc43d_5364_f74b_afdc,
+        0xfce0_f284_8521_e99a,
+        0x012f_d34e_7e87_d4f7,
+        0x64df_8e86_847e_b39b,
+        0x7458_2bba_cf79_347e,
+        0x0995_2142_3d5a_585c,
+        0x9de9_ff77_ee51_7b7e,
+        0x888e_630d_b000_00a1,
+        0xb04c_5205_8ede_4265,
+    ],
+    [
+        0x40f8_9705_91b9_55f2,
+        0xa90b_c5eb_8e33_7314,
+        0xa47d_2194_f1c6_ab53,
+        0x3578_3dd2_9c08_24e4,
+        0x0d58_24ee_3398_ac7a,
+        0x9148_b609_ced0_6183,
+        0x975c_ac99_6ed7_3d6f,
+        0xae7a_d30f_421a_bff0,
+        0x9666_91d6_25d2_8a0f,
+        0x95bb_fa60_b47b_dfc8,
+    ],
+];
+
+#[test]
+fn forward_driver_distributions_are_pinned() {
+    for (table, pins) in cartel().iter().zip(FORWARD_PINNED) {
         for (k, pin) in (1..).zip(pins) {
-            let out = topk_score_distribution(area.table(), k, &MainConfig::default()).unwrap();
+            let out = topk_score_distribution(table, k, &MainConfig::default()).unwrap();
             assert_eq!(
                 digest(&out.distribution),
                 pin,
                 "{} rows, k={k}",
-                area.table().len()
+                table.len()
             );
+        }
+    }
+}
+
+/// `a` and `b` within `bound` of the larger of them.
+fn relatively_close(a: f64, b: f64, bound: f64) -> bool {
+    (a - b).abs() <= bound * a.abs().max(b.abs())
+}
+
+/// What the forward driver may change against the per-segment oracle: the
+/// order of float sums and of coalescing. Total mass agrees to rounding, as
+/// does the expected score under WeightedMean, which preserves it; the
+/// paper's plain-mean coalescing moves it by a fraction of a percent.
+fn within_tolerance(
+    forward: &ScoreDistribution,
+    oracle: &ScoreDistribution,
+    policy: CoalescePolicy,
+) -> Result<(), String> {
+    let (mass, oracle_mass) = (forward.total_probability(), oracle.total_probability());
+    if !relatively_close(mass, oracle_mass, 1e-12) {
+        return Err(format!("total mass {mass} vs {oracle_mass}"));
+    }
+    let bound = match policy {
+        CoalescePolicy::WeightedMean => 1e-9,
+        CoalescePolicy::PaperMean => 5e-3,
+    };
+    let (mean, oracle_mean) = (forward.expected_score(), oracle.expected_score());
+    if !relatively_close(mean, oracle_mean, bound) {
+        return Err(format!("expected score {mean} vs {oracle_mean}"));
+    }
+    Ok(())
+}
+
+#[test]
+fn forward_driver_stays_within_tolerance_of_the_oracle_on_cartel() {
+    for (config, oracle) in cartel_configs().iter().zip(oracle_on_cartel()) {
+        for (table, oracle) in cartel().iter().zip(oracle) {
+            for (k, oracle) in (1..).zip(oracle) {
+                let forward = topk_score_distribution(table, k, config).unwrap();
+                within_tolerance(&forward.distribution, oracle, config.coalesce_policy)
+                    .unwrap_or_else(|error| {
+                        panic!(
+                            "{} rows, k={k}, {:?}: {error}",
+                            table.len(),
+                            config.coalesce_policy
+                        )
+                    });
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The same tolerances on random tables with score ties and ME groups,
+    /// both decompositions, with the line budget small enough that
+    /// coalescing runs.
+    #[test]
+    fn forward_driver_stays_within_tolerance_of_the_oracle(
+        table in support::table_with(40),
+        k in 1usize..7,
+        lines in 0usize..3,
+    ) {
+        let max_lines = [16, 64, 200][lines];
+        for strategy in [MeStrategy::LeadRegions, MeStrategy::PerEnding] {
+            for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
+                let config = MainConfig {
+                    max_lines,
+                    coalesce_policy: policy,
+                    me_strategy: strategy,
+                    ..MainConfig::default()
+                };
+                let forward = topk_score_distribution(&table, k, &config).unwrap();
+                let oracle = dp_engine_oracle::topk_score_distribution(&table, k, &config);
+                if let Err(error) = within_tolerance(&forward.distribution, &oracle, policy) {
+                    return Err(TestCaseError::fail(format!("k={k}, {strategy:?}, {policy:?}, {max_lines} lines: {error}")));
+                }
+            }
         }
     }
 }

@@ -98,6 +98,85 @@ fn large_table() -> impl Strategy<Value = UncertainTable> {
     })
 }
 
+/// Member probabilities of one ME group: certain and 1e-12 tuples, groups
+/// whose mass is exactly 1 (0.5 + 0.5, 0.25 + 0.75, 0.125 + 0.375 + 0.5),
+/// one a rounding step past it (0.1 + 0.2 + 0.7), and partial groups.
+const EDGE_GROUPS: &[&[f64]] = &[
+    &[1.0],
+    &[1e-12],
+    &[0.5],
+    &[0.3],
+    &[0.5, 0.5],
+    &[0.25, 0.75],
+    &[1e-12, 0.6],
+    &[0.125, 0.375, 0.5],
+    &[0.1, 0.2, 0.7],
+    &[0.1, 0.2, 0.3],
+];
+
+/// Scores on a coarse grid, so equal scores and equal totals are common,
+/// plus `3.0 + 1e-12` (1e-12 from the grid's 3.0: a different rank, the
+/// same line under `scores_equal`) and two denormals.
+fn edge_score(step: u32) -> f64 {
+    match step {
+        0 => 5e-324,
+        1 => 1e-310,
+        2 => 3.0 + 1e-12,
+        step => f64::from(step) * 0.75,
+    }
+}
+
+/// A table of one to four groups drawn from [`EDGE_GROUPS`], each member
+/// scored by [`edge_score`], and a k from 1 to the table's length.
+fn edge_case_table() -> impl Strategy<Value = (UncertainTable, usize)> {
+    let group = (0..EDGE_GROUPS.len(), (0u32..9, 0u32..9, 0u32..9));
+    (proptest::collection::vec(group, 1..5), 0usize..64).prop_map(|(groups, k_raw)| {
+        let mut tuples = Vec::new();
+        let mut rules = Vec::new();
+        for (shape, (s0, s1, s2)) in groups {
+            let members: Vec<u64> = EDGE_GROUPS[shape]
+                .iter()
+                .zip([s0, s1, s2])
+                .map(|(&prob, step)| {
+                    let id = tuples.len() as u64;
+                    tuples.push(UncertainTuple::new(id, edge_score(step), prob).unwrap());
+                    id
+                })
+                .collect();
+            if members.len() > 1 {
+                rules.push(members.into_iter().map(Into::into).collect());
+            }
+        }
+        let k = 1 + k_raw % tuples.len();
+        (UncertainTable::new(tuples, rules).unwrap(), k)
+    })
+}
+
+/// `got` and `exact` carry the same mass, and the same CDF at every score
+/// either has a line at, looked up 1e-9 above it: lines equal under
+/// `scores_equal` may keep different representatives, and different float
+/// orders leave rounding-residue lines of no meaning.
+fn assert_cdf_close(
+    got: &ScoreDistribution,
+    exact: &ScoreDistribution,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let (mass, exact_mass) = (got.total_probability(), exact.total_probability());
+    prop_assert!(
+        (mass - exact_mass).abs() < 1e-9,
+        "{label}: mass {mass} vs {exact_mass}"
+    );
+    for point in got.points().iter().chain(exact.points()) {
+        let x = point.score + 1e-9;
+        let (cdf, exact_cdf) = (got.cdf(x), exact.cdf(x));
+        prop_assert!(
+            (cdf - exact_cdf).abs() < 1e-9,
+            "{label}: CDF at {x}: {cdf} vs {exact_cdf}"
+        );
+    }
+    Ok(())
+}
+
 fn assert_close(a: &ScoreDistribution, b: &ScoreDistribution, label: &str) {
     assert_eq!(
         a.len(),
@@ -272,5 +351,35 @@ proptest! {
         // exactly; the tolerance accounts for the per-vector pτ pruning
         // guarantee only.
         prop_assert!(got.total_probability() >= exact.total_probability() - 1e-2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Every distribution algorithm matches the exhaustive one on the
+    /// numerical edge cases: probabilities of 1.0 and 1e-12, ME groups of
+    /// mass exactly 1 and a rounding step past it, scores equal under
+    /// `scores_equal` but not bit-equal, denormal scores, and k up to the
+    /// table's length.
+    #[test]
+    fn numerical_edge_cases_match_exhaustive(case in edge_case_table()) {
+        let (table, k) = case;
+        let exact = exact_topk_score_distribution(&table, k, 1 << 24).unwrap();
+        for strategy in [MeStrategy::LeadRegions, MeStrategy::PerEnding] {
+            let config = MainConfig {
+                p_tau: 1e-12,
+                max_lines: 0,
+                me_strategy: strategy,
+                ..MainConfig::default()
+            };
+            let got = topk_score_distribution(&table, k, &config).unwrap();
+            assert_cdf_close(&got.distribution, &exact, &format!("main/{strategy:?} k={k}"))?;
+        }
+        let naive = NaiveConfig { p_tau: 1e-12, max_lines: 0, ..NaiveConfig::default() };
+        let se = state_expansion(&table, k, &naive).unwrap();
+        assert_cdf_close(&se.distribution, &exact, &format!("state-expansion k={k}"))?;
+        let kc = k_combo(&table, k, &naive).unwrap();
+        assert_cdf_close(&kc.distribution, &exact, &format!("k-combo k={k}"))?;
     }
 }
