@@ -31,12 +31,13 @@
 //! `bench_compare` reads only the samples' `name` and `mean_ns`.
 
 use std::net::TcpListener;
+use std::sync::atomic::AtomicBool;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use ttk_bench::{evaluation_area, P_TAU};
 use ttk_core::{
-    scan_depth, serve_query, serve_stream, u_topk, AppendLog, Dataset, DatasetRegistry,
+    scan_depth, serve_client, serve_stream, u_topk, AppendLog, Dataset, DatasetRegistry,
     LiveDataset, QueryServeOptions, RankScan, RemoteQueryClient, RemoteShardDataset, ResultCache,
     ScanGate, ServeOptions, Session, ShardScanGate, TopkQuery, UTopkConfig,
 };
@@ -198,15 +199,10 @@ fn main() {
         );
     }
 
-    // Columnar vs scalar drain across the wire codec: the same relation
-    // encoded once as per-tuple frames and once as kind-20 block frames,
-    // then decoded back through the `TupleSource` trait object exactly as a
-    // remote scan consumes a connection. The scalar leg pays one
-    // length-prefixed frame — header read, body read, field decode — per
-    // tuple; the block leg moves up to 4096 tuples per frame and serves the
-    // rest out of the already-decoded columns. The pair is the PR's ns/tuple
-    // evidence for the block pipeline: the block drain is expected to stay
-    // at least 2x cheaper per tuple than the scalar drain.
+    // Columnar drain across the wire codec: a relation encoded as block
+    // frames, then decoded back through the `TupleSource` trait object
+    // exactly as a remote scan consumes a connection — up to 4096 tuples
+    // move per pull, served out of the already-decoded columns.
     const DRAIN_ROWS: usize = 40_000;
     const DRAIN_BLOCK: usize = 4096;
     let mut drain_source = VecSource::new(
@@ -218,42 +214,24 @@ fn main() {
             })
             .collect(),
     );
-    let mut tuple_wire = Vec::new();
-    let mut writer = WireWriter::new(&mut tuple_wire, Some(DRAIN_ROWS)).unwrap();
-    while let Some(tuple) = drain_source.next_tuple().unwrap() {
-        writer.write_tuple(&tuple).unwrap();
-    }
-    writer.finish().unwrap();
-    drain_source.rewind();
     let mut block_wire = Vec::new();
-    let mut writer = WireWriter::new(&mut block_wire, Some(DRAIN_ROWS)).unwrap();
+    let mut writer = WireWriter::new(&mut block_wire, Some(DRAIN_ROWS), None).unwrap();
     while let Some(block) = drain_source.next_block(DRAIN_BLOCK).unwrap() {
         writer.write_block(&block).unwrap();
     }
     writer.finish().unwrap();
-    for (name, wire, blocks) in [
-        ("blocks/drain", &block_wire, true),
-        ("blocks/drain-scalar", &tuple_wire, false),
-    ] {
-        samples.push(
-            measure(name, 10, || {
-                let mut reader: Box<dyn TupleSource> = Box::new(WireReader::new(&wire[..]));
-                let mut drained = 0usize;
-                if blocks {
-                    while let Some(block) = reader.next_block(DRAIN_BLOCK).expect("wire decodes") {
-                        drained += block.len();
-                    }
-                } else {
-                    while reader.next_tuple().expect("wire decodes").is_some() {
-                        drained += 1;
-                    }
-                }
-                assert_eq!(drained, DRAIN_ROWS);
-                drained
-            })
-            .with_tuples(DRAIN_ROWS as u64),
-        );
-    }
+    samples.push(
+        measure("blocks/drain", 10, || {
+            let mut reader: Box<dyn TupleSource> = Box::new(WireReader::new(&block_wire[..]));
+            let mut drained = 0usize;
+            while let Some(block) = reader.next_block(DRAIN_BLOCK).expect("wire decodes") {
+                drained += block.len();
+            }
+            assert_eq!(drained, DRAIN_ROWS);
+            drained
+        })
+        .with_tuples(DRAIN_ROWS as u64),
+    );
 
     // The end-to-end main-algorithm queries, distribution only: k = 5 and
     // k = 10 on the smoke relation and k = 5 on the 1,971-row relation
@@ -367,28 +345,29 @@ fn main() {
             let cache = ResultCache::new(64);
             let mut session = Session::new();
             let options = QueryServeOptions::default();
+            let stop = AtomicBool::new(false);
             for _ in 0..serve_conns {
                 let (stream, _) = serve_listener.accept().expect("accept");
-                serve_query(stream, &registry, &cache, &mut session, &options)
+                serve_client(stream, &registry, &cache, &mut session, &options, &stop)
                     .expect("serve query");
             }
         }
     });
-    let serve_client = RemoteQueryClient::new(serve_addr);
+    let query_client = RemoteQueryClient::new(serve_addr);
     let mut cold_seq = 0u32;
     samples.push(measure("serve_cache/cold", SERVE_COLD_ITERS, || {
         cold_seq += 1;
         let query = TopkQuery::new(5)
             .with_p_tau(P_TAU * (1.0 + f64::from(cold_seq) * 1e-9))
             .with_u_topk(false);
-        let remote = serve_client.execute("smoke", &query).unwrap();
+        let remote = query_client.execute("smoke", &query).unwrap();
         assert!(!remote.cache_hit, "a perturbed key must miss the cache");
         remote
     }));
     let cached_query = TopkQuery::new(5).with_p_tau(P_TAU).with_u_topk(false);
     let mut cached_hits = 0usize;
     samples.push(measure("serve_cache/cached", SERVE_CACHED_ITERS, || {
-        let remote = serve_client.execute("smoke", &cached_query).unwrap();
+        let remote = query_client.execute("smoke", &cached_query).unwrap();
         cached_hits += usize::from(remote.cache_hit);
         remote
     }));
@@ -446,15 +425,9 @@ fn main() {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
             let addr = listener.local_addr().unwrap().to_string();
             let sender = shipped_sender.clone();
-            // Stock server configuration, *including* the default
-            // `pushdown_wait`. The server cannot tell a v1/v2 full-replay
-            // client from a v3 query until either a query frame arrives or
-            // the wait elapses (the protocol is client-speaks-first), so a
-            // silent legacy client pays the detection wait on every dial —
-            // that latency is part of what full replay really costs against
-            // a stock daemon, and tuning it down here would hide it from the
-            // pushdown/full-replay comparison below. Pushdown clients
-            // announce themselves immediately and never wait.
+            // Stock server configuration. Both legs announce their scan on
+            // connect — the full replay as k = 0 — so neither waits on the
+            // server to tell them apart.
             let options = ServeOptions::default();
             std::thread::spawn(move || loop {
                 let Ok((stream, _)) = listener.accept() else {

@@ -49,6 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ttk_core::remote;
 use ttk_core::{
     bind_daemon_listener, run_daemon, serve_client, serve_stream, Algorithm, AppendLog,
     BatchOptions, ConnectOptions, ConnectionHandler, DaemonControl, DaemonOptions, Dataset,
@@ -122,7 +123,6 @@ fn usage() -> &'static str {
               [--spill-buffer TUPLES]
               [--max-conns N] [--max-parallel N] [--port-file FILE]
               [--write-timeout-ms MS]
-              [--pushdown-wait-ms MS] [--block-tuples N]
               [--prob-column NAME] [--group-column NAME]
   ttk coordinator --listen HOST:PORT [--namespace LABEL] [--max-leases N]
               [--port-file FILE] [--write-timeout-ms MS]
@@ -143,12 +143,12 @@ fn usage() -> &'static str {
   still starting up is retried instead of failing the query.
 
   Remote scans push the Theorem-2 scan gate down to the servers by default:
-  the query's (k, p-tau) is announced on connect, v3 servers stop at a
+  the query's (k, p-tau) is announced on connect, servers stop at a
   conservative per-shard bound instead of draining the shard, and the client
   refreshes each server's bound every --bound-update-every tuples pulled
-  (default 64) as its merge-side gate tightens. --no-pushdown forces the
-  full replay; pre-v3 servers get it automatically. Results are
-  bit-identical either way.
+  (default 64) as its merge-side gate tightens. --no-pushdown announces
+  k = 0, which asks for the full replay. Results are bit-identical either
+  way.
 
   serve-shard scores its input once and then serves it as a rank-ordered
   binary tuple stream — a long-lived daemon handling up to --max-parallel
@@ -161,13 +161,10 @@ fn usage() -> &'static str {
   row count and is leased its id base and group-key namespace instead.
   Group keys are hashed from the group label so independently-served shards
   agree on ME groups. --port-file writes the actually-bound address
-  atomically (useful with --listen 127.0.0.1:0). Each connection waits
-  --pushdown-wait-ms (default 25) for a pushdown query announcement before
-  falling back to the full v1/v2 replay, and logs one summary line (rows
-  scanned, tuples shipped, stop reason: gate/exhausted/client-gone). Clients
-  that announce columnar block support get the replay packed into block
-  frames of at most --block-tuples tuples each (default 512, clamped by the
-  client's own announced cap); per-tuple clients are served unchanged.
+  atomically (useful with --listen 127.0.0.1:0). A connection that sends no
+  scan announcement within 10 s is dropped; each served connection logs one
+  summary line (rows scanned, tuples shipped, stop reason:
+  gate/exhausted/client-gone).
 
   coordinator hands out non-overlapping id-base leases (and one shared
   namespace label, --namespace, stamped into every served hello) to
@@ -214,7 +211,7 @@ fn usage() -> &'static str {
   connection so a stalled reader is shed instead of pinning a worker
   forever.
 
-  ttk admin manages a running serve daemon over the same port (wire v6):
+  ttk admin manages a running serve daemon over the same port:
   `stats` prints the resident roster (per-dataset epoch, segment count,
   last compaction epoch) and result-cache counters; `register NAME=FILE.csv`
   imports a CSV server-side and makes it resident (the server must have
@@ -828,44 +825,29 @@ fn count_input_rows(positional: &[String], flags: &Flags) -> Result<u64, String>
 /// and coordinator are typically launched together), so the registration
 /// dial retries briefly with exponential backoff.
 fn obtain_lease(coordinator: &str, rows: u64, label: &str) -> Result<ShardAssignment, String> {
-    let mut delay = Duration::from_millis(50);
-    let mut last = None;
-    for attempt in 0..6 {
-        if attempt > 0 {
-            std::thread::sleep(delay);
-            delay = delay.saturating_mul(2);
-        }
-        let result = TcpStream::connect(coordinator)
-            .map_err(|e| format!("dialing: {e}"))
-            .and_then(|stream| {
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(10)))
-                    .map_err(|e| e.to_string())?;
-                wire::write_register(&mut (&stream), rows, label).map_err(|e| e.to_string())?;
-                wire::read_lease(&mut (&stream)).map_err(|e| e.to_string())
-            });
-        match result {
-            Ok(lease) => return Ok(lease),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(format!(
-        "registering with coordinator {coordinator}: {}",
-        last.expect("at least one attempt ran")
-    ))
+    let options = ConnectOptions::default()
+        .with_timeout(Duration::from_secs(10))
+        .with_retries(5)
+        .with_backoff(Duration::from_millis(50));
+    let action = format!("registering with coordinator {coordinator}");
+    remote::retry(&options, &action, "remote registration failed", || {
+        let stream = remote::connect(coordinator, &options)?;
+        wire::write_register(&mut (&stream), rows, label)?;
+        wire::read_lease(&mut (&stream))
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// The `ttk serve-shard` handler on the shared daemon runtime: every
-/// connection gets a fresh replay of the resolved dataset through the
-/// version-negotiating [`serve_stream`] — a pushdown client announcing the
-/// query gets the gate-bounded replay over a v3 session, anything else the
-/// full replay behind the daemon's v1/v2 hello (with the assignment
-/// advertised when the daemon holds one). Failures — a poisoned socket, a
-/// dataset open error — are isolated to their connection by the runtime.
+/// connection gets a fresh replay of the resolved dataset through
+/// [`serve_stream`] — the gate-bounded prefix for a client announcing
+/// `k > 0`, the full replay for `k = 0` — behind a hello advertising the
+/// daemon's assignment when it holds one. Failures — a poisoned socket, a
+/// dataset open error, a refused opening frame — are isolated to their
+/// connection by the runtime.
 struct ShardHandler {
     dataset: Dataset,
     assignment: Option<ShardAssignment>,
-    options: ServeOptions,
 }
 
 impl ConnectionHandler for ShardHandler {
@@ -882,7 +864,8 @@ impl ConnectionHandler for ShardHandler {
         self.dataset
             .open()
             .and_then(|mut handle| {
-                serve_stream(stream, &mut handle, self.assignment.as_ref(), &self.options)
+                let options = ServeOptions::default();
+                serve_stream(stream, &mut handle, self.assignment.as_ref(), &options)
             })
             .map(|summary| {
                 format!(
@@ -923,18 +906,12 @@ fn cmd_serve_shard(args: &[String]) -> Result<(), String> {
     if max_parallel == 0 {
         return Err("--max-parallel must be at least 1".to_string());
     }
-    let serve_options = ServeOptions {
-        pushdown_wait: Duration::from_millis(get_parse(&flags, "pushdown-wait-ms", 25u64)?.max(1)),
-        block_tuples: get_parse(&flags, "block-tuples", ServeOptions::default().block_tuples)?
-            .max(1),
-        ..ServeOptions::default()
-    };
     let csv_options = parse_csv_options(&flags);
 
     // The daemon's assignment: a coordinator lease (id base + namespace),
     // or an operator-pinned namespace with the operator's --id-base. Served
-    // in a v2 hello so clients can cross-check their shard set; absent both,
-    // the daemon speaks plain v1 hellos that any client decodes.
+    // in every hello so clients can cross-check their shard set; absent
+    // both, the hello asserts nothing.
     let assignment: Option<ShardAssignment> = match get(&flags, "coordinator") {
         Some(coordinator) => {
             if get(&flags, "id-base").is_some() {
@@ -993,7 +970,6 @@ fn cmd_serve_shard(args: &[String]) -> Result<(), String> {
     let handler = ShardHandler {
         dataset,
         assignment,
-        options: serve_options,
     };
     let daemon_options = DaemonOptions {
         workers: max_parallel,
@@ -1252,19 +1228,23 @@ impl ConnectionHandler for CoordinatorHandler {
         control: &DaemonControl<'_>,
     ) -> Result<String, String> {
         let (registry, delivered) = worker;
-        // Per-registration error isolation: a malformed or stalled
-        // registrant is logged and dropped; it never kills the lease loop
-        // (the read timeout bounds how long it can stall the line).
-        let (rows, label, lease) = stream
+        // Per-registration error isolation: a malformed, stalled or foreign
+        // registrant is answered with an error frame, logged and dropped; it
+        // never kills the lease loop (the read timeout bounds how long it
+        // can stall the line).
+        stream
             .set_read_timeout(Some(Duration::from_secs(10)))
-            .map_err(|e| e.to_string())
-            .and_then(|_| wire::read_register(&mut (&stream)).map_err(|e| e.to_string()))
-            .and_then(|(rows, label)| {
-                let lease = registry.register(rows);
-                wire::write_lease(&mut (&stream), &lease)
-                    .map_err(|e| e.to_string())
-                    .map(|_| (rows, label, lease))
-            })?;
+            .map_err(|e| e.to_string())?;
+        let (rows, label) = match wire::read_client_request(&mut (&stream)) {
+            Ok(wire::ClientRequest::Register { rows, label }) => Ok((rows, label)),
+            Ok(other) => Err(format!("a coordinator does not serve a {}", other.name())),
+            Err(e) => Err(e.to_string()),
+        }
+        .inspect_err(|refusal| {
+            let _ = wire::write_error(&mut (&stream), refusal);
+        })?;
+        let lease = registry.register(rows);
+        wire::write_lease(&mut (&stream), &lease).map_err(|e| e.to_string())?;
         *delivered += 1;
         if self.max_leases > 0 && *delivered >= self.max_leases {
             eprintln!("--max-leases reached after {delivered} leases");
@@ -1315,7 +1295,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), String> {
 }
 
 /// `ttk admin`: ships one management verb to a running `ttk serve` daemon
-/// over the wire-v6 admin plane and prints the server's report.
+/// over the admin plane and prints the server's report.
 fn cmd_admin(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse_flags(args)?;
     let server = get(&flags, "server").ok_or("--server HOST:PORT is required")?;
@@ -1419,7 +1399,6 @@ fn describe_scan(plan: &PlanDescription) -> String {
                 (Some(blocks), Some(fill)) => {
                     format!(" in {blocks} blocks, mean fill {fill:.1}")
                 }
-                (Some(0), None) => " tuple-at-a-time".to_string(),
                 _ => String::new(),
             };
             let wire = plan
@@ -2337,13 +2316,14 @@ mod tests {
         let server = std::thread::spawn(move || run(&server_args));
         let addr = poll_port_file(&port_file);
 
-        // The stalled client: connects first, reads only the 14-byte hello
-        // frame, then holds the connection open without reading further —
-        // the replay of 30k tuples cannot fit the socket buffers, so its
-        // worker blocks mid-write until we hang up.
-        let mut stalled = std::net::TcpStream::connect(&addr).unwrap();
-        let mut hello = [0u8; 14];
-        std::io::Read::read_exact(&mut stalled, &mut hello).unwrap();
+        // The stalled client: connects first, announces a full replay
+        // (k = 0), reads only the hello frame, then holds the connection
+        // open without reading further — the replay of 30k tuples cannot fit
+        // the socket buffers, so its worker blocks mid-write until we hang
+        // up.
+        let stalled = std::net::TcpStream::connect(&addr).unwrap();
+        wire::write_scan(&mut (&stalled), &wire::PushdownQuery { k: 0, p_tau: 0.0 }).unwrap();
+        ttk_uncertain::WireReader::new(&stalled).hello().unwrap();
 
         // The local reference: the same file imported exactly as the daemon
         // imports it (hashed group keys, id base 0).
@@ -3136,7 +3116,7 @@ mod tests {
         std::fs::remove_file(&data).ok();
     }
 
-    /// The wire-v6 admin plane against a live daemon: stats, runtime
+    /// The admin plane against a live daemon: stats, runtime
     /// registration (guarded by the same duplicate-name check as startup),
     /// reload picking up a rewritten source file, and unregister — while
     /// the original resident keeps answering throughout.
@@ -3251,7 +3231,7 @@ mod tests {
     }
 
     /// Live-log compaction over the admin plane: seal three segments, fold
-    /// them into one, and the merged answer (and its v6 plan tail) stays
+    /// them into one, and the merged answer (and its live-scan plan tail) stays
     /// bit-identical while the segment count drops to one.
     #[test]
     fn admin_compacts_a_live_dataset_over_the_wire() {
@@ -3298,7 +3278,7 @@ mod tests {
         }
         assert_eq!(epoch, 3);
 
-        // The fragmented answer, with the v6 live tail on the wire.
+        // The fragmented answer, with the live tail on the wire.
         let fragmented = client.execute("stream", &query).unwrap();
         assert_eq!(fragmented.epoch, Some(3));
         assert_eq!(fragmented.live_segments, Some(3));
@@ -3415,11 +3395,12 @@ mod tests {
         let server = std::thread::spawn(move || run(&server_args));
         let addr = poll_port_file(&port_file);
 
-        // The stalled reader: connects, announces nothing, reads nothing.
-        // After the pushdown grace the server replays 200k tuples into the
-        // socket until the kernel buffers fill, then the 200 ms write
-        // timeout sheds the connection and frees the worker.
+        // The stalled reader: connects, announces a full replay (k = 0),
+        // reads nothing. The server replays 200k tuples into the socket
+        // until the kernel buffers fill, then the 200 ms write timeout sheds
+        // the connection and frees the worker.
         let stalled = TcpStream::connect(&addr).unwrap();
+        wire::write_scan(&mut (&stalled), &wire::PushdownQuery { k: 0, p_tau: 0.0 }).unwrap();
         std::thread::sleep(Duration::from_millis(100));
 
         // The real query completes on the single worker the stall would
@@ -3438,78 +3419,6 @@ mod tests {
         .unwrap();
 
         drop(stalled);
-        server.join().unwrap().unwrap();
-        std::fs::remove_file(&port_file).ok();
-        std::fs::remove_file(&data).ok();
-    }
-
-    /// A v5 client (the previous wire revision) against a v6 server: the
-    /// result comes back in v5 framing with no v6 tail — the shared
-    /// cursor's trailing-byte check and the post-end EOF prove it — and
-    /// decodes bit-identically to the v6 client's answer.
-    #[test]
-    fn v5_clients_read_byte_identical_results_from_a_v6_server() {
-        let dir = std::env::temp_dir();
-        let data = dir.join("ttk_cli_test_v5_compat.csv");
-        std::fs::write(
-            &data,
-            "score,probability\n100,1.0\n90,0.5\n80,0.25\n70,0.125\n",
-        )
-        .unwrap();
-        let port_file = dir.join("ttk_cli_test_v5_compat_port");
-        std::fs::remove_file(&port_file).ok();
-        let spec = format!("data={}", data.to_string_lossy());
-        let server_args = s(&[
-            "serve",
-            &spec,
-            "--score",
-            "score",
-            "--listen",
-            "127.0.0.1:0",
-            "--port-file",
-            &port_file.to_string_lossy(),
-            "--max-conns",
-            "2",
-        ]);
-        let server = std::thread::spawn(move || run(&server_args));
-        let addr = poll_port_file(&port_file);
-
-        // The hand-rolled v5 exchange: pin the request version and decode
-        // with the shared reader, whose frame cursor rejects trailing bytes
-        // — a v6 tail smuggled into the header frame would fail the decode.
-        let query = TopkQuery::new(2).with_p_tau(1e-6);
-        let mut request = ttk_core::request_for("data", &query);
-        request.version = wire::WIRE_VERSION_V5;
-        let stream = TcpStream::connect(&addr).unwrap();
-        wire::write_query_request(&mut (&stream), &request).unwrap();
-        let mut reader = std::io::BufReader::new(&stream);
-        let result = wire::read_query_result(&mut reader).unwrap();
-        assert_eq!(result.version, wire::WIRE_VERSION_V5);
-        assert!(!result.live, "v5 results carry no live tail");
-        assert_eq!(result.live_segments, 0);
-        assert_eq!(result.compacted_epoch, 0);
-        // After the end frame the server has nothing more to say: EOF, not
-        // surplus v6 bytes.
-        use std::io::Read as _;
-        let mut surplus = [0u8; 1];
-        assert_eq!(
-            reader.read(&mut surplus).unwrap_or(0),
-            0,
-            "no bytes may follow a v5 result"
-        );
-        drop(reader);
-        drop(stream);
-
-        // The modern client sees the same answer bit for bit.
-        let modern = RemoteQueryClient::new(addr.as_str())
-            .execute("data", &query)
-            .unwrap();
-        let (v5_answer, v5_cache_hit) = ttk_core::answer_from_wire(result);
-        assert!(!v5_cache_hit, "the cold v5 run executed");
-        assert_eq!(v5_answer.distribution, modern.answer.distribution);
-        assert_eq!(v5_answer.typical, modern.answer.typical);
-        assert_eq!(v5_answer.scan_depth, modern.answer.scan_depth);
-
         server.join().unwrap().unwrap();
         std::fs::remove_file(&port_file).ok();
         std::fs::remove_file(&data).ok();

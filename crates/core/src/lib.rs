@@ -25,10 +25,11 @@
 //!   `explain` (now with observed-vs-estimated scan-depth drift).
 //! * [`remote`] — [`RemoteShardDataset`]: shard streams decoded from other
 //!   processes over the wire protocol of `ttk-uncertain`, merged (optionally
-//!   prefetched, optionally together with local shards) into one scan; opens
-//!   connections in v3 query mode so servers ship only the Theorem-2 prefix.
+//!   prefetched, optionally together with local shards) into one scan; each
+//!   connection announces the query so servers ship only the Theorem-2
+//!   prefix.
 //! * [`serve`] — the server side of scan-gate pushdown: [`serve_stream`]
-//!   negotiates v1/v2/v3 per connection and replays a shard through the
+//!   reads a connection's scan announcement and replays a shard through the
 //!   conservative [`ShardScanGate`] bound.
 //! * [`daemon`] — the shared daemon runtime all three serving binaries run
 //!   on: listener setup with atomic port files, the blocking accept loop
@@ -112,8 +113,8 @@ pub use live::{AppendLog, AppendOutcome, LiveDataset, LiveSnapshot, SubscriberGu
 pub use query::{Algorithm, Executor, QueryAnswer, TopkQuery};
 pub use query_serve::{
     answer_from_wire, answer_hash, answer_to_wire, query_from_request, request_for, serve_client,
-    serve_query, AppendServeSummary, QueryServeOptions, QueryServeSummary, RemoteAnswer,
-    RemoteQueryClient, ServeOutcome, SubscriptionSummary, WatchClient, WatchPush,
+    AppendServeSummary, QueryServeOptions, QueryServeSummary, RemoteAnswer, RemoteQueryClient,
+    ServeOutcome, SubscriptionSummary, WatchClient, WatchPush,
 };
 pub use registry::{CacheKey, DatasetImporter, DatasetLoader, DatasetRegistry, ResultCache};
 pub use remote::{ConnectOptions, RemoteShardDataset};

@@ -12,75 +12,52 @@
 //!
 //! Three layers live here:
 //!
-//! * conversions between the engine types and the v4 wire structs —
+//! * conversions between the engine types and the wire structs —
 //!   [`request_for`] / [`query_from_request`] and [`answer_to_wire`] /
 //!   [`answer_from_wire`]. The wire codec preserves raw IEEE-754 bits and
 //!   per-line witnesses, so a decoded answer compares equal to the answer
 //!   the executor produced.
-//! * [`serve_query`] — one connection's server side: read the request
+//! * [`serve_client`] — one connection's server side: read the opening
 //!   frame (bounded by [`QueryServeOptions::request_wait`] so a stalled
-//!   client cannot pin a worker forever), resolve the dataset, answer from
-//!   the cache or execute, ship the result. Every failure is answered with
-//!   an error frame on a best-effort basis and surfaced to the caller, which
-//!   isolates it to this connection.
+//!   client cannot pin a worker forever) and dispatch on it. A query is
+//!   answered from the cache or executed; an append lands on a
+//!   registry-resident live dataset's [`AppendLog`](crate::live::AppendLog)
+//!   (optionally sealing), bumps the cache generation when the epoch
+//!   advances and is acknowledged with the new watermark; a subscription
+//!   turns the connection into a push stream that re-evaluates the standing
+//!   query whenever the epoch advances and pushes a notification + full
+//!   result **only when the answer distribution actually shifted**
+//!   ([`answer_hash`] compares distributions, not scan bookkeeping); an
+//!   admin request carries a lifecycle verb — `stats`, `register`,
+//!   `unregister`, `reload`, `compact` — against the shared
+//!   [`DatasetRegistry`]. Every failure, a refused opening frame included, is
+//!   answered with an error frame on a best-effort basis and surfaced to the
+//!   caller, which isolates it to this connection.
 //! * [`RemoteQueryClient`] — the client side: dial with the same
 //!   retry/backoff discipline as the shard client, send the request, decode
 //!   the answer. [`RemoteQueryClient::plan`] folds the server-reported scan
-//!   depth and cache outcome into a [`PlanDescription`] for
-//!   `ttk explain --server --after`.
-//!
-//! Like the v3 pushdown handshake, the client speaks first. A v4 daemon
-//! answers anything that is not a query-request frame with an error frame
-//! and closes, so pre-v4 peers fail cleanly instead of hanging; a v4 client
-//! pointed at a shard server decodes the unexpected hello as a clean error.
-//!
-//! The v5 surface widens one connection's first frame to a [`ClientRequest`]
-//! — query, append, or subscribe — dispatched by [`serve_client`]:
-//!
-//! * appends land on a registry-resident live dataset's
-//!   [`AppendLog`](crate::live::AppendLog) (optionally sealing), bump the
-//!   cache generation when the epoch advances, and are acknowledged with the
-//!   new watermark;
-//! * subscriptions turn the connection into a push stream: the daemon
-//!   evaluates the standing query at the current epoch (the baseline push),
-//!   then re-evaluates whenever the epoch advances and pushes a
-//!   notification + full result **only when the answer distribution
-//!   actually shifted** ([`answer_hash`] compares distributions, not scan
-//!   bookkeeping);
-//! * results are epoch-stamped, and the daemon echoes the client's spoken
-//!   protocol version, so pre-v5 clients are served byte-identical v4
-//!   results.
-//!
-//! The v6 surface adds the **admin plane**: a [`ClientRequest::Admin`] frame
-//! carries a lifecycle verb — `stats`, `register`, `unregister`, `reload`,
-//! `compact` — dispatched by [`serve_client`] to [`serve_admin`], which
-//! mutates the shared [`DatasetRegistry`] / [`AppendLog`](crate::live::AppendLog)
-//! and answers with a human-readable report. Still client-speaks-first: a
-//! server never emits a v6 byte unless the client sent one, so v5-and-older
-//! peers interop byte-identically. v6 results additionally carry the
-//! live-scan tail (segment count + last compaction epoch) for
-//! `explain --after`.
+//!   depth, cache outcome, epoch and live-scan tail into a
+//!   [`PlanDescription`] for `ttk explain --server --after`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::io::{BufReader, BufWriter};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ttk_uncertain::wire::{
     self, AdminRequest, AdminVerb, AppendAck, AppendRequest, ClientRequest, Notification,
-    QueryRequest, QueryResult, SubscribeRequest, WireTypical, WireUTopk, WIRE_VERSION_V5,
-    WIRE_VERSION_V6,
+    QueryRequest, QueryResult, SubscribeRequest, WireTypical, WireUTopk, WIRE_VERSION_V6,
 };
 use ttk_uncertain::{CoalescePolicy, Error, Result, ScoreDistribution, SourceTuple};
 
 use crate::baselines::UTopkAnswer;
 use crate::query::{Algorithm, QueryAnswer, TopkQuery};
 use crate::registry::{CacheKey, DatasetRegistry, ResultCache};
-use crate::remote::ConnectOptions;
+use crate::remote::{self, ConnectOptions};
 use crate::session::{estimated_cost, estimated_scan_depth, PlanDescription, ScanPath, Session};
 use crate::typical::{TypicalAnswer, TypicalSelection};
 
@@ -144,7 +121,6 @@ pub fn coalesce_from_code(code: u8) -> Result<CoalescePolicy> {
 /// The wire request for `query` against the resident dataset `dataset`.
 pub fn request_for(dataset: &str, query: &TopkQuery) -> QueryRequest {
     QueryRequest {
-        version: WIRE_VERSION_V6,
         dataset: dataset.to_string(),
         k: query.k as u64,
         p_tau: query.p_tau,
@@ -178,12 +154,11 @@ pub fn query_from_request(request: &QueryRequest) -> Result<TopkQuery> {
 }
 
 /// Flattens a finished answer into the wire result, tagged with whether it
-/// came from the result cache. The result speaks v5 with a zero
-/// epoch/generation; the serving path overwrites all three (echoing the
-/// client's version, stamping the dataset epoch and cache generation).
+/// came from the result cache. The epoch, cache generation and live-scan
+/// tail are zero; the serving path stamps them.
 pub fn answer_to_wire(answer: &QueryAnswer, cache_hit: bool) -> QueryResult {
     QueryResult {
-        version: WIRE_VERSION_V5,
+        version: WIRE_VERSION_V6,
         epoch: 0,
         cache_generation: 0,
         live: false,
@@ -247,7 +222,7 @@ pub fn answer_from_wire(result: QueryResult) -> (QueryAnswer, bool) {
     (answer, cache_hit)
 }
 
-/// Knobs of [`serve_query`] / [`serve_client`].
+/// Knobs of [`serve_client`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryServeOptions {
     /// How long a worker waits for the connection's request frame before
@@ -328,53 +303,8 @@ impl fmt::Display for QueryServeSummary {
     }
 }
 
-/// Serves one query connection: decode the request, resolve the dataset,
-/// answer from `cache` or execute on `session`, ship the result.
-///
-/// Every failure — a stalled or garbled client, an unknown dataset, an
-/// execution error — is answered with a best-effort error frame and returned
-/// as `Err`, so the daemon's accept loop can log it and move on without the
-/// connection poisoning anything shared.
-///
-/// # Errors
-///
-/// Returns [`Error::Source`] for connection-level failures and propagates
-/// dataset/execution errors as-is.
-pub fn serve_query(
-    stream: TcpStream,
-    registry: &DatasetRegistry,
-    cache: &ResultCache,
-    session: &mut Session,
-    options: &QueryServeOptions,
-) -> Result<QueryServeSummary> {
-    let wait = match options.request_wait {
-        Duration::ZERO => None,
-        wait => Some(wait),
-    };
-    stream
-        .set_read_timeout(wait)
-        .map_err(|e| Error::Source(format!("arming the request timeout: {e}")))?;
-
-    let mut read_half = &stream;
-    let request = match wire::read_query_request(&mut read_half) {
-        Ok(request) => request,
-        Err(e) => {
-            let _ = wire::write_query_error(&mut &stream, &e.to_string());
-            return Err(e);
-        }
-    };
-
-    match serve_decoded_query(&stream, &request, registry, cache, session) {
-        Ok(summary) => Ok(summary),
-        Err(e) => {
-            let _ = wire::write_query_error(&mut &stream, &e.to_string());
-            Err(e)
-        }
-    }
-}
-
-/// The post-decode half of [`serve_query`], split out so every error takes
-/// the same answer-with-an-error-frame exit path.
+/// One query: resolve the dataset, answer from `cache` or execute on
+/// `session`, ship the result.
 fn serve_decoded_query(
     stream: &TcpStream,
     request: &QueryRequest,
@@ -398,7 +328,7 @@ fn serve_decoded_query(
         }
     };
 
-    // The live-scan tail for v6 results and the daemon's summary line.
+    // The live-scan tail of the result and the daemon's summary line.
     let live_meta = registry.live(&request.dataset).map(|log| {
         let snapshot = log.snapshot();
         (snapshot.segment_count() as u64, snapshot.compacted_epoch())
@@ -406,10 +336,6 @@ fn serve_decoded_query(
 
     let cache_generation = cache.generation();
     let mut result = answer_to_wire(&answer, cache_hit);
-    // Echo the client's spoken version: a v4 client gets a byte-identical
-    // v4 result, a v5 client additionally gets the epoch/generation tail,
-    // a v6 client additionally gets the live-scan tail.
-    result.version = request.version;
     result.epoch = epoch;
     result.cache_generation = cache_generation;
     if let Some((segments, compacted)) = live_meta {
@@ -558,7 +484,7 @@ pub enum ServeOutcome {
     Append(AppendServeSummary),
     /// A standing-query subscription that has now ended.
     Subscription(SubscriptionSummary),
-    /// A wire-v6 admin-plane request.
+    /// An admin-plane request.
     Admin(AdminServeSummary),
 }
 
@@ -573,9 +499,9 @@ impl fmt::Display for ServeOutcome {
     }
 }
 
-/// Serves one v5 connection, whatever its first frame asks for: a query
-/// (exactly [`serve_query`]'s behaviour), an append to a live dataset, or a
-/// standing-query subscription.
+/// Serves one connection, whatever its first frame asks for: a query, an
+/// append to a live dataset, a standing-query subscription or an admin
+/// verb. Shard-stream kinds (scan announcements, registrations) are refused.
 ///
 /// `stop` is the daemon's drain flag: a subscription loop re-checks it
 /// every [`QueryServeOptions::subscription_poll`] and closes its push
@@ -583,8 +509,11 @@ impl fmt::Display for ServeOutcome {
 ///
 /// # Errors
 ///
-/// As [`serve_query`]: every failure is answered with a best-effort error
-/// frame and returned, isolated to this connection.
+/// Every failure — a stalled, garbled or refused opening frame, an unknown
+/// dataset, an execution error — is answered with a best-effort error frame
+/// and returned, so the daemon's accept loop can log it and move on without
+/// the connection poisoning anything shared. Connection-level failures are
+/// [`Error::Source`]; dataset/execution errors propagate as-is.
 pub fn serve_client(
     stream: TcpStream,
     registry: &DatasetRegistry,
@@ -593,46 +522,35 @@ pub fn serve_client(
     options: &QueryServeOptions,
     stop: &AtomicBool,
 ) -> Result<ServeOutcome> {
-    let wait = match options.request_wait {
-        Duration::ZERO => None,
-        wait => Some(wait),
-    };
+    let wait = Some(options.request_wait).filter(|wait| !wait.is_zero());
     stream
         .set_read_timeout(wait)
         .map_err(|e| Error::Source(format!("arming the request timeout: {e}")))?;
-
-    let mut read_half = &stream;
-    let request = match wire::read_client_request(&mut read_half) {
-        Ok(request) => request,
-        Err(e) => {
-            let _ = wire::write_query_error(&mut &stream, &e.to_string());
-            return Err(e);
-        }
-    };
-
-    let outcome = match request {
-        ClientRequest::Query(request) => {
+    let outcome = match wire::read_client_request(&mut &stream) {
+        Ok(ClientRequest::Query(request)) => {
             serve_decoded_query(&stream, &request, registry, cache, session)
                 .map(ServeOutcome::Query)
         }
-        ClientRequest::Append(request) => {
+        Ok(ClientRequest::Append(request)) => {
             serve_append(&stream, request, registry, cache).map(ServeOutcome::Append)
         }
-        ClientRequest::Subscribe(request) => {
+        Ok(ClientRequest::Subscribe(request)) => {
             serve_subscription(&stream, &request, registry, cache, session, options, stop)
                 .map(ServeOutcome::Subscription)
         }
-        ClientRequest::Admin(request) => {
+        Ok(ClientRequest::Admin(request)) => {
             serve_admin(&stream, request, registry, cache).map(ServeOutcome::Admin)
         }
+        Ok(other) => Err(Error::Source(format!(
+            "a query-serving daemon does not serve a {}",
+            other.name()
+        ))),
+        Err(e) => Err(e),
     };
-    match outcome {
-        Ok(outcome) => Ok(outcome),
-        Err(e) => {
-            let _ = wire::write_query_error(&mut &stream, &e.to_string());
-            Err(e)
-        }
+    if let Err(e) = &outcome {
+        let _ = wire::write_error(&mut &stream, &e.to_string());
     }
+    outcome
 }
 
 /// One append connection: resolve the live dataset, apply the batch (and
@@ -912,17 +830,17 @@ pub struct RemoteAnswer {
     pub answer: QueryAnswer,
     /// True when the server answered from its result cache.
     pub cache_hit: bool,
-    /// The dataset epoch the answer is pinned to (`None` from a pre-v5
-    /// server).
+    /// The dataset epoch the answer is pinned to (0 for static datasets).
+    /// Always `Some` from a decoded result.
     pub epoch: Option<u64>,
-    /// The server's result-cache generation at answer time (`None` from a
-    /// pre-v5 server).
+    /// The server's result-cache generation at answer time. Always `Some`
+    /// from a decoded result.
     pub cache_generation: Option<u64>,
-    /// Sealed segments behind a live dataset's answer (`None` from a pre-v6
-    /// server or for a static dataset).
+    /// Sealed segments behind a live dataset's answer (`None` for a static
+    /// dataset).
     pub live_segments: Option<u64>,
     /// The epoch the live dataset was last compacted at — 0 means never
-    /// (`None` from a pre-v6 server or for a static dataset).
+    /// (`None` for a static dataset).
     pub compacted_epoch: Option<u64>,
 }
 
@@ -1020,13 +938,8 @@ impl RemoteQueryClient {
     /// Returns [`Error::Source`] with the dial history once the retry budget
     /// is spent.
     pub fn watch(&self, dataset: &str, query: &TopkQuery, max_pushes: u64) -> Result<WatchClient> {
-        // Subscriptions are a v5 exchange (v6 only adds the admin plane and
-        // the one-shot result tail), so the embedded query pins v5 — that
-        // keeps the subscribe frame byte-identical to a v5 client's.
-        let mut wire_query = request_for(dataset, query);
-        wire_query.version = WIRE_VERSION_V5;
         let request = SubscribeRequest {
-            query: wire_query,
+            query: request_for(dataset, query),
             max_pushes,
         };
         let stream = self.retry("remote subscription failed", "subscribing to", || {
@@ -1043,73 +956,13 @@ impl RemoteQueryClient {
     /// starting with `semantic` (the server answered; retrying cannot help)
     /// return immediately.
     fn retry<T>(&self, semantic: &str, action: &str, run: impl Fn() -> Result<T>) -> Result<T> {
-        let mut delay = self.options.backoff;
-        let mut first = None;
-        let mut last = None;
-        for attempt in 0..=self.options.retries {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = delay.saturating_mul(2);
-            }
-            match run() {
-                Ok(value) => return Ok(value),
-                // The server decoded our request and answered with an error
-                // frame: the connection works, the request is the problem.
-                Err(Error::Source(m)) if m.starts_with(semantic) => {
-                    return Err(Error::Source(m));
-                }
-                Err(e) => {
-                    let text = match e {
-                        Error::Source(m) => m,
-                        other => other.to_string(),
-                    };
-                    first.get_or_insert(text.clone());
-                    last = Some(text);
-                }
-            }
-        }
-        let attempts = self.options.retries as usize + 1;
-        let first = first.expect("at least one attempt ran");
-        let last = last.expect("at least one attempt ran");
-        let history = if last == first {
-            first
-        } else {
-            format!("{first}; finally: {last}")
-        };
-        Err(Error::Source(format!(
-            "{action} server {}: {history} (after {attempts} attempt{})",
-            self.addr,
-            if attempts == 1 { "" } else { "s" }
-        )))
+        let action = format!("{action} server {}", self.addr);
+        remote::retry(&self.options, &action, semantic, run)
     }
 
     /// Resolves and connects one fresh stream, read timeout armed.
     fn dial(&self) -> Result<TcpStream> {
-        let addr = &self.addr;
-        let sock_addrs: Vec<_> = addr
-            .to_socket_addrs()
-            .map_err(|e| Error::Source(format!("resolving {addr}: {e}")))?
-            .collect();
-        let mut last = None;
-        let stream = sock_addrs
-            .iter()
-            .find_map(
-                |sock| match TcpStream::connect_timeout(sock, self.options.connect_timeout) {
-                    Ok(stream) => Some(stream),
-                    Err(e) => {
-                        last = Some(e);
-                        None
-                    }
-                },
-            )
-            .ok_or_else(|| match last {
-                Some(e) => Error::Source(format!("dialing {addr}: {e}")),
-                None => Error::Source(format!("{addr} resolved to no addresses")),
-            })?;
-        stream
-            .set_read_timeout(self.options.read_timeout)
-            .map_err(|e| Error::Source(format!("arming read timeout on {addr}: {e}")))?;
-        Ok(stream)
+        remote::connect(&self.addr, &self.options)
     }
 
     /// One attempt: resolve, connect, send the request, decode the result.
@@ -1118,12 +971,8 @@ impl RemoteQueryClient {
         wire::write_query_request(&mut &stream, request)?;
         let mut reader = BufReader::new(&stream);
         let result = wire::read_query_result(&mut reader)?;
-        let (epoch, cache_generation) = if result.version >= WIRE_VERSION_V5 {
-            (Some(result.epoch), Some(result.cache_generation))
-        } else {
-            (None, None)
-        };
-        let (live_segments, compacted_epoch) = if result.version >= WIRE_VERSION_V6 && result.live {
+        let (epoch, cache_generation) = (Some(result.epoch), Some(result.cache_generation));
+        let (live_segments, compacted_epoch) = if result.live {
             (Some(result.live_segments), Some(result.compacted_epoch))
         } else {
             (None, None)
@@ -1156,7 +1005,7 @@ impl RemoteQueryClient {
             drains_stream: query.compute_u_topk || query.algorithm == Algorithm::Exhaustive,
             observed_wire_tuples: None,
             observed_wire_blocks: None,
-            observed_wire_block_tuples: None,
+            observed_wire_block_rows: None,
             server_cache_hit: Some(remote.cache_hit),
             dataset_epoch: remote.epoch,
             server_cache_generation: remote.cache_generation,
@@ -1165,7 +1014,7 @@ impl RemoteQueryClient {
         }
     }
 
-    /// Ships one admin-plane request (wire v6) and returns the server's
+    /// Ships one admin-plane request and returns the server's
     /// plain-text report.
     ///
     /// Retries follow [`execute`](Self::execute)'s discipline: transient
@@ -1332,15 +1181,17 @@ mod tests {
             let cache = ResultCache::new(8);
             let mut session = Session::new();
             let options = QueryServeOptions::default();
+            let stop = AtomicBool::new(false);
             let mut summaries = Vec::new();
             for _ in 0..3 {
                 let (stream, _) = listener.accept().expect("accept");
-                summaries.push(serve_query(
+                summaries.push(serve_client(
                     stream,
                     &registry,
                     &cache,
                     &mut session,
                     &options,
+                    &stop,
                 ));
             }
             summaries
@@ -1374,7 +1225,10 @@ mod tests {
         let outcomes: Vec<bool> = summaries
             .iter()
             .take(2)
-            .map(|s| s.as_ref().expect("served").cache_hit)
+            .map(|s| match s {
+                Ok(ServeOutcome::Query(summary)) => summary.cache_hit,
+                other => panic!("expected a served query, got {other:?}"),
+            })
             .collect();
         assert_eq!(outcomes, vec![false, true]);
         let first = summaries[0].as_ref().expect("served");
@@ -1401,7 +1255,8 @@ mod tests {
             ..QueryServeOptions::default()
         };
         let started = std::time::Instant::now();
-        let outcome = serve_query(stream, &registry, &cache, &mut session, &options);
+        let stop = AtomicBool::new(false);
+        let outcome = serve_client(stream, &registry, &cache, &mut session, &options, &stop);
         assert!(outcome.is_err(), "a stalled client cannot produce a query");
         assert!(
             started.elapsed() < Duration::from_secs(5),

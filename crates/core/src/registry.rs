@@ -4,7 +4,7 @@
 //!
 //! * a [`DatasetRegistry`] — the named, `Arc`-shared [`Dataset`]s resident in
 //!   the process. The daemon loads its startup inputs once, warms them, then
-//!   serves; the wire-v6 admin plane can additionally register, reload and
+//!   serves; the admin plane can additionally register, reload and
 //!   unregister datasets while the daemon runs. Mutations swap whole
 //!   `Arc<Dataset>` handles under a short write lock, so they are
 //!   **epoch-safe**: a query that resolved its dataset before the swap

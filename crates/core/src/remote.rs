@@ -24,11 +24,11 @@
 //! * [`RemoteShardDataset::with_connect_options`] bounds and retries the
 //!   dial: every connection attempt runs under [`ConnectOptions`] —
 //!   per-attempt connect timeout, optional read timeout on the established
-//!   socket, and exponential-backoff retries covering both refused dials and
-//!   connections lost before the hello frame — so a server still starting up
-//!   (or briefly restarting) is retried instead of failing the query, and a
-//!   black-holed address fails after a bounded wait instead of hanging a
-//!   `Session` verb forever.
+//!   socket, and exponential-backoff retries covering refused dials, failed
+//!   scan announcements and connections lost before the hello frame — so a
+//!   server still starting up (or briefly restarting) is retried instead of
+//!   failing the query, and a black-holed address fails after a bounded wait
+//!   instead of hanging a `Session` verb forever.
 //!
 //! Opening the dataset reads each connection's hello frame **eagerly**: when
 //! servers attach a [`ShardAssignment`] (coordinator-leased id bases, see
@@ -46,24 +46,23 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ttk_uncertain::wire::{self, PushdownQuery, WIRE_VERSION_V3};
+use ttk_uncertain::wire::{self, PushdownQuery};
 use ttk_uncertain::{
     Error, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple, TupleBlock,
     TupleSource, WireReader, WireScanStats,
 };
 
 use crate::scan_depth::GateMeter;
-use crate::serve::pushdown_query;
 use crate::session::{Dataset, DatasetPlan, DatasetProvider, ScanPath, ScanSpec};
 
 /// Dial behaviour of a [`RemoteShardDataset`]: how long to wait, how often
 /// to retry, and how fast to back off.
 ///
 /// A *retryable* failure is anything that happens before the peer's hello
-/// frame is decoded — name resolution, the TCP dial, a connection reset
-/// mid-handshake. Once the hello has arrived the stream belongs to the
-/// merge, and later failures surface as [`Error::Source`] without
-/// reconnecting (a resumed stream could silently skip tuples).
+/// frame is decoded — name resolution, the TCP dial, the scan announcement,
+/// a connection reset mid-handshake. Once the hello has arrived the stream
+/// belongs to the merge, and later failures surface as [`Error::Source`]
+/// without reconnecting (a resumed stream could silently skip tuples).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectOptions {
     /// Upper bound on each individual TCP dial.
@@ -121,14 +120,11 @@ pub struct RemoteShardDataset {
     prefetch: PrefetchPolicy,
     connect: ConnectOptions,
     pushdown: bool,
-    wire_blocks: bool,
     bound_update_every: u64,
 }
 
-/// The per-block tuple cap a pushdown client announces in its kind-19 query
-/// frame. The server ships blocks no larger than the *smaller* of this and
-/// its own `ServeOptions::block_tuples`.
-const CLIENT_BLOCK_TUPLES: u16 = 2048;
+/// The announcement of a full replay: `k = 0` asks for the whole shard.
+const FULL_REPLAY: PushdownQuery = PushdownQuery { k: 0, p_tau: 0.0 };
 
 impl std::fmt::Debug for RemoteShardDataset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -138,7 +134,6 @@ impl std::fmt::Debug for RemoteShardDataset {
             .field("prefetch", &self.prefetch)
             .field("connect", &self.connect)
             .field("pushdown", &self.pushdown)
-            .field("wire_blocks", &self.wire_blocks)
             .field("bound_update_every", &self.bound_update_every)
             .finish()
     }
@@ -155,35 +150,23 @@ impl RemoteShardDataset {
             prefetch: PrefetchPolicy::Off,
             connect: ConnectOptions::default(),
             pushdown: true,
-            wire_blocks: true,
             bound_update_every: 64,
         }
     }
 
     /// Enables or disables scan-gate pushdown (on by default): when enabled,
     /// every connection opened through a [`Session`](crate::Session)
-    /// announces the query's Theorem-2 parameters up front, so v3 servers
-    /// ship only their conservative prefix instead of the whole shard. v1/v2
-    /// servers ignore the announcement and stream the full replay — results
-    /// are bit-identical either way.
+    /// announces the query's Theorem-2 parameters up front, so servers ship
+    /// only their conservative prefix instead of the whole shard; when
+    /// disabled, connections announce `k = 0` and servers ship everything.
+    /// Results are bit-identical either way.
     pub fn with_pushdown(mut self, pushdown: bool) -> Self {
         self.pushdown = pushdown;
         self
     }
 
-    /// Enables or disables columnar block framing on pushdown connections
-    /// (on by default): when enabled, the query announcement asks the server
-    /// to pack the gated prefix into kind-20 block frames instead of one
-    /// frame per tuple. A server that predates blocks rejects the announcement
-    /// and the connection is redialed speaking the plain query — results are
-    /// bit-identical either way. Has no effect when pushdown is off.
-    pub fn with_wire_blocks(mut self, blocks: bool) -> Self {
-        self.wire_blocks = blocks;
-        self
-    }
-
     /// Sets how often (in tuples pulled off each connection) the client
-    /// re-sends the merge-side gate's accumulated probability mass to v3
+    /// re-sends the merge-side gate's accumulated probability mass to the
     /// servers, letting their shard gates stop even earlier. Clamped to at
     /// least 1; default 64.
     pub fn with_bound_update_every(mut self, every: u64) -> Self {
@@ -231,20 +214,14 @@ impl RemoteShardDataset {
     }
 }
 
-/// One dial attempt: resolve, connect under the timeout, optionally announce
-/// the query (pushdown mode — the client speaks first, see
-/// [`ttk_uncertain::wire`]), and decode the hello eagerly so handshake
-/// failures stay retryable. In pushdown mode the connection's write half is
-/// returned alongside the reader **iff** the server answered with a v3
-/// hello; v1/v2 servers never read from the socket, so the write half is
-/// dropped and the stale query frame rots harmlessly in their receive
-/// buffer.
-fn try_dial_query(
-    addr: &str,
-    options: &ConnectOptions,
-    query: Option<&PushdownQuery>,
-    blocks: Option<u16>,
-) -> Result<(WireReader<BufReader<TcpStream>>, Option<TcpStream>)> {
+/// Resolves `addr` and connects under the options' connect timeout, arming
+/// the read timeout on the established socket.
+///
+/// # Errors
+///
+/// [`Error::Source`] when the address does not resolve, no resolved address
+/// accepts the dial in time, or the socket cannot be configured.
+pub fn connect(addr: &str, options: &ConnectOptions) -> Result<TcpStream> {
     let sock_addrs: Vec<_> = addr
         .to_socket_addrs()
         .map_err(|e| Error::Source(format!("resolving {addr}: {e}")))?
@@ -268,73 +245,37 @@ fn try_dial_query(
     stream
         .set_read_timeout(options.read_timeout)
         .map_err(|e| Error::Source(format!("arming read timeout on {addr}: {e}")))?;
-    let mut write_half = match query {
-        Some(query) => {
-            let mut write_half = stream
-                .try_clone()
-                .map_err(|e| Error::Source(format!("cloning the socket to {addr}: {e}")))?;
-            // Announce before reading the hello: the server's protocol
-            // decision is "did the client speak first?". The announcement is
-            // best-effort — a pre-v3 server that served its replay and
-            // closed before our frame landed answers it with a reset, which
-            // surfaces here as a write error while the hello and tuples stay
-            // readable in our receive queue. Downgrade to the legacy replay
-            // and let the hello read decide whether the connection is alive.
-            let sent = match blocks {
-                Some(max_block) => wire::write_query_blocks(&mut write_half, query, max_block),
-                None => wire::write_query(&mut write_half, query),
-            };
-            match sent {
-                Ok(()) => Some(write_half),
-                Err(_) => None,
-            }
-        }
-        None => None,
-    };
-    let mut reader = WireReader::new(BufReader::new(stream));
-    let hello = reader.hello()?;
-    if hello.version != WIRE_VERSION_V3 {
-        // A pre-v3 server: it will stream the full shard and never read our
-        // bound updates, so stop sending them.
-        write_half = None;
-    }
-    Ok((reader, write_half))
+    Ok(stream)
 }
 
-/// Dials with retries: transient dial failures and connections lost before
-/// the hello retry under exponential backoff until the budget is spent.
-/// Each attempt re-announces `query` on a fresh connection, so a retry never
-/// resumes a half-spoken handshake.
+/// Runs `attempt` up to `retries + 1` times under exponential backoff until
+/// it succeeds. An error whose message starts with `semantic` means the
+/// server answered and refused, which retrying cannot help: it returns at
+/// once. Every attempt must use a fresh connection, so a retry never
+/// resumes a half-spoken exchange.
 ///
-/// When `blocks` is set, the first failed handshake also triggers an
-/// immediate redial speaking the plain kind-7 query: a server that predates
-/// block framing strictly rejects the kind-19 announcement and closes before
-/// its hello, and that downgrade redial — not a capability exchange — is how
-/// old servers keep interoperating. The downgrade sticks for the remaining
-/// attempts; a genuinely dead peer fails the plain dial the same way.
-fn dial(
-    addr: &str,
+/// # Errors
+///
+/// The refusal as is, or [`Error::Source`] naming `action`, the first and
+/// last failures and the attempt count once the budget is spent.
+pub fn retry<T>(
     options: &ConnectOptions,
-    query: Option<&PushdownQuery>,
-    blocks: Option<u16>,
-) -> Result<(WireReader<BufReader<TcpStream>>, Option<TcpStream>)> {
-    let mut blocks = blocks.filter(|_| query.is_some());
+    action: &str,
+    semantic: &str,
+    mut attempt: impl FnMut() -> Result<T>,
+) -> Result<T> {
     let mut delay = options.backoff;
     let mut first = None;
     let mut last = None;
-    for attempt in 0..=options.retries {
-        if attempt > 0 {
+    for round in 0..=options.retries {
+        if round > 0 {
             std::thread::sleep(delay);
             delay = delay.saturating_mul(2);
         }
-        match try_dial_query(addr, options, query, blocks) {
-            Ok(connection) => return Ok(connection),
+        match attempt() {
+            Ok(value) => return Ok(value),
+            Err(Error::Source(m)) if m.starts_with(semantic) => return Err(Error::Source(m)),
             Err(e) => {
-                if blocks.take().is_some() {
-                    if let Ok(connection) = try_dial_query(addr, options, query, None) {
-                        return Ok(connection);
-                    }
-                }
                 // Unwrap the Error::Source shell so the final message does
                 // not nest its prefix per attempt.
                 let text = match e {
@@ -358,14 +299,33 @@ fn dial(
         format!("{first}; finally: {last}")
     };
     Err(Error::Source(format!(
-        "connecting to shard server {addr}: {history} (after {attempts} attempt{})",
+        "{action}: {history} (after {attempts} attempt{})",
         if attempts == 1 { "" } else { "s" }
     )))
 }
 
+/// One dial attempt: connect, announce `query` (the client speaks first,
+/// see [`ttk_uncertain::wire`]), and decode the hello eagerly so handshake
+/// failures stay retryable. Returns the reader and the connection's write
+/// half, which carries the bound updates.
+fn try_dial(
+    addr: &str,
+    options: &ConnectOptions,
+    query: &PushdownQuery,
+) -> Result<(WireReader<BufReader<TcpStream>>, TcpStream)> {
+    let stream = connect(addr, options)?;
+    let mut write_half = stream
+        .try_clone()
+        .map_err(|e| Error::Source(format!("cloning the socket to {addr}: {e}")))?;
+    wire::write_scan(&mut write_half, query)?;
+    let mut reader = WireReader::new(BufReader::new(stream));
+    reader.hello()?;
+    Ok((reader, write_half))
+}
+
 /// Cross-checks the hello assignments of every connection: all asserted
 /// namespaces must agree and no two asserted tuple-id ranges may overlap.
-/// Servers that asserted nothing (v1, or v2 without a lease) are skipped.
+/// Servers that asserted nothing are skipped.
 fn validate_assignments(
     assignments: &[(String, Option<ShardAssignment>, Option<usize>)],
 ) -> Result<()> {
@@ -419,9 +379,8 @@ fn validate_assignments(
 
 /// One remote connection as the merge sees it: decoded tuples counted into
 /// the shared [`WireScanStats`], with the merge-side gate's mass pushed back
-/// to the server every `cadence` pulls while the write half lives (v3
-/// pushdown connections only — plain and pre-v3 connections carry
-/// `write: None` and just count).
+/// to the server every `cadence` pulls while the write half lives (a failed
+/// update write drops it, and the connection just counts from then on).
 struct BoundSource {
     reader: WireReader<BufReader<TcpStream>>,
     write: Option<TcpStream>,
@@ -437,11 +396,28 @@ struct BoundSource {
 }
 
 impl BoundSource {
-    /// Folds newly decoded kind-20 frames into the shared stats. Runs after
-    /// every reader call: the reader decodes block frames into its buffer
+    /// Pushes the merge-side gate's mass to the server when it grew — the
+    /// server keeps the max anyway. A dead write half ends the updates, not
+    /// the scan: the server falls back to its local-only bound.
+    fn send_bound(&mut self) {
+        let Some(write) = &mut self.write else {
+            return;
+        };
+        let mass = self.meter.current();
+        if mass > self.last_sent {
+            match wire::write_bound(write, mass) {
+                Ok(()) => self.last_sent = mass,
+                Err(_) => self.write = None,
+            }
+        }
+    }
+
+    /// Folds what the last reader call decoded into the shared stats: newly
+    /// decoded block frames (the reader decodes block frames into its buffer
     /// even when the merge above drains tuple-at-a-time, so pull-site
-    /// counting alone would miss the wire framing entirely.
-    fn harvest_frames(&mut self) {
+    /// counting alone would miss the wire framing entirely) and, once the
+    /// stream has ended, the server's stopped-at trailer.
+    fn account<T>(&mut self, pulled: &Result<Option<T>>) {
         let (frames, rows) = self.reader.block_frames_decoded();
         let (seen_frames, seen_rows) = self.reported_frames;
         if frames > seen_frames || rows > seen_rows {
@@ -449,75 +425,40 @@ impl BoundSource {
                 .record_block_frames(frames - seen_frames, rows - seen_rows);
             self.reported_frames = (frames, rows);
         }
+        if matches!(pulled, Ok(None)) && !self.finished {
+            self.finished = true;
+            if let Some(stopped) = self.reader.stopped_at() {
+                self.stats.record_stopped(stopped);
+            }
+        }
     }
 }
 
 impl TupleSource for BoundSource {
     fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
         self.pulls += 1;
-        if self.write.is_some() && self.pulls.is_multiple_of(self.cadence) {
-            let mass = self.meter.current();
-            // Only growth is worth a frame: the server keeps the max anyway.
-            if mass > self.last_sent {
-                match wire::write_bound(self.write.as_mut().expect("checked above"), mass) {
-                    Ok(()) => self.last_sent = mass,
-                    // A dead write half ends the updates, not the scan — the
-                    // server falls back to its local-only bound.
-                    Err(_) => self.write = None,
-                }
-            }
+        if self.pulls.is_multiple_of(self.cadence) {
+            self.send_bound();
         }
         let pulled = self.reader.next_tuple();
-        self.harvest_frames();
-        match pulled {
-            Ok(Some(tuple)) => {
-                self.stats.record_tuple();
-                Ok(Some(tuple))
-            }
-            Ok(None) => {
-                if !self.finished {
-                    self.finished = true;
-                    if let Some(stopped) = self.reader.stopped_at() {
-                        self.stats.record_stopped(stopped);
-                    }
-                }
-                Ok(None)
-            }
-            Err(error) => Err(error),
+        self.account(&pulled);
+        if let Ok(Some(_)) = &pulled {
+            self.stats.record_tuple();
         }
+        pulled
     }
 
     fn next_block(&mut self, max: usize) -> Result<Option<TupleBlock>> {
         // Blocks are hundreds of tuples, so the bound-update cadence check
         // runs once per block pull instead of every `cadence` tuples.
-        if self.write.is_some() {
-            let mass = self.meter.current();
-            if mass > self.last_sent {
-                match wire::write_bound(self.write.as_mut().expect("checked above"), mass) {
-                    Ok(()) => self.last_sent = mass,
-                    Err(_) => self.write = None,
-                }
-            }
-        }
+        self.send_bound();
         let pulled = self.reader.next_block(max);
-        self.harvest_frames();
-        match pulled {
-            Ok(Some(block)) => {
-                self.pulls += block.len() as u64;
-                self.stats.record_block_pull(block.len());
-                Ok(Some(block))
-            }
-            Ok(None) => {
-                if !self.finished {
-                    self.finished = true;
-                    if let Some(stopped) = self.reader.stopped_at() {
-                        self.stats.record_stopped(stopped);
-                    }
-                }
-                Ok(None)
-            }
-            Err(error) => Err(error),
+        self.account(&pulled);
+        if let Ok(Some(block)) = &pulled {
+            self.pulls += block.len() as u64;
+            self.stats.record_block_pull(block.len());
         }
+        pulled
     }
 
     fn size_hint(&self) -> Option<usize> {
@@ -526,27 +467,25 @@ impl TupleSource for BoundSource {
 }
 
 impl RemoteShardDataset {
-    /// The shared open path: dials every address (announcing `query` when in
-    /// pushdown mode), cross-checks the hellos, and fuses the connections —
-    /// wrapped in counting/bounding [`BoundSource`]s — with any local shards.
-    fn open_connections(
-        &self,
-        query: Option<&PushdownQuery>,
-        meter: &GateMeter,
-    ) -> Result<ScanHandle> {
+    /// The shared open path: dials every address announcing `query`,
+    /// cross-checks the hellos, and fuses the connections — wrapped in
+    /// counting/bounding [`BoundSource`]s — with any local shards.
+    fn open_connections(&self, query: &PushdownQuery, meter: &GateMeter) -> Result<ScanHandle> {
         let stats = Arc::new(WireScanStats::default());
         let mut shards: Vec<Box<dyn TupleSource + Send>> =
             Vec::with_capacity(self.addrs.len() + self.local_count);
         let mut assignments = Vec::with_capacity(self.addrs.len());
-        let blocks = self.wire_blocks.then_some(CLIENT_BLOCK_TUPLES);
         for addr in &self.addrs {
-            let (mut reader, write) = dial(addr, &self.connect, query, blocks)?;
+            let action = format!("connecting to shard server {addr}");
+            let (mut reader, write) =
+                retry(&self.connect, &action, "remote source failed", || {
+                    try_dial(addr, &self.connect, query)
+                })?;
             let hello = reader.hello().expect("hello decoded during dial").clone();
-            stats.record_connection(write.is_some());
             assignments.push((addr.clone(), hello.assignment, hello.size_hint));
             shards.push(Box::new(BoundSource {
                 reader,
-                write,
+                write: Some(write),
                 meter: meter.clone(),
                 last_sent: 0.0,
                 pulls: 0,
@@ -566,16 +505,21 @@ impl RemoteShardDataset {
 
 impl DatasetProvider for RemoteShardDataset {
     fn open(&self) -> Result<ScanHandle> {
-        // The compatibility path (no query context): full replay, counted
-        // but never gated server-side.
-        self.open_connections(None, &GateMeter::new())
+        // No query context: a full replay, counted but never gated
+        // server-side.
+        self.open_connections(&FULL_REPLAY, &GateMeter::new())
     }
 
     fn open_for(&self, spec: &ScanSpec) -> Result<ScanHandle> {
-        let query = self
-            .pushdown
-            .then(|| pushdown_query(spec.k, spec.p_tau, spec.full_stream));
-        self.open_connections(query.as_ref(), &spec.meter)
+        let query = if self.pushdown && !spec.full_stream {
+            PushdownQuery {
+                k: spec.k as u64,
+                p_tau: spec.p_tau,
+            }
+        } else {
+            FULL_REPLAY
+        };
+        self.open_connections(&query, &spec.meter)
     }
 
     fn plan(&self) -> DatasetPlan {
@@ -609,9 +553,9 @@ impl DatasetProvider for RemoteShardDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Session, TopkQuery};
+    use crate::{serve_stream, ServeOptions, Session, TopkQuery};
     use std::net::TcpListener;
-    use ttk_uncertain::{SourceTuple, UncertainTuple, VecSource, WireWriter};
+    use ttk_uncertain::{SourceTuple, UncertainTuple, VecSource};
 
     fn tuples(n: u64) -> Vec<SourceTuple> {
         (0..n)
@@ -636,12 +580,8 @@ mod tests {
                 let addr = listener.local_addr().unwrap().to_string();
                 std::thread::spawn(move || {
                     let (stream, _) = listener.accept().unwrap();
-                    let hint = Some(shard.len());
-                    // The client may hang up early (gate closed): a write
-                    // failure here is expected, not a test failure.
-                    if let Ok(writer) = WireWriter::new(std::io::BufWriter::new(stream), hint) {
-                        let _ = writer.serve(&mut VecSource::new(shard));
-                    }
+                    let mut source = VecSource::new(shard);
+                    let _ = serve_stream(stream, &mut source, None, &ServeOptions::default());
                 });
                 addr
             })
@@ -668,8 +608,6 @@ mod tests {
 
         let dataset = RemoteShardDataset::new(serve_once(shards)).into_dataset();
         let plan = session.explain(&dataset, &query);
-        // The plan optimistically assumes pushdown; the v1 test servers
-        // decline it at open time, which changes nothing about the results.
         assert_eq!(
             plan.path,
             ScanPath::RemotePushdown {

@@ -1,33 +1,32 @@
-//! The server side of scan-gate pushdown: one accepted `serve-shard`
-//! connection, negotiated and driven end to end.
+//! The server side of a shard stream: one accepted `serve-shard`
+//! connection, driven end to end.
 //!
-//! [`serve_stream`] owns the protocol decision the wire layer documents: a
-//! v3 pushdown client speaks first (a query frame right after connecting),
-//! so the server peeks the socket under a short grace window. Data waiting
-//! → read the query, answer with a v3 hello and stream only the
-//! [`ShardScanGate`]-bounded prefix, closing with a stopped-at trailer.
-//! Silence → the peer is a v1/v2 client; serve the full replay exactly as
-//! previous releases did.
+//! [`serve_stream`] reads the client's opening frame — a scan announcement,
+//! waited for under [`ServeOptions::request_wait`] — answers with a hello,
+//! streams the prefix a [`ShardScanGate`] admits (everything when the client
+//! announced `k = 0`) as tuple-block frames, and closes with a stopped-at
+//! trailer. Any other opening frame, including one at a foreign wire
+//! version, is answered with an error frame.
 //!
-//! A pushdown client keeps sending bound updates on the same socket while
-//! the replay runs. A helper thread blocks on the socket's read half,
-//! parses them, and publishes the largest mass (and whether the client hung
-//! up) through atomics; every [`ServeOptions::drain_every`] tuples the
-//! replay loop reads those atomics and never waits on the socket. When the
-//! replay ends, it shuts down the read side so the helper returns and is
-//! joined before [`serve_stream`] does.
+//! A gated client keeps sending bound updates on the same socket while the
+//! replay runs. A helper thread blocks on the socket's read half, parses
+//! them, and publishes the largest mass (and whether the client hung up)
+//! through atomics; every [`ServeOptions::drain_every`] tuples the replay
+//! loop reads those atomics and never waits on the socket. When the replay
+//! ends, it shuts down the read side so the helper returns and is joined
+//! before [`serve_stream`] does.
 //!
-//! The function is transport-specific (`TcpStream`) because the negotiation
-//! is: it needs `peek`, read timeouts, a second handle on the socket for the
-//! helper, and `shutdown` to wake it. Everything protocol-level (frames,
-//! gates) lives in `ttk_uncertain::wire` and [`crate::scan_depth`].
+//! The function is transport-specific (`TcpStream`) because the helper needs
+//! a second handle on the socket and `shutdown` to wake it. Everything
+//! protocol-level (frames, gates) lives in `ttk_uncertain::wire` and
+//! [`crate::scan_depth`].
 
 use std::io::{BufWriter, Read};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
-use ttk_uncertain::wire::{self, ControlFrame, ControlParser, PushdownQuery, StoppedAt};
+use ttk_uncertain::wire::{self, ClientRequest, ControlFrame, ControlParser, StoppedAt};
 use ttk_uncertain::{Error, Result, ShardAssignment, TupleBlock, TupleSource, WireWriter};
 
 use crate::scan_depth::ShardScanGate;
@@ -64,7 +63,8 @@ pub struct ServeSummary {
     pub shipped: u64,
     /// Why the replay stopped.
     pub reason: StopReason,
-    /// Whether the connection negotiated v3 pushdown.
+    /// Whether the client announced `k > 0`, so a scan gate bounded the
+    /// replay (`false` for a full replay).
     pub pushdown: bool,
     /// Bytes framed onto the wire (length prefixes included); best-effort
     /// on [`StopReason::ClientGone`], exact otherwise.
@@ -74,41 +74,42 @@ pub struct ServeSummary {
 /// Knobs for [`serve_stream`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// How long to wait for a client query frame before falling back to the
-    /// full v1/v2 replay.
-    pub pushdown_wait: Duration,
+    /// How long to wait for the client's scan announcement before dropping
+    /// the connection (a silent client holds its worker for at most this
+    /// long). `Duration::ZERO` waits forever.
+    pub request_wait: Duration,
     /// Apply the client's latest bound update, and notice a client that
     /// hung up, every this many shipped tuples.
     pub drain_every: u64,
-    /// Most tuples packed into one block frame when the client negotiates
-    /// columnar blocks (the effective size is the smaller of this and the
-    /// client's announced maximum). Per-tuple clients are unaffected.
-    pub block_tuples: usize,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            pushdown_wait: Duration::from_millis(25),
+            request_wait: Duration::from_secs(10),
             drain_every: 64,
-            block_tuples: 512,
         }
     }
 }
 
-/// Serves one accepted shard connection: negotiates the protocol version as
-/// described in the module doc, replays `source` (fully, or up to the
-/// conservative per-shard Theorem-2 bound), and reports what happened.
+/// Most tuples packed into one block frame.
+const BLOCK_TUPLES: usize = 512;
+
+/// Serves one accepted shard connection: reads the client's scan
+/// announcement, replays `source` (fully for `k = 0`, otherwise up to the
+/// conservative per-shard Theorem-2 bound) as described in the module doc,
+/// and reports what happened.
 ///
 /// A vanished client is a normal outcome ([`StopReason::ClientGone`]), not
 /// an error; errors are reserved for a failing `source` (forwarded to the
-/// peer as an error frame first) and for protocol violations.
+/// peer as an error frame first) and for a client that sent no valid scan
+/// announcement in time (answered with an error frame).
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on a source failure, a malformed query frame, local
-/// socket configuration failures, or when the thread that reads a pushdown
-/// client's bound updates cannot be started.
+/// [`Error::Source`] on a source failure, a missing, refused or malformed
+/// announcement, local socket configuration failures, or when the thread
+/// that reads a gated client's bound updates cannot be started.
 pub fn serve_stream(
     stream: TcpStream,
     source: &mut dyn TupleSource,
@@ -116,129 +117,23 @@ pub fn serve_stream(
     options: &ServeOptions,
 ) -> Result<ServeSummary> {
     stream.set_nonblocking(false).map_err(|e| io_config(&e))?;
-    stream
-        .set_read_timeout(Some(options.pushdown_wait.max(Duration::from_millis(1))))
-        .map_err(|e| io_config(&e))?;
-    let mut peek = [0u8; 1];
-    match stream.peek(&mut peek) {
-        // The client connected and hung up before saying anything.
-        Ok(0) => Ok(ServeSummary {
-            scanned: 0,
-            shipped: 0,
-            reason: StopReason::ClientGone,
-            pushdown: false,
-            wire_bytes: 0,
-        }),
-        Ok(_) => serve_pushdown(stream, source, assignment, options),
-        Err(e) if would_block(&e) => serve_legacy(stream, source, assignment),
-        Err(_) => Ok(ServeSummary {
-            scanned: 0,
-            shipped: 0,
-            reason: StopReason::ClientGone,
-            pushdown: false,
-            wire_bytes: 0,
-        }),
+    let wait = Some(options.request_wait).filter(|wait| !wait.is_zero());
+    stream.set_read_timeout(wait).map_err(|e| io_config(&e))?;
+    let query = match wire::read_client_request(&mut (&stream)) {
+        Ok(ClientRequest::Scan(query)) => Ok(query),
+        Ok(other) => Err(Error::Source(format!(
+            "a shard server does not serve a {}",
+            other.name()
+        ))),
+        Err(e) => Err(e),
     }
-}
-
-fn io_config(e: &std::io::Error) -> Error {
-    Error::Source(format!("serve-stream socket configuration: {e}"))
-}
-
-fn would_block(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// The pre-v3 serving path: full replay behind the v1/v2 hello, bit-exactly
-/// what previous releases sent. A peer write failure means the client went
-/// away, which is a summary, not an error.
-fn serve_legacy(
-    stream: TcpStream,
-    source: &mut dyn TupleSource,
-    assignment: Option<&ShardAssignment>,
-) -> Result<ServeSummary> {
-    stream.set_read_timeout(None).map_err(|e| io_config(&e))?;
-    let hint = source.size_hint();
-    let buffered = BufWriter::new(stream);
-    let writer = match assignment {
-        Some(assignment) => WireWriter::with_assignment(buffered, hint, assignment),
-        None => WireWriter::new(buffered, hint),
-    };
-    let mut writer = match writer {
-        Ok(writer) => writer,
-        Err(_) => {
-            return Ok(ServeSummary {
-                scanned: 0,
-                shipped: 0,
-                reason: StopReason::ClientGone,
-                pushdown: false,
-                wire_bytes: 0,
-            })
-        }
-    };
-    let mut shipped = 0u64;
-    loop {
-        match source.next_tuple() {
-            Ok(Some(tuple)) => {
-                if writer.write_tuple(&tuple).is_err() {
-                    return Ok(ServeSummary {
-                        scanned: shipped + 1,
-                        shipped,
-                        reason: StopReason::ClientGone,
-                        pushdown: false,
-                        wire_bytes: writer.bytes_written(),
-                    });
-                }
-                shipped += 1;
-            }
-            Ok(None) => {
-                let sent = writer.bytes_written();
-                let (reason, wire_bytes) = match writer.finish() {
-                    Ok(total) => (StopReason::Exhausted, total),
-                    Err(_) => (StopReason::ClientGone, sent),
-                };
-                return Ok(ServeSummary {
-                    scanned: shipped,
-                    shipped,
-                    reason,
-                    pushdown: false,
-                    wire_bytes,
-                });
-            }
-            Err(error) => {
-                let _ = writer.fail(&error.to_string());
-                return Err(error);
-            }
-        }
-    }
-}
-
-/// The v3 query-mode path: read the query frame, answer with the v3 hello,
-/// replay through a [`ShardScanGate`] while a helper thread follows the
-/// client's bound updates, and close with the stopped-at trailer.
-///
-/// A client that announced block capability (the kind-19 query frame) gets
-/// the same gated prefix packed into kind-20 block frames; the gate still
-/// admits tuple by tuple, so scanned/shipped counts and the stopping point
-/// are identical to the per-tuple path.
-fn serve_pushdown(
-    stream: TcpStream,
-    source: &mut dyn TupleSource,
-    assignment: Option<&ShardAssignment>,
-    options: &ServeOptions,
-) -> Result<ServeSummary> {
-    // The query frame is already (at least partially) in the receive buffer;
-    // keep the grace-window timeout for the remainder rather than blocking
-    // forever on a half-written frame from a dying client.
-    let (query, max_block) = wire::read_query_negotiated(&mut (&stream))?;
+    .inspect_err(|e| {
+        let _ = wire::write_error(&mut (&stream), &e.to_string());
+    })?;
     let gate = match query.k {
         0 => None,
         k => Some(ShardScanGate::new(k as usize, query.p_tau)?),
     };
-    let block_cap = max_block.map(|m| (m as usize).min(options.block_tuples.max(1)));
 
     // From here on only the helper reads, and it blocks until the client
     // sends or the replay shuts the read side down.
@@ -253,10 +148,12 @@ fn serve_pushdown(
         // Dropped on every exit from the replay, so the scope can join the
         // helper.
         let _wake = ShutdownReadOnDrop(&read_half);
-        replay_gated(
-            stream, source, assignment, options, gate, block_cap, &updates,
-        )
+        replay_gated(stream, source, assignment, options, gate, &updates)
     })
+}
+
+fn io_config(e: &std::io::Error) -> Error {
+    Error::Source(format!("serve-stream socket configuration: {e}"))
 }
 
 /// The client's bound updates as the helper thread publishes them for the
@@ -328,17 +225,19 @@ impl Drop for ShutdownReadOnDrop<'_> {
     }
 }
 
-/// The v3 replay proper: hello, the gated prefix, and the trailer.
+/// The replay proper: hello, the gated prefix, and the trailer. The gate
+/// admits tuple by tuple; admitted tuples leave in blocks of
+/// [`BLOCK_TUPLES`].
 fn replay_gated(
     stream: TcpStream,
     source: &mut dyn TupleSource,
     assignment: Option<&ShardAssignment>,
     options: &ServeOptions,
     mut gate: Option<ShardScanGate>,
-    block_cap: Option<usize>,
     updates: &BoundUpdates,
 ) -> Result<ServeSummary> {
-    let writer = WireWriter::v3(BufWriter::new(stream), source.size_hint(), assignment);
+    let pushdown = gate.is_some();
+    let writer = WireWriter::new(BufWriter::new(stream), source.size_hint(), assignment);
     let mut writer = match writer {
         Ok(writer) => writer,
         Err(_) => {
@@ -346,7 +245,7 @@ fn replay_gated(
                 scanned: 0,
                 shipped: 0,
                 reason: StopReason::ClientGone,
-                pushdown: true,
+                pushdown,
                 wire_bytes: 0,
             })
         }
@@ -370,21 +269,12 @@ fn replay_gated(
                 break StopReason::Gate;
             }
         }
-        match block_cap {
-            None => {
-                if writer.write_tuple(&tuple).is_err() {
-                    break StopReason::ClientGone;
-                }
+        block.push(&tuple);
+        if block.len() >= BLOCK_TUPLES {
+            if writer.write_block(&block).is_err() {
+                break StopReason::ClientGone;
             }
-            Some(cap) => {
-                block.push(&tuple);
-                if block.len() >= cap {
-                    if writer.write_block(&block).is_err() {
-                        break StopReason::ClientGone;
-                    }
-                    block.clear();
-                }
-            }
+            block.clear();
         }
         shipped += 1;
         if shipped.is_multiple_of(options.drain_every) {
@@ -423,19 +313,7 @@ fn replay_gated(
         scanned,
         shipped,
         reason,
-        pushdown: true,
+        pushdown,
         wire_bytes,
     })
-}
-
-/// The [`PushdownQuery`] a client announces for a given query shape:
-/// `k == 0` (stream everything) when the consumer needs the full stream
-/// (U-Topk witnesses, exhaustive enumeration), the real Theorem-2
-/// parameters otherwise.
-pub fn pushdown_query(k: usize, p_tau: f64, full_stream: bool) -> PushdownQuery {
-    if full_stream {
-        PushdownQuery { k: 0, p_tau: 0.0 }
-    } else {
-        PushdownQuery { k: k as u64, p_tau }
-    }
 }

@@ -84,11 +84,10 @@ pub enum ScanPath {
         /// Number of local shard streams merged alongside them.
         local: usize,
     },
-    /// Remote shard streams opened in v3 query mode: each server evaluates
-    /// the conservative per-shard Theorem-2 bound and ships only the gated
-    /// prefix, with the merge-side gate pushing bound updates back. Servers
-    /// that only speak v1/v2 silently fall back to full replay on their
-    /// connection.
+    /// Remote shard streams opened with the query's `(k, pτ)` announced:
+    /// each server evaluates the conservative per-shard Theorem-2 bound and
+    /// ships only the gated prefix, with the merge-side gate pushing bound
+    /// updates back.
     RemotePushdown {
         /// Number of remote shard connections.
         remote: usize,
@@ -206,7 +205,7 @@ pub struct DatasetPlan {
 
 /// What the executor is about to do with a scan — handed to
 /// [`DatasetProvider::open_for`] so query-aware providers (remote shard
-/// datasets) can negotiate pushdown with their servers. Providers that
+/// datasets) can push the scan gate down to their servers. Providers that
 /// ignore it behave exactly as before.
 #[derive(Debug, Clone)]
 pub struct ScanSpec {
@@ -261,7 +260,7 @@ pub trait DatasetProvider: Send + Sync {
     fn plan(&self) -> DatasetPlan;
 
     /// Opens a fresh scan *for a specific query*. Query-aware providers
-    /// (remote shard datasets negotiating scan-gate pushdown) override this;
+    /// (remote shard datasets announcing scan-gate pushdown) override this;
     /// the default ignores the spec and delegates to
     /// [`DatasetProvider::open`].
     ///
@@ -573,7 +572,7 @@ impl Dataset {
     }
 
     /// Opens a fresh scan for a specific query: provider datasets receive
-    /// the [`ScanSpec`] (remote datasets negotiate pushdown from it), every
+    /// the [`ScanSpec`] (remote datasets announce pushdown from it), every
     /// other kind behaves exactly like [`Dataset::open`].
     ///
     /// # Errors
@@ -676,16 +675,15 @@ pub struct PlanDescription {
     /// the first execution.
     pub observed_wire_tuples: Option<u64>,
     /// Columnar block frames that carried those wire tuples the last time
-    /// this combination executed remotely — `Some(0)` when the transport
-    /// fell back to tuple-at-a-time frames (a pre-block peer), `None` for
-    /// local datasets or before the first execution.
+    /// this combination executed remotely — `None` for local datasets or
+    /// before the first execution.
     pub observed_wire_blocks: Option<u64>,
-    /// Tuples that arrived *inside* columnar block frames (the rest crossed
-    /// as per-tuple frames). Divide by [`observed_wire_blocks`] for the mean
-    /// block fill, or use [`PlanDescription::mean_block_fill`].
+    /// Tuples that arrived inside those block frames. Divide by
+    /// [`observed_wire_blocks`] for the mean block fill, or use
+    /// [`PlanDescription::mean_block_fill`].
     ///
     /// [`observed_wire_blocks`]: PlanDescription::observed_wire_blocks
-    pub observed_wire_block_tuples: Option<u64>,
+    pub observed_wire_block_rows: Option<u64>,
     /// Whether a query-serving daemon answered this query from its result
     /// cache. `None` for local execution (there is no server-side cache);
     /// populated by the remote-query client path, where the server reports
@@ -697,14 +695,14 @@ pub struct PlanDescription {
     pub dataset_epoch: Option<u64>,
     /// The serving daemon's result-cache generation at answer time
     /// (advances whenever an append/seal invalidates cached epochs).
-    /// `None` for local execution or pre-v5 servers.
+    /// `None` for local execution.
     pub server_cache_generation: Option<u64>,
     /// Sealed segments under the live snapshot this plan scans — local live
-    /// datasets report their snapshot, v6 servers report it in the result
-    /// tail. `None` for static datasets and pre-v6 servers.
+    /// datasets report their snapshot, servers report it in the result
+    /// tail. `None` for static datasets.
     pub live_segments: Option<usize>,
     /// Epoch of the live log's most recent LSM-style compaction (`0` when it
-    /// was never compacted). `None` for static datasets and pre-v6 servers.
+    /// was never compacted). `None` for static datasets.
     pub last_compaction_epoch: Option<u64>,
 }
 
@@ -721,10 +719,10 @@ impl PlanDescription {
 
     /// Mean tuples per columnar block frame observed on the wire. `None`
     /// until a remote execution has been observed, or when no block frames
-    /// crossed at all (tuple-at-a-time transport).
+    /// crossed at all.
     pub fn mean_block_fill(&self) -> Option<f64> {
         let blocks = self.observed_wire_blocks?;
-        let tuples = self.observed_wire_block_tuples?;
+        let tuples = self.observed_wire_block_rows?;
         (blocks > 0).then(|| tuples as f64 / blocks as f64)
     }
 }
@@ -756,15 +754,12 @@ impl std::fmt::Display for PlanDescription {
         }
         if let Some(wire) = self.observed_wire_tuples {
             writeln!(f, "  observed wire tuples: {wire}")?;
-            match (self.observed_wire_blocks, self.mean_block_fill()) {
-                (Some(blocks), Some(fill)) => writeln!(
+            if let (Some(blocks), Some(fill)) = (self.observed_wire_blocks, self.mean_block_fill())
+            {
+                writeln!(
                     f,
                     "  observed wire blocks: {blocks} (mean fill {fill:.1} tuples)"
-                )?,
-                (Some(0), None) => {
-                    writeln!(f, "  observed wire blocks: 0 (tuple-at-a-time frames)")?
-                }
-                _ => {}
+                )?;
             }
         }
         if let Some(hit) = self.server_cache_hit {
@@ -963,13 +958,13 @@ pub struct Session {
 }
 
 /// What one remote execution put on the wire, as seen from the client:
-/// total decoded tuples, and how many of them arrived batched inside
-/// columnar block frames (vs. one frame per tuple).
+/// total decoded tuples, and the block frames (and rows inside them) that
+/// carried them.
 #[derive(Debug, Clone, Copy)]
 struct WireObservation {
     tuples: u64,
     blocks: u64,
-    block_tuples: u64,
+    block_rows: u64,
 }
 
 /// The observation key of one `(dataset, query)` combination.
@@ -1041,7 +1036,7 @@ impl Session {
             drains_stream,
             observed_wire_tuples: self.wire_observations.get(&key).map(|w| w.tuples),
             observed_wire_blocks: self.wire_observations.get(&key).map(|w| w.blocks),
-            observed_wire_block_tuples: self.wire_observations.get(&key).map(|w| w.block_tuples),
+            observed_wire_block_rows: self.wire_observations.get(&key).map(|w| w.block_rows),
             server_cache_hit: None,
             dataset_epoch,
             server_cache_generation: None,
@@ -1145,7 +1140,7 @@ fn execute_on(
             let observation = stats.map(|stats| WireObservation {
                 tuples: stats.tuples_received(),
                 blocks: stats.blocks_received(),
-                block_tuples: stats.block_tuples_received(),
+                block_rows: stats.block_rows_received(),
             });
             Ok((answer, observation))
         }

@@ -1,8 +1,8 @@
 //! Property-based validation of the columnar block pull path: for **any**
 //! table, partitioning and block-ask schedule, `next_block` composed through
 //! every source kind — in-memory vectors, loser-tree merges of shards
-//! (including all-ties partitions), feed channels, the wire codec in both
-//! framings, and a negotiated loopback remote scan — yields the
+//! (including all-ties partitions), feed channels, the wire codec at any
+//! block size, and a loopback remote scan — yields the
 //! bit-identical tuple sequence of the tuple-at-a-time path; and the gated
 //! rank scan admits the identical Theorem-2 prefix with the identical
 //! stopping depth even when the gate closes in the middle of a pulled
@@ -148,9 +148,10 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// The wire codec: the same relation encoded as per-tuple frames and as
-    /// kind-20 block frames, then drained scalar and block-wise — all four
-    /// framing x pull combinations decode the bit-identical sequence.
+    /// The wire codec: the same relation encoded as single-row block frames
+    /// and as block frames of any size, then drained scalar and block-wise —
+    /// all four framing x pull combinations decode the bit-identical
+    /// sequence.
     #[test]
     fn wire_framings_match_scalar(
         table in table_with(4),
@@ -158,21 +159,17 @@ proptest! {
         encode_block in 1usize..600,
     ) {
         let expected = scalar_drain(&mut table.to_source());
-        let mut tuple_wire = Vec::new();
-        let mut writer = WireWriter::new(&mut tuple_wire, Some(table.len())).unwrap();
-        let mut source = table.to_source();
-        while let Some(t) = source.next_tuple().unwrap() {
-            writer.write_tuple(&t).unwrap();
-        }
-        writer.finish().unwrap();
-        let mut block_wire = Vec::new();
-        let mut writer = WireWriter::new(&mut block_wire, Some(table.len())).unwrap();
-        let mut source = table.to_source();
-        while let Some(block) = source.next_block(encode_block).unwrap() {
-            writer.write_block(&block).unwrap();
-        }
-        writer.finish().unwrap();
-        for wire in [&tuple_wire, &block_wire] {
+        let encode = |rows: usize| {
+            let mut wire = Vec::new();
+            let mut writer = WireWriter::new(&mut wire, Some(table.len()), None).unwrap();
+            let mut source = table.to_source();
+            while let Some(block) = source.next_block(rows).unwrap() {
+                writer.write_block(&block).unwrap();
+            }
+            writer.finish().unwrap();
+            wire
+        };
+        for wire in [&encode(1), &encode(encode_block)] {
             prop_assert_eq!(scalar_drain(&mut WireReader::new(&wire[..])), expected.clone());
             prop_assert_eq!(
                 block_drain(&mut WireReader::new(&wire[..]), &asks),
@@ -283,8 +280,8 @@ proptest! {
         prop_assert_eq!(prefix.depth(), admitted);
     }
 
-    /// Loopback remote: a negotiated block-frame scan and a per-tuple wire
-    /// scan are both bit-identical to the in-process single-source answer.
+    /// Loopback remote: a gated scan and a full-replay scan (`k = 0`) are
+    /// both bit-identical to the in-process single-source answer.
     #[test]
     fn remote_block_negotiation_is_bit_identical(
         table in table_with(4),
@@ -300,12 +297,9 @@ proptest! {
             .map(|mut source| {
                 let listener = TcpListener::bind("127.0.0.1:0").unwrap();
                 let addr = listener.local_addr().unwrap().to_string();
-                let options = ServeOptions {
-                    pushdown_wait: std::time::Duration::from_millis(2),
-                    ..ServeOptions::default()
-                };
+                let options = ServeOptions::default();
                 std::thread::spawn(move || {
-                    // One connection per wire mode below.
+                    // One connection per announcement below.
                     for _ in 0..2 {
                         let Ok((stream, _)) = listener.accept() else {
                             return;
@@ -317,9 +311,9 @@ proptest! {
                 addr
             })
             .collect();
-        for wire_blocks in [true, false] {
+        for pushdown in [true, false] {
             let remote = RemoteShardDataset::new(addrs.clone())
-                .with_wire_blocks(wire_blocks)
+                .with_pushdown(pushdown)
                 .into_dataset();
             let answer = session.execute(&remote, &query);
             assert_identical(single.clone(), answer)?;

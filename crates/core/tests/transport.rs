@@ -7,20 +7,25 @@
 //! boundary. A producer that errors mid-stream must surface as
 //! `Error::Source` on the consumer, never hang or truncate.
 
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 use ttk_core::{
-    serve_stream, ConnectOptions, Dataset, QueryAnswer, RemoteShardDataset, ScanPath, ServeOptions,
-    ServeSummary, Session, ShardScanGate, StopReason, TopkQuery,
+    answer_to_wire, request_for, serve_client, serve_stream, ConnectOptions, Dataset,
+    DatasetRegistry, QueryAnswer, QueryServeOptions, RemoteShardDataset, ResultCache, ScanPath,
+    ServeOptions, ServeSummary, Session, ShardScanGate, StopReason, TopkQuery,
 };
-use ttk_uncertain::wire::{self, PushdownQuery, WireReader};
+use ttk_uncertain::wire::{
+    self, AdminRequest, AdminVerb, AppendRequest, PushdownQuery, SubscribeRequest, WireReader,
+    WIRE_VERSION_V6,
+};
 use ttk_uncertain::{
     Error, LeaseRegistry, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple,
-    TupleFeed, TupleSource, UncertainTable, UncertainTuple, VecSource, WireWriter,
+    TupleBlock, TupleFeed, TupleSource, UncertainTable, UncertainTuple, VecSource, WireWriter,
 };
 
 mod support;
@@ -39,26 +44,46 @@ fn partition(table: &UncertainTable, shards: usize) -> Vec<Vec<SourceTuple>> {
     parts
 }
 
-/// Serves each shard over its own loopback listener (one connection) and
-/// returns the addresses.
-fn serve_shards(shards: Vec<Vec<SourceTuple>>) -> Vec<String> {
-    shards
+/// Serves each shard through [`serve_stream`] — the `serve-shard` daemon's
+/// own path — on its own loopback listener, one connection each, behind a
+/// hello carrying the shard's assignment. Every connection's
+/// [`ServeSummary`] is reported through the returned channel, tagged with
+/// its shard index.
+fn serve_shards_as(
+    shards: Vec<(Vec<SourceTuple>, Option<ShardAssignment>)>,
+) -> (Vec<String>, mpsc::Receiver<(usize, ServeSummary)>) {
+    let (sender, receiver) = mpsc::channel();
+    let addrs = shards
         .into_iter()
-        .map(|shard| {
+        .enumerate()
+        .map(|(index, (shard, assignment))| {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap().to_string();
+            let sender = sender.clone();
             std::thread::spawn(move || {
                 let (stream, _) = listener.accept().unwrap();
-                // The client may hang up early (gate closed) — expected.
-                if let Ok(writer) =
-                    WireWriter::new(std::io::BufWriter::new(stream), Some(shard.len()))
+                let options = ServeOptions {
+                    drain_every: 4,
+                    ..ServeOptions::default()
+                };
+                // A vanished client is a summary, not an error; a source
+                // error cannot happen with a VecSource.
+                let mut source = VecSource::new(shard);
+                if let Ok(summary) =
+                    serve_stream(stream, &mut source, assignment.as_ref(), &options)
                 {
-                    let _ = writer.serve(&mut VecSource::new(shard));
+                    let _ = sender.send((index, summary));
                 }
             });
             addr
         })
-        .collect()
+        .collect();
+    (addrs, receiver)
+}
+
+/// [`serve_shards_as`] without assignments, summaries unread.
+fn serve_shards(shards: Vec<Vec<SourceTuple>>) -> Vec<String> {
+    serve_shards_as(shards.into_iter().map(|shard| (shard, None)).collect()).0
 }
 
 fn assert_identical(
@@ -138,8 +163,6 @@ proptest! {
             remote = remote.with_prefetch(PrefetchPolicy::per_shard(prefetch * 8));
         }
         let dataset = remote.into_dataset();
-        // The session plans for pushdown; the v1 servers of this test
-        // decline it at the handshake, changing nothing about the results.
         prop_assert_eq!(
             session.explain(&dataset, &query).path,
             ScanPath::RemotePushdown { remote: shards, local: 0 }
@@ -205,27 +228,16 @@ proptest! {
     }
 }
 
-/// Serves each shard over its own loopback listener with a **v2 hello**
-/// advertising the given assignment, one connection each.
+/// [`serve_shards_as`] with every shard's hello advertising its
+/// assignment, summaries unread.
 fn serve_shards_with_assignments(shards: Vec<(Vec<SourceTuple>, ShardAssignment)>) -> Vec<String> {
-    shards
-        .into_iter()
-        .map(|(shard, assignment)| {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            std::thread::spawn(move || {
-                let (stream, _) = listener.accept().unwrap();
-                if let Ok(writer) = WireWriter::with_assignment(
-                    std::io::BufWriter::new(stream),
-                    Some(shard.len()),
-                    &assignment,
-                ) {
-                    let _ = writer.serve(&mut VecSource::new(shard));
-                }
-            });
-            addr
-        })
-        .collect()
+    serve_shards_as(
+        shards
+            .into_iter()
+            .map(|(shard, assignment)| (shard, Some(assignment)))
+            .collect(),
+    )
+    .0
 }
 
 /// The bare rows of a shard before id assignment: `(score, prob, group)`.
@@ -253,7 +265,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Coordinator-leased id bases — handed out by a [`LeaseRegistry`] in an
-    /// arbitrary registration order and advertised in v2 hellos — yield the
+    /// arbitrary registration order and advertised in the hellos — yield the
     /// same distributions as the operator passing each shard's cumulative
     /// row count by hand. Scores are distinct, so the rank order (and with
     /// it the scan depth and typical answers) is id-independent.
@@ -350,11 +362,8 @@ fn late_server_is_reached_via_retry() {
         std::thread::sleep(Duration::from_millis(200));
         let listener = TcpListener::bind(&server_addr).unwrap();
         let (stream, _) = listener.accept().unwrap();
-        if let Ok(writer) =
-            WireWriter::new(std::io::BufWriter::new(stream), Some(server_shard.len()))
-        {
-            let _ = writer.serve(&mut VecSource::new(server_shard));
-        }
+        let mut source = VecSource::new(server_shard);
+        let _ = serve_stream(stream, &mut source, None, &ServeOptions::default());
     });
     let query = TopkQuery::new(2).with_p_tau(1e-3).with_u_topk(false);
     let mut session = Session::new();
@@ -404,7 +413,8 @@ fn dead_server_fails_cleanly_after_retries() {
 
 /// A connection dropped **mid-hello** (accepted, then closed before the
 /// hello frame) is retried like a failed dial: the stream has not started,
-/// so reconnecting cannot skip tuples.
+/// so reconnecting cannot skip tuples — and the retried connection speaks
+/// the same block framing as a first-time one.
 #[test]
 fn mid_hello_disconnects_are_retried() {
     let all = descending_tuples(20);
@@ -418,11 +428,8 @@ fn mid_hello_disconnects_are_retried() {
             drop(stream);
         }
         let (stream, _) = listener.accept().unwrap();
-        if let Ok(writer) =
-            WireWriter::new(std::io::BufWriter::new(stream), Some(server_shard.len()))
-        {
-            let _ = writer.serve(&mut VecSource::new(server_shard));
-        }
+        let mut source = VecSource::new(server_shard);
+        let _ = serve_stream(stream, &mut source, None, &ServeOptions::default());
     });
     let query = TopkQuery::new(2).with_p_tau(1e-3).with_u_topk(false);
     let mut session = Session::new();
@@ -438,6 +445,46 @@ fn mid_hello_disconnects_are_retried() {
         .into_dataset();
     let remote = session.execute(&dataset, &query).unwrap();
     assert_eq!(remote.distribution, local.distribution);
+    let blocks = session.explain(&dataset, &query).observed_wire_blocks;
+    assert!(blocks.is_some_and(|blocks| blocks > 0), "{blocks:?}");
+}
+
+/// A peer that accepts and drops every connection is dialled exactly once
+/// per attempt — `retries + 1` times — and the error names that count.
+#[test]
+fn a_peer_that_never_answers_is_dialled_once_per_attempt() {
+    const RETRIES: u32 = 3;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (accepted, accepts) = mpsc::channel();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            drop(stream);
+            if accepted.send(()).is_err() {
+                return;
+            }
+        }
+    });
+    let dataset = RemoteShardDataset::new([addr])
+        .with_connect_options(
+            ConnectOptions::default()
+                .with_retries(RETRIES)
+                .with_backoff(Duration::from_millis(5)),
+        )
+        .into_dataset();
+    let err = Session::new()
+        .execute(&dataset, &TopkQuery::new(1))
+        .unwrap_err();
+    assert!(
+        matches!(&err, Error::Source(m) if m.contains(&format!("after {} attempts", RETRIES + 1))),
+        "{err:?}"
+    );
+    // Every attempt's accept has landed by the time the client gave up.
+    let mut dials = 0;
+    while accepts.recv_timeout(Duration::from_millis(200)).is_ok() {
+        dials += 1;
+    }
+    assert_eq!(dials, RETRIES + 1);
 }
 
 /// Servers advertising conflicting assignments — different group-key
@@ -506,43 +553,9 @@ fn conflicting_hello_assignments_are_rejected() {
     );
 }
 
-/// Serves each shard through [`serve_stream`] — the v3 negotiating server of
-/// the `serve-shard` daemon — one connection each, reporting every
-/// connection's [`ServeSummary`] through the returned channel. A short
-/// pushdown grace keeps the non-announcing (legacy-client) cases fast.
-fn serve_shards_v3(
-    shards: Vec<Vec<SourceTuple>>,
-) -> (Vec<String>, mpsc::Receiver<(usize, ServeSummary)>) {
-    let (sender, receiver) = mpsc::channel();
-    let addrs = shards
-        .into_iter()
-        .enumerate()
-        .map(|(index, shard)| {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let sender = sender.clone();
-            std::thread::spawn(move || {
-                let (stream, _) = listener.accept().unwrap();
-                let options = ServeOptions {
-                    pushdown_wait: Duration::from_millis(5),
-                    drain_every: 4,
-                    ..ServeOptions::default()
-                };
-                // A vanished client is a summary, not an error; a source
-                // error cannot happen with a VecSource.
-                let summary =
-                    serve_stream(stream, &mut VecSource::new(shard), None, &options).unwrap();
-                let _ = sender.send((index, summary));
-            });
-            addr
-        })
-        .collect();
-    (addrs, receiver)
-}
-
 /// The deterministic local-only pushdown bound of one shard: what a
 /// [`ShardScanGate`] admits over the shard with **no** remote updates. With
-/// updates the server can only stop earlier, so tuples shipped by any v3
+/// updates the server can only stop earlier, so tuples shipped by any gated
 /// connection must stay ≤ this.
 fn shard_pushdown_bound(shard: &[SourceTuple], k: usize, p_tau: f64) -> u64 {
     let mut gate = ShardScanGate::new(k, p_tau).unwrap();
@@ -571,7 +584,8 @@ fn check_pushdown_case(
         .map(|shard| shard_pushdown_bound(shard, query.k, query.p_tau))
         .collect();
     let rows: Vec<u64> = shards.iter().map(|s| s.len() as u64).collect();
-    let (addrs, summaries) = serve_shards_v3(shards);
+    let (addrs, summaries) =
+        serve_shards_as(shards.into_iter().map(|shard| (shard, None)).collect());
     let dataset = RemoteShardDataset::new(addrs).into_dataset();
     let pushed = session.execute(&dataset, query);
     let succeeded = pushed.is_ok();
@@ -585,9 +599,10 @@ fn check_pushdown_case(
         let (index, summary) = summaries
             .recv_timeout(Duration::from_secs(10))
             .expect("every server reports a summary");
-        prop_assert!(
+        prop_assert_eq!(
             summary.pushdown,
-            "v3 negotiation must engage: {:?}",
+            !drains,
+            "a gated query must announce k > 0: {:?}",
             summary
         );
         shipped_total += summary.shipped;
@@ -619,20 +634,20 @@ fn check_pushdown_case(
         observed,
         shipped_total
     );
-    // The block transport stats count decoded kind-20 frames — the framing
-    // truth, independent of how the merge pulled. Blocks are negotiated by
-    // default, so every delivered tuple rode a block frame (observed ≤ frame
-    // rows), the client never decodes more rows than the servers shipped,
-    // and the per-frame accounting is self-consistent.
+    // The block transport stats count decoded block frames — the framing
+    // truth, independent of how the merge pulled. Every delivered tuple rode
+    // a block frame (observed ≤ frame rows), the client never decodes more
+    // rows than the servers shipped, and the per-frame accounting is
+    // self-consistent.
     let blocks = plan
         .observed_wire_blocks
         .expect("remote scan records block transport stats");
-    let block_tuples = plan
-        .observed_wire_block_tuples
+    let block_rows = plan
+        .observed_wire_block_rows
         .expect("remote scan records block transport stats");
-    prop_assert!(observed <= block_tuples);
-    prop_assert!(block_tuples <= shipped_total);
-    prop_assert!(blocks <= block_tuples || (blocks == 0 && block_tuples == 0));
+    prop_assert!(observed <= block_rows);
+    prop_assert!(block_rows <= shipped_total);
+    prop_assert!(blocks <= block_rows || (blocks == 0 && block_rows == 0));
     prop_assert!(observed == 0 || blocks > 0, "tuples arrived outside blocks");
     if drains {
         prop_assert_eq!(observed, shipped_total);
@@ -645,7 +660,7 @@ proptest! {
 
     /// **Tentpole property.** For any table, partitioning and k, the
     /// pushdown scan is bit-identical to the single-source scan (including
-    /// U-Topk witness ids), and every v3 server ships at most its
+    /// U-Topk witness ids), and every gated server ships at most its
     /// conservative local Theorem-2 bound — never the whole shard by
     /// default.
     #[test]
@@ -675,73 +690,6 @@ proptest! {
         let mut session = Session::new();
         let single = session.execute(&Dataset::stream(table.to_source()), &query);
         check_pushdown_case(&mut session, single, partition(&table, shards), &query)?;
-    }
-
-    /// Back-compat, client side: a legacy (non-announcing) client against v3
-    /// servers gets the full replay with bit-identical results — pushdown
-    /// silently disabled.
-    #[test]
-    fn v3_servers_serve_legacy_clients_unchanged(
-        table in table_with(6),
-        shards in 1usize..4,
-        k in 1usize..4,
-    ) {
-        let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
-        let mut session = Session::new();
-        let single = session.execute(&Dataset::stream(table.to_source()), &query);
-        let (addrs, summaries) = serve_shards_v3(partition(&table, shards));
-        let dataset = RemoteShardDataset::new(addrs)
-            .with_pushdown(false)
-            .into_dataset();
-        prop_assert_eq!(
-            session.explain(&dataset, &query).path,
-            ScanPath::Remote { remote: shards, local: 0 }
-        );
-        let served = session.execute(&dataset, &query);
-        let succeeded = served.is_ok();
-        assert_identical(single, served)?;
-        if succeeded {
-            for _ in 0..shards {
-                let (_, summary) = summaries
-                    .recv_timeout(Duration::from_secs(10))
-                    .expect("every server reports a summary");
-                prop_assert!(!summary.pushdown, "grace window must expire: {:?}", summary);
-            }
-        }
-    }
-
-    /// Back-compat, server side: a v3 (announcing) client against pre-v3
-    /// servers — both the v1 and the v2-hello flavour — gets the full replay
-    /// with bit-identical results.
-    #[test]
-    fn v3_clients_degrade_against_pre_v3_servers(
-        table in table_with(6),
-        shards in 1usize..4,
-        k in 1usize..4,
-        v2_hello in any::<bool>(),
-    ) {
-        let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
-        let mut session = Session::new();
-        let single = session.execute(&Dataset::stream(table.to_source()), &query);
-        let parts = partition(&table, shards);
-        let addrs = if v2_hello {
-            let mut registry = LeaseRegistry::new("compat-matrix");
-            serve_shards_with_assignments(
-                parts
-                    .into_iter()
-                    .map(|part| {
-                        let lease = registry.register(part.len() as u64);
-                        // Re-keep the shard's own ids: only the hello labels
-                        // change, the rows do not.
-                        (part, lease)
-                    })
-                    .collect(),
-            )
-        } else {
-            serve_shards(parts)
-        };
-        let served = session.execute(&RemoteShardDataset::new(addrs).into_dataset(), &query);
-        assert_identical(single, served)?;
     }
 }
 
@@ -796,10 +744,13 @@ fn remote_server_dying_mid_stream_is_a_source_error() {
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        let mut writer = WireWriter::new(std::io::BufWriter::new(stream), Some(100)).unwrap();
+        wire::read_client_request(&mut &stream).unwrap();
+        let mut writer = WireWriter::new(std::io::BufWriter::new(stream), Some(100), None).unwrap();
+        let mut block = TupleBlock::default();
         for t in descending_tuples(3) {
-            writer.write_tuple(&t).unwrap();
+            block.push(&t);
         }
+        writer.write_block(&block).unwrap();
         // Drop without the end frame: the connection just dies.
     });
     let err = Session::new()
@@ -819,11 +770,11 @@ fn remote_source_failure_is_forwarded_through_the_wire() {
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        let writer = WireWriter::new(std::io::BufWriter::new(stream), None).unwrap();
-        let _ = writer.serve(&mut FailsAfter {
+        let mut source = FailsAfter {
             tuples: descending_tuples(4),
             served: 0,
-        });
+        };
+        let _ = serve_stream(stream, &mut source, None, &ServeOptions::default());
     });
     let err = Session::new()
         .execute(
@@ -878,13 +829,13 @@ fn serve_one(
     (addr, receiver)
 }
 
-/// Dials `addr` as a full-stream (k = 0) block client and reads the hello.
+/// Dials `addr` as a full-stream (k = 0) client and reads the hello.
 fn full_stream_client(addr: &str) -> WireReader<BufReader<TcpStream>> {
     let stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    wire::write_query_blocks(&mut &stream, &PushdownQuery { k: 0, p_tau: 0.0 }, 512).unwrap();
+    wire::write_scan(&mut &stream, &PushdownQuery { k: 0, p_tau: 0.0 }).unwrap();
     let mut reader = WireReader::new(BufReader::new(stream));
     reader.hello().unwrap();
     reader
@@ -913,7 +864,7 @@ fn serve_stream_stops_when_a_full_stream_client_vanishes() {
         .recv_timeout(Duration::from_secs(30))
         .expect("serve_stream returned")
         .expect("a vanished client is a summary, not an error");
-    assert!(summary.pushdown, "{summary:?}");
+    assert!(!summary.pushdown, "{summary:?}");
     assert_eq!(summary.reason, StopReason::ClientGone, "{summary:?}");
     assert!(summary.shipped < ROWS, "{summary:?}");
 }
@@ -939,4 +890,190 @@ fn serve_stream_returns_while_the_client_holds_its_socket() {
     assert_eq!(summary.reason, StopReason::Exhausted, "{summary:?}");
     assert_eq!(summary.shipped, ROWS);
     drop(client);
+}
+
+/// The first frame of an encoding: the opening frame a peer reads alone
+/// before it decides whether to read on.
+fn first_frame(encoding: &[u8]) -> &[u8] {
+    let len = u32::from_le_bytes(encoding[..4].try_into().unwrap()) as usize;
+    &encoding[..4 + len]
+}
+
+/// Connects to `addr`, sends `frame`, and returns the text of the error
+/// frame the daemon answers with.
+fn error_frame_reply(addr: &str, frame: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(frame).unwrap();
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body).unwrap();
+    assert_eq!(body[0], 2, "the daemon answers with an error frame");
+    String::from_utf8(body[1..].to_vec()).unwrap()
+}
+
+/// One version, refused everywhere: an opening frame of any kind at a
+/// version other than this build's is refused by the one opening decoder,
+/// answered with an error frame by the shard server and the query daemon,
+/// and every client decoder of a server's opening frame refuses it the same
+/// way — each error naming both versions.
+#[test]
+fn foreign_wire_versions_are_refused_naming_both_versions() {
+    let refusal = |version: u8| {
+        format!("peer speaks wire version {version}; this build speaks {WIRE_VERSION_V6}")
+    };
+    let request = request_for("data", &TopkQuery::new(2));
+    let mut openings: Vec<Vec<u8>> = vec![Vec::new(); 6];
+    wire::write_scan(&mut openings[0], &PushdownQuery { k: 3, p_tau: 1e-3 }).unwrap();
+    wire::write_register(&mut openings[1], 10, "shard0.csv").unwrap();
+    wire::write_query_request(&mut openings[2], &request).unwrap();
+    wire::write_append_request(
+        &mut openings[3],
+        &AppendRequest {
+            dataset: "feed".into(),
+            seal: true,
+            rows: descending_tuples(2),
+        },
+    )
+    .unwrap();
+    wire::write_subscribe(
+        &mut openings[4],
+        &SubscribeRequest {
+            query: request,
+            max_pushes: 1,
+        },
+    )
+    .unwrap();
+    wire::write_admin_request(
+        &mut openings[5],
+        &AdminRequest {
+            verb: AdminVerb::Stats,
+            name: String::new(),
+            arg: String::new(),
+        },
+    )
+    .unwrap();
+    let foreign: Vec<(u8, Vec<u8>)> = [5u8, 7]
+        .into_iter()
+        .flat_map(|version| {
+            openings.iter().map(move |opening| {
+                let mut frame = first_frame(opening).to_vec();
+                frame[5] = version;
+                (version, frame)
+            })
+        })
+        .collect();
+
+    // The opening decoder every daemon reads its first frame through.
+    for (version, frame) in &foreign {
+        let err = wire::read_client_request(&mut frame.as_slice()).unwrap_err();
+        assert!(err.to_string().contains(&refusal(*version)), "{err}");
+    }
+
+    // The shard server and the query daemon answer with an error frame.
+    let connections = foreign.len();
+    let shard_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let shard_addr = shard_listener.local_addr().unwrap().to_string();
+    let shard_server = std::thread::spawn(move || {
+        (0..connections)
+            .map(|_| {
+                let (stream, _) = shard_listener.accept().unwrap();
+                let mut empty = VecSource::new(Vec::new());
+                serve_stream(stream, &mut empty, None, &ServeOptions::default()).unwrap_err()
+            })
+            .collect::<Vec<_>>()
+    });
+    let query_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let query_addr = query_listener.local_addr().unwrap().to_string();
+    let query_server = std::thread::spawn(move || {
+        let (registry, cache) = (DatasetRegistry::new(), ResultCache::new(1));
+        let mut session = Session::new();
+        let stop = AtomicBool::new(false);
+        (0..connections)
+            .map(|_| {
+                let (stream, _) = query_listener.accept().unwrap();
+                let options = QueryServeOptions::default();
+                serve_client(stream, &registry, &cache, &mut session, &options, &stop).unwrap_err()
+            })
+            .collect::<Vec<_>>()
+    });
+    for (version, frame) in &foreign {
+        for addr in [&shard_addr, &query_addr] {
+            let reply = error_frame_reply(addr, frame);
+            assert!(reply.contains(&refusal(*version)), "{addr}: {reply}");
+        }
+    }
+    for server in [shard_server, query_server] {
+        for (err, (version, _)) in server.join().unwrap().iter().zip(&foreign) {
+            assert!(err.to_string().contains(&refusal(*version)), "{err}");
+        }
+    }
+
+    // Every client decoder of a server's opening frame.
+    let answer = Session::new()
+        .execute(
+            &Dataset::stream(VecSource::new(descending_tuples(5))),
+            &TopkQuery::new(2).with_u_topk(false),
+        )
+        .unwrap();
+    let mut replies: Vec<Vec<u8>> = vec![Vec::new(); 7];
+    WireWriter::new(&mut replies[0], None, None)
+        .unwrap()
+        .finish()
+        .unwrap();
+    wire::write_query_result(&mut replies[1], &answer_to_wire(&answer, false)).unwrap();
+    wire::write_append_ack(
+        &mut replies[2],
+        &wire::AppendAck {
+            epoch: 1,
+            staged: 0,
+            sealed_rows: 2,
+            sealed_now: true,
+        },
+    )
+    .unwrap();
+    wire::write_lease(
+        &mut replies[3],
+        &ShardAssignment {
+            id_base: 0,
+            namespace: "ns".into(),
+        },
+    )
+    .unwrap();
+    wire::write_notification(
+        &mut replies[4],
+        &wire::Notification {
+            epoch: 1,
+            answer_hash: 7,
+        },
+    )
+    .unwrap();
+    wire::write_admin_response(&mut replies[5], "resident datasets: 0").unwrap();
+    wire::write_busy(&mut replies[6], 100).unwrap();
+    for version in [5u8, 7] {
+        let decoded: Vec<Result<()>> = replies
+            .iter()
+            .enumerate()
+            .map(|(kind, reply)| {
+                let mut frame = reply.clone();
+                frame[5] = version;
+                let mut bytes = frame.as_slice();
+                match kind {
+                    0 => WireReader::new(bytes).hello().map(drop),
+                    1 | 6 => wire::read_query_result(&mut bytes).map(drop),
+                    2 => wire::read_append_ack(&mut bytes).map(drop),
+                    3 => wire::read_lease(&mut bytes).map(drop),
+                    4 => wire::read_push(&mut bytes).map(drop),
+                    _ => wire::read_admin_response(&mut bytes).map(drop),
+                }
+            })
+            .collect();
+        for (kind, outcome) in decoded.into_iter().enumerate() {
+            let err = outcome.expect_err("a foreign version must not decode");
+            assert!(err.to_string().contains(&refusal(version)), "{kind}: {err}");
+        }
+    }
 }

@@ -1,4 +1,5 @@
-//! The wire layer: a framed binary codec for [`SourceTuple`] streams.
+//! The wire layer: one framed binary protocol for everything the daemons
+//! exchange — shard streams, coordinator leases and whole queries.
 //!
 //! A shard served from another process (or machine) is just a rank-ordered
 //! tuple stream, so the wire format is deliberately minimal: a blocking,
@@ -14,114 +15,67 @@
 //! | kind | meaning | payload |
 //! |---|---|---|
 //! | `0` | end of stream | none |
-//! | `1` | tuple | id `u64`, score bits `u64`, prob bits `u64`, group flag `u8` (+ key `u64` when shared) |
-//! | `2` | producer error | UTF-8 message |
-//! | `3` | hello (first frame) | version `u8`, size hint `u64` (`u64::MAX` = unknown); v2 appends id base `u64`, namespace length `u16`, namespace bytes; v3 appends an assignment-present flag `u8` and, when set, the v2 assignment fields |
+//! | `2` | error (a refusal or a server-side failure) | UTF-8 message |
+//! | `3` | hello (server→client, opens a shard stream) | version `u8`, size hint `u64` (`u64::MAX` = unknown), assignment flag `u8` and, when set, id base `u64`, namespace length `u16`, namespace bytes |
 //! | `5` | coordinator register | version `u8`, row count `u64`, label length `u16`, label bytes |
 //! | `6` | coordinator lease | version `u8`, id base `u64`, namespace length `u16`, namespace bytes |
-//! | `7` | query announcement (client→server, v3) | k `u64` (`0` = stream everything), pτ bits `u64` |
-//! | `8` | bound update (client→server, v3) | accumulated merge-side mass bits `u64` |
-//! | `9` | stopped-at trailer (server→client, v3, precedes `end`) | rows scanned `u64`, tuples shipped `u64`, gate-limited flag `u8` |
-//! | `10` | query request (client→server, v4/v5) | version `u8`, k `u64`, pτ bits `u64`, typical count `u64`, max lines `u64`, algorithm `u8`, coalesce `u8`, flags `u8`, dataset length `u16`, dataset bytes |
-//! | `11` | query result header (server→client, v4/v5) | version `u8`, flags `u8`, scan depth `u64`, phase times `u64`×2, point count `u64`, expected distance bits `u64`, typical answers, optional U-Top-k; v5 appends dataset epoch `u64` and cache generation `u64` |
-//! | `12` | result chunk (server→client, v4/v5, precedes `end`) | point count `u16`, encoded distribution points |
-//! | `13` | append request header (client→server, v5) | version `u8`, flags `u8` (bit 0 = seal), row count `u64`, dataset length `u16`, dataset bytes |
-//! | `14` | append row chunk (client→server, v5, precedes `end`) | row count `u16`, encoded rows (tuple layout sans kind byte) |
-//! | `15` | append acknowledgement (server→client, v5) | version `u8`, flags `u8` (bit 0 = sealed now), epoch `u64`, staged rows `u64`, sealed rows `u64` |
-//! | `16` | subscribe request (client→server, v5) | the v5 query request fields, then max pushes `u64`, dataset length `u16`, dataset bytes |
-//! | `17` | notification (server→client, v5, precedes a result stream) | version `u8`, epoch `u64`, answer hash `u64` |
-//! | `18` | busy / retry-after (server→client, v5) | version `u8`, retry-after millis `u64` |
-//! | `19` | block-capable query announcement (client→server) | the kind-7 fields, then max tuples per block frame `u16` |
-//! | `20` | tuple block (server→client, negotiated via kind 19) | tuple count `u16`, encoded rows (tuple layout sans kind byte) |
+//! | `8` | bound update (client→server, mid-stream) | accumulated merge-side mass bits `u64` |
+//! | `9` | stopped-at trailer (server→client, precedes `end`) | rows scanned `u64`, tuples shipped `u64`, gate-limited flag `u8` |
+//! | `10` | query request | version `u8`, k `u64`, pτ bits `u64`, typical count `u64`, max lines `u64`, algorithm `u8`, coalesce `u8`, flags `u8`, dataset length `u16`, dataset bytes |
+//! | `11` | query result header | version `u8`, flags `u8`, scan depth `u64`, phase times `u64`×2, point count `u64`, expected distance bits `u64`, typical answers, optional U-Top-k, dataset epoch `u64`, cache generation `u64`, live flag `u8`, live segments `u64`, last compaction epoch `u64` |
+//! | `12` | result chunk (precedes `end`) | point count `u16`, encoded distribution points |
+//! | `13` | append request header | version `u8`, flags `u8` (bit 0 = seal), row count `u64`, dataset length `u16`, dataset bytes |
+//! | `14` | append row chunk (precedes `end`) | row count `u16`, encoded rows |
+//! | `15` | append acknowledgement | version `u8`, flags `u8` (bit 0 = sealed now), epoch `u64`, staged rows `u64`, sealed rows `u64` |
+//! | `16` | subscribe request | the query request fields, then max pushes `u64`, dataset length `u16`, dataset bytes |
+//! | `17` | notification (precedes a result stream) | version `u8`, epoch `u64`, answer hash `u64` |
+//! | `18` | busy / retry-after | version `u8`, retry-after millis `u64` |
+//! | `20` | tuple block | tuple count `u16`, encoded rows |
+//! | `21` | admin request | version `u8`, verb `u8`, name length `u16`, name, argument length `u16`, argument |
+//! | `22` | admin response | version `u8`, UTF-8 report |
+//! | `23` | scan announcement (client→server, opens a shard stream) | version `u8`, k `u64` (`0` = stream everything), pτ bits `u64` |
 //!
-//! All integers are little-endian. A [`WireWriter`] emits the hello frame at
-//! construction and exactly one terminal frame (`end` or `error`); a
-//! [`WireReader`] implements [`TupleSource`], decoding tuples until the
-//! terminal frame and surfacing *every* abnormality — I/O failure, corrupt
+//! A row — in a tuple block or an append chunk — is id `u64`, score bits
+//! `u64`, probability bits `u64`, group flag `u8` and, for grouped rows, the
+//! group key `u64`. All integers are little-endian. Kinds 1, 4, 7 and 19 are
+//! retired and never reused.
+//!
+//! # The handshake
+//!
+//! The client speaks first. Every connection opens with one client frame
+//! whose body starts `[kind][version]` — a scan announcement, register,
+//! query request, append, subscribe or admin request — and all three daemons
+//! decode it with [`read_client_request`]. The server's opening frame (hello,
+//! lease, result header, append ack, notification, admin response or busy)
+//! starts with the same two bytes. This build speaks exactly one version,
+//! [`WIRE_VERSION_V6`]: a frame carrying any other is refused with an error
+//! naming both versions, which a daemon sends back as an error frame before
+//! closing and a client's decoder returns as is. The length bound, the kind
+//! byte and the version byte together refuse foreign bytes, so there is no
+//! magic number.
+//!
+//! # Shard streams
+//!
+//! A scan client announces its `(k, pτ)` ([`write_scan`]); `k = 0` asks for
+//! the whole shard. The server answers with a hello, ships the prefix its
+//! per-shard Theorem-2 gate admits as tuple-block frames ([`WireWriter`]),
+//! folds the client's bound updates ([`write_bound`], decoded by
+//! [`ControlParser`]) into that gate, and closes with a stopped-at trailer
+//! ([`StoppedAt`]) and the end frame. A [`WireReader`] decodes the stream as
+//! a [`TupleSource`] and surfaces *every* abnormality — I/O failure, corrupt
 //! frame, connection lost before the end frame, server-side error — as
 //! [`Error::Source`], never as a silently truncated stream.
 //!
-//! # Protocol versions
+//! # Query serving
 //!
-//! **v1** is the original one-way stream: the server speaks first and the
-//! hello frame carries only the version byte and a size hint. **v2** adds
-//! coordination: the hello may also carry a [`ShardAssignment`] — the tuple-id
-//! base and group-key namespace label the serving process imported its shard
-//! under — so the consumer can check that independently-served shards really
-//! partition one relation instead of trusting operator-passed `--id-base`
-//! flags.
-//!
-//! Through v2 the stream is strictly one-way (the server speaks, the client
-//! only reads), so the hello version is chosen by the **server's
-//! configuration**: [`WireWriter::new`] emits the v1 layout every reader
-//! since protocol v1 decodes, and a server emits the extended v2 layout
-//! ([`WireWriter::with_assignment`]) only when it actually holds an
-//! assignment to advertise (a coordinator lease or an operator-pinned
-//! namespace). A v2 reader accepts both layouts; a v1 client keeps decoding
-//! any server that has no assignment to announce.
-//!
-//! **v3** adds *scan-gate pushdown*: a client that wants the server to stop
-//! at a conservative per-shard Theorem-2 bound speaks **first**, sending a
-//! query frame ([`write_query`]) right after connecting. A v3 server waits a
-//! short grace window for that frame; when it arrives the server answers
-//! with a v3 hello, streams only the gated prefix, reads periodic
-//! bound-update frames ([`write_bound`]) off the same socket to tighten its
-//! gate with the merge-side accumulated mass, and closes the stream with a
-//! stopped-at trailer ([`StoppedAt`]) before the end frame. When no query
-//! frame arrives inside the grace window the server serves the full v1/v2
-//! replay exactly as before — so old clients keep working against v3
-//! servers, and a v3 client whose query frame lands on an old server simply
-//! gets the v1/v2 hello back and silently disables pushdown. (The old
-//! server never drains the query frame, which turns its close into a
-//! connection reset — harmless, because the kernel delivers the queued
-//! in-order stream before surfacing the reset and the reader stops at the
-//! end frame.)
-//!
-//! **v4** adds *query serving*: instead of replaying a shard, a server holds
-//! whole datasets resident and answers `(dataset, algorithm, k, pτ)` queries.
-//! The client again speaks first ([`write_query_request`]); the server
-//! answers with a result header frame, streams the score distribution in
-//! size-bounded chunks, and terminates with the usual end frame
-//! ([`write_query_result`] / [`read_query_result`]). The exchange replaces
-//! the hello entirely — there is no v4 hello layout — and every score and
-//! probability still travels as raw IEEE-754 bits, so a decoded answer is
-//! bit-identical to the one the server computed. A query-serving daemon that
-//! receives anything other than a request frame answers with an error frame
-//! and closes, so pre-v4 peers fail cleanly instead of hanging; a v4 client
-//! pointed at a shard-replay server gets a clean decode error off the
-//! server's hello in the same way.
-//!
-//! **v5** adds *live datasets*: a query-serving daemon may hold append-only
-//! datasets that grow under epoch-numbered snapshots, so the client-speaks-
-//! first exchange gains two new request kinds next to the query request. An
-//! **append** ([`write_append_request`]) ships scored rows in size-bounded
-//! chunks (the tuple-frame encoding, minus the kind byte) with an optional
-//! seal trigger, and is answered by a single acknowledgement frame carrying
-//! the dataset's post-append epoch ([`AppendAck`]). A **subscription**
-//! ([`write_subscribe`]) registers a standing query: the server pushes a
-//! notification frame ([`Notification`]) followed by a complete v5 result
-//! stream each time the answer distribution actually shifts, and closes the
-//! subscription with a bare end frame. Query requests and result headers are
-//! version-stamped: a v5 result appends the dataset epoch and the server's
-//! cache generation, while a v4 client keeps receiving the byte-identical v4
-//! layout — the server echoes the version the client spoke. Finally, the
-//! **busy** frame ([`write_busy`]) is a cheap admission-control refusal: a
-//! daemon whose worker handoff would block answers it in place of any reply
-//! and closes, and clients decode it as a retryable (never semantic) error.
-//!
-//! **Columnar block framing** rides on the same client-speaks-first
-//! negotiation as v3–v5: a client that can consume [`TupleBlock`]s announces
-//! its query with the kind-19 frame ([`write_query_blocks`]) — the kind-7
-//! fields plus the largest per-frame tuple count it wants — and a
-//! block-aware server then ships the gated prefix as size-bounded kind-20
-//! tuple-block frames instead of one frame per tuple. The rows inside a
-//! block frame use the tuple-frame layout minus the kind byte (identical to
-//! the append-chunk row encoding), so a decoded block is bit-identical to
-//! the per-tuple stream. Compatibility needs no capability exchange: an old
-//! v3–v5 server *strictly* rejects the unknown 19-byte query frame, the
-//! client sees the failed hello and redials speaking the plain kind-7 query,
-//! and everything downstream proceeds byte-identically to today. A new
-//! server answering a kind-7 client never emits a block frame.
+//! A query client sends a request ([`write_query_request`]) and reads a
+//! result header, size-bounded distribution chunks and the end frame
+//! ([`read_query_result`]). Live datasets add appends
+//! ([`write_append_request`], answered by one [`AppendAck`]) and
+//! subscriptions ([`write_subscribe`]), which turn the connection into a push
+//! stream of [`Notification`]s, each followed by a full result. The admin
+//! plane ([`write_admin_request`]) carries lifecycle verbs, and the busy
+//! frame ([`write_busy`]) is a daemon's retryable admission-control refusal.
 //!
 //! The register/lease frames are the coordinator handshake: a shard server
 //! connects to the coordinator, frames its row count and a display label
@@ -137,44 +91,16 @@ use crate::source::{GroupKey, SourceTuple, TupleBlock, TupleSource};
 use crate::tuple::{TupleId, UncertainTuple};
 use crate::vector::TopkVector;
 
-/// The v2 protocol version byte: the hello layout carrying a
-/// [`ShardAssignment`], and the version the coordinator frames speak.
-pub const WIRE_VERSION: u8 = 2;
-
-/// The v3 protocol version byte: the query-mode (scan-gate pushdown) hello.
-pub const WIRE_VERSION_V3: u8 = 3;
-
-/// The v4 protocol version byte: the query-serving request/result exchange.
-/// v4 defines no hello layout — the request and result frames carry their own
-/// version byte and replace the hello entirely, so hello decoding still
-/// rejects version bytes past v3.
-pub const WIRE_VERSION_V4: u8 = 4;
-
-/// The v5 protocol version byte: live datasets — append/seal requests,
-/// standing-query subscriptions, epoch-stamped result headers, and the
-/// busy/retry-after admission frame. Like v4 it defines no hello layout.
-pub const WIRE_VERSION_V5: u8 = 5;
-
-/// The v6 protocol version byte: the serving-lifecycle admin plane
-/// (stats/register/unregister/reload/compact against a resident-dataset
-/// daemon) and the live-scan result tail (segment count + last compaction
-/// epoch after the v5 epoch/generation fields). Like v4/v5 it defines no
-/// hello layout, and it stays client-speaks-first: v5-and-older peers never
-/// see a v6 byte unless they asked for one.
+/// The protocol version this build speaks, and the only one it accepts: the
+/// second byte of every frame that opens a direction of a connection.
 pub const WIRE_VERSION_V6: u8 = 6;
-
-/// The original protocol version: a 10-byte hello, no assignment metadata.
-const WIRE_VERSION_V1: u8 = 1;
 
 /// Frame kinds (first byte of every frame body).
 const FRAME_END: u8 = 0;
-const FRAME_TUPLE: u8 = 1;
 const FRAME_ERROR: u8 = 2;
 const FRAME_HELLO: u8 = 3;
-// Frame kind 4 is reserved (an abandoned client-hello design; never shipped).
 const FRAME_REGISTER: u8 = 5;
 const FRAME_LEASE: u8 = 6;
-const FRAME_QUERY: u8 = 7;
 const FRAME_BOUND: u8 = 8;
 const FRAME_STOPPED: u8 = 9;
 const FRAME_QUERY_REQUEST: u8 = 10;
@@ -186,25 +112,28 @@ const FRAME_APPEND_ACK: u8 = 15;
 const FRAME_SUBSCRIBE: u8 = 16;
 const FRAME_NOTIFY: u8 = 17;
 const FRAME_BUSY: u8 = 18;
-const FRAME_QUERY_BLOCKS: u8 = 19;
 const FRAME_TUPLE_BLOCK: u8 = 20;
 const FRAME_ADMIN: u8 = 21;
 const FRAME_ADMIN_RESPONSE: u8 = 22;
+const FRAME_SCAN: u8 = 23;
 
-/// Largest frame body a reader will accept (an error message, at most; tuple
-/// frames are 34 bytes and block frames pack rows up to this bound). Guards
-/// against garbage length prefixes allocating gigabytes.
+/// Largest frame body a reader will accept. Guards against garbage length
+/// prefixes allocating gigabytes; chunked frames pack items up to it.
 const MAX_FRAME_BODY: usize = 64 * 1024;
 
-/// Most rows one tuple-block frame can carry: the frame body bound divided
-/// by the worst-case 33-byte row encoding (plus the 3-byte chunk header).
-const MAX_BLOCK_ROWS: usize = (MAX_FRAME_BODY - CHUNK_HEADER) / 33;
+/// Bytes of a chunk frame (result, append rows, tuple block) spent on the
+/// kind and the `u16` item count.
+const CHUNK_HEADER: usize = 3;
+
+/// Smallest encoded row (an independent tuple): id, score, probability and
+/// the group flag.
+const MIN_ROW_BYTES: usize = 25;
 
 fn io_err(context: &str, e: std::io::Error) -> Error {
     Error::Source(format!("wire {context}: {e}"))
 }
 
-/// The coordination metadata a v2 hello (or a coordinator lease) carries:
+/// The coordination metadata a hello (or a coordinator lease) carries:
 /// where the served shard's rows live in the relation's shared tuple-id
 /// space, and which group-key namespace the shard was imported under.
 ///
@@ -213,7 +142,7 @@ fn io_err(context: &str, e: std::io::Error) -> Error {
 /// consumer may merge them as one relation; shards reporting **different**
 /// namespaces were never meant to be merged and the consumer should refuse.
 /// An empty namespace means the server asserted nothing (an operator-managed
-/// `--id-base` setup), which consumers accept for backwards compatibility.
+/// `--id-base` setup), which consumers accept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardAssignment {
     /// Tuple id of the shard's first row in the shared id space.
@@ -225,15 +154,14 @@ pub struct ShardAssignment {
 /// Everything a decoded hello frame carried.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hello {
-    /// Protocol version the server spoke (1, 2 or 3).
-    pub version: u8,
     /// Tuple-count hint, when the server knew it.
     pub size_hint: Option<usize>,
-    /// The shard's id-base/namespace assignment (v2/v3 hellos only).
+    /// The shard's id-base/namespace assignment, when the server holds one.
     pub assignment: Option<ShardAssignment>,
 }
 
-/// Reads one length-prefixed frame body from `reader`.
+/// Reads one length-prefixed frame body from `reader`. The body is never
+/// empty, so every caller may read its kind byte as `body[0]`.
 fn read_frame_from(reader: &mut impl Read) -> Result<Vec<u8>> {
     let mut len = [0u8; 4];
     reader
@@ -261,6 +189,87 @@ fn write_frame_to(writer: &mut impl Write, body: &[u8]) -> Result<()> {
         .map_err(|e| io_err("write", e))
 }
 
+/// Frames `body` onto `writer` and flushes.
+fn write_flushed(writer: &mut impl Write, body: &[u8]) -> Result<()> {
+    write_frame_to(writer, body)?;
+    writer.flush().map_err(|e| io_err("flush", e))
+}
+
+/// A frame body that opens a direction of a connection: `[kind][version]`.
+fn opening(kind: u8, capacity: usize) -> Vec<u8> {
+    let mut body = Vec::with_capacity(capacity);
+    body.push(kind);
+    body.push(WIRE_VERSION_V6);
+    body
+}
+
+/// Checks the version byte of an opening frame (kind already matched) and
+/// returns a cursor over the fields after it. The one place a version is
+/// compared: a peer speaking any other version is refused with both named.
+fn open_frame<'a>(body: &'a [u8], what: &'static str) -> Result<FrameCursor<'a>> {
+    let mut cursor = FrameCursor::new(body, 1, what);
+    match cursor.u8()? {
+        WIRE_VERSION_V6 => Ok(cursor),
+        version => Err(Error::Source(format!(
+            "peer speaks wire version {version}; this build speaks {WIRE_VERSION_V6}"
+        ))),
+    }
+}
+
+/// The error a peer's error frame carries, under the `remote {what}
+/// failed` prefix the retrying clients treat as final.
+fn remote_failed(what: &str, body: &[u8]) -> Error {
+    Error::Source(format!(
+        "remote {what} failed: {}",
+        String::from_utf8_lossy(&body[1..])
+    ))
+}
+
+/// Matches a server's opening frame against the `kind` a client expects
+/// and checks its version. An error frame in its place is the server's
+/// refusal, under the `remote {failure} failed` prefix; a busy frame is the
+/// retryable busy error.
+fn open_reply<'a>(
+    body: &'a [u8],
+    kind: u8,
+    what: &'static str,
+    failure: &str,
+) -> Result<FrameCursor<'a>> {
+    match body[0] {
+        FRAME_ERROR => Err(remote_failed(failure, body)),
+        FRAME_BUSY => Err(busy_error(body)),
+        found if found == kind => open_frame(body, what),
+        _ => Err(Error::Source(format!("corrupt wire {what} frame"))),
+    }
+}
+
+/// Reads the chunk frames of `kind` that follow a header, through the end
+/// frame, handing every encoded item to `pop`. An error frame instead is the
+/// peer's failure, under the `remote {failure} failed` prefix.
+fn read_chunks(
+    reader: &mut impl Read,
+    kind: u8,
+    what: &'static str,
+    failure: &str,
+    mut pop: impl FnMut(&mut FrameCursor<'_>) -> Result<()>,
+) -> Result<()> {
+    loop {
+        let body = read_frame_from(reader)?;
+        match body[0] {
+            FRAME_END if body.len() == 1 => return Ok(()),
+            FRAME_ERROR => return Err(remote_failed(failure, &body)),
+            found if found == kind => {
+                let mut cursor = FrameCursor::new(&body, 1, what);
+                for _ in 0..cursor.u16()? {
+                    pop(&mut cursor)?;
+                }
+                cursor.finish()?;
+            }
+            other => return Err(Error::Source(format!("unknown wire frame kind {other}"))),
+        }
+    }
+}
+
 /// Longest label/namespace accepted in a frame. Bounded well under
 /// [`MAX_FRAME_BODY`] (with margin for the fixed fields) so a frame that
 /// writes successfully is always readable — an over-long label must fail
@@ -281,57 +290,163 @@ fn push_label(body: &mut Vec<u8>, label: &str) -> Result<()> {
     Ok(())
 }
 
-/// Decodes the `u16`-length-prefixed label starting at `body[at..]`,
-/// requiring it to end exactly at the frame boundary.
-fn pop_label(body: &[u8], at: usize, what: &str) -> Result<String> {
-    let corrupt = || Error::Source(format!("corrupt wire {what} frame"));
-    if body.len() < at + 2 {
-        return Err(corrupt());
+/// Incremental decoder over one frame body: every short read, trailing
+/// garbage or malformed label is the same corrupt-frame error.
+struct FrameCursor<'a> {
+    body: &'a [u8],
+    at: usize,
+    what: &'static str,
+}
+
+impl<'a> FrameCursor<'a> {
+    fn new(body: &'a [u8], at: usize, what: &'static str) -> Self {
+        FrameCursor { body, at, what }
     }
-    let len = u16::from_le_bytes(body[at..at + 2].try_into().expect("2 bytes")) as usize;
-    if body.len() != at + 2 + len {
-        return Err(corrupt());
+
+    fn corrupt(&self) -> Error {
+        Error::Source(format!("corrupt wire {} frame", self.what))
     }
-    String::from_utf8(body[at + 2..].to_vec()).map_err(|_| corrupt())
+
+    /// Bytes not yet consumed — the bound on anything a count field can
+    /// ask to allocate.
+    fn remaining(&self) -> usize {
+        self.body.len() - self.at
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.body.len())
+            .ok_or_else(|| self.corrupt())?;
+        let slice = &self.body[self.at..end];
+        self.at = end;
+        Ok(slice)
+    }
+
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn flag(&mut self) -> Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(self.corrupt()),
+        }
+    }
+
+    fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+
+    fn f64(&mut self) -> Result<f64> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A [`push_label`]-encoded label.
+    fn label(&mut self) -> Result<String> {
+        let len = self.u16()? as usize;
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| self.corrupt())
+    }
+
+    /// Requires the cursor to have consumed the body exactly.
+    fn finish(self) -> Result<()> {
+        if self.at == self.body.len() {
+            Ok(())
+        } else {
+            Err(self.corrupt())
+        }
+    }
+}
+
+/// Frames `items` as chunk frames of `kind` — `[kind][count u16][items]`,
+/// each body at most [`MAX_FRAME_BODY`] bytes — handing every chunk body to
+/// `emit`. Frames nothing for no items.
+fn write_chunked<T>(
+    kind: u8,
+    items: impl IntoIterator<Item = T>,
+    push: impl Fn(&mut Vec<u8>, T) -> Result<()>,
+    mut emit: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut chunk = vec![kind, 0, 0];
+    let mut count: u16 = 0;
+    for item in items {
+        let mark = chunk.len();
+        push(&mut chunk, item)?;
+        if count > 0 && (chunk.len() > MAX_FRAME_BODY || count == u16::MAX) {
+            // The item that overflowed opens the next chunk.
+            let overflow = chunk.split_off(mark);
+            chunk[1..CHUNK_HEADER].copy_from_slice(&count.to_le_bytes());
+            emit(&chunk)?;
+            chunk.truncate(CHUNK_HEADER);
+            chunk.extend_from_slice(&overflow);
+            count = 0;
+        }
+        if chunk.len() > MAX_FRAME_BODY {
+            return Err(Error::Source(format!(
+                "a single wire item of {} bytes exceeds the {MAX_FRAME_BODY}-byte frame limit",
+                chunk.len() - CHUNK_HEADER
+            )));
+        }
+        count += 1;
+    }
+    if count > 0 {
+        chunk[1..CHUNK_HEADER].copy_from_slice(&count.to_le_bytes());
+        emit(&chunk)?;
+    }
+    Ok(())
+}
+
+/// Encodes one row: id, score bits, probability bits, group flag [+ key].
+fn push_source_tuple(body: &mut Vec<u8>, row: &SourceTuple) {
+    body.extend_from_slice(&row.tuple.id().raw().to_le_bytes());
+    body.extend_from_slice(&row.tuple.score().to_bits().to_le_bytes());
+    body.extend_from_slice(&row.tuple.prob().to_bits().to_le_bytes());
+    match row.group {
+        GroupKey::Independent => body.push(0),
+        GroupKey::Shared(key) => {
+            body.push(1);
+            body.extend_from_slice(&key.to_le_bytes());
+        }
+    }
+}
+
+/// Decodes one row, re-validating through [`UncertainTuple::new`] so a peer
+/// cannot ship rows the import paths would have refused.
+fn pop_source_tuple(cursor: &mut FrameCursor<'_>) -> Result<SourceTuple> {
+    let id = cursor.u64()?;
+    let score = cursor.f64()?;
+    let prob = cursor.f64()?;
+    let tuple = UncertainTuple::new(id, score, prob)?;
+    match cursor.u8()? {
+        0 => Ok(SourceTuple::independent(tuple)),
+        1 => Ok(SourceTuple::grouped(tuple, cursor.u64()?)),
+        _ => Err(cursor.corrupt()),
+    }
 }
 
 /// Registers a shard server with a coordinator: frames the shard's row count
-/// and a display label, then flushes. The coordinator answers with a lease
-/// frame ([`read_lease`]).
+/// and a display label, then flushes. The coordinator reads it with
+/// [`read_client_request`] and answers with a lease frame ([`read_lease`]).
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure or an over-long label.
 pub fn write_register(writer: &mut impl Write, rows: u64, label: &str) -> Result<()> {
-    let mut body = Vec::with_capacity(12 + label.len());
-    body.push(FRAME_REGISTER);
-    body.push(WIRE_VERSION);
+    let mut body = opening(FRAME_REGISTER, 12 + label.len());
     body.extend_from_slice(&rows.to_le_bytes());
     push_label(&mut body, label)?;
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
-}
-
-/// Coordinator-side decode of a [`write_register`] frame; returns the
-/// registering shard's `(row count, label)`.
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure or a malformed frame.
-pub fn read_register(reader: &mut impl Read) -> Result<(u64, String)> {
-    let body = read_frame_from(reader)?;
-    let corrupt = || Error::Source("corrupt wire register frame".into());
-    if body.first() != Some(&FRAME_REGISTER) || body.len() < 12 {
-        return Err(corrupt());
-    }
-    if body[1] < 2 {
-        return Err(Error::Source(format!(
-            "register frame speaks protocol version {} (coordination needs v2)",
-            body[1]
-        )));
-    }
-    let rows = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
-    Ok((rows, pop_label(&body, 10, "register")?))
+    write_flushed(writer, &body)
 }
 
 /// Coordinator-side reply to a registration: frames the allotted lease and
@@ -341,143 +456,55 @@ pub fn read_register(reader: &mut impl Read) -> Result<(u64, String)> {
 ///
 /// [`Error::Source`] on I/O failure or an over-long namespace.
 pub fn write_lease(writer: &mut impl Write, lease: &ShardAssignment) -> Result<()> {
-    let mut body = Vec::with_capacity(12 + lease.namespace.len());
-    body.push(FRAME_LEASE);
-    body.push(WIRE_VERSION);
+    let mut body = opening(FRAME_LEASE, 12 + lease.namespace.len());
     body.extend_from_slice(&lease.id_base.to_le_bytes());
     push_label(&mut body, &lease.namespace)?;
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
 /// Shard-server-side decode of the coordinator's [`write_lease`] reply.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure or a malformed frame.
+/// [`Error::Source`] on I/O failure, a malformed frame, a foreign version,
+/// or the coordinator's refusal (an error frame in place of the lease).
 pub fn read_lease(reader: &mut impl Read) -> Result<ShardAssignment> {
     let body = read_frame_from(reader)?;
-    let corrupt = || Error::Source("corrupt wire lease frame".into());
-    if body.first() != Some(&FRAME_LEASE) || body.len() < 12 {
-        return Err(corrupt());
-    }
-    let id_base = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
-    Ok(ShardAssignment {
-        id_base,
-        namespace: pop_label(&body, 10, "lease")?,
-    })
+    let mut cursor = open_reply(&body, FRAME_LEASE, "lease", "registration")?;
+    let lease = ShardAssignment {
+        id_base: cursor.u64()?,
+        namespace: cursor.label()?,
+    };
+    cursor.finish()?;
+    Ok(lease)
 }
 
-/// The query announcement a v3 pushdown client sends before reading the
-/// hello: the top-k parameters the server needs to evaluate the per-shard
-/// Theorem-2 stopping bound during replay.
+/// The scan announcement a shard client sends right after connecting: the
+/// top-k parameters the server needs to evaluate the per-shard Theorem-2
+/// stopping bound during replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PushdownQuery {
     /// Number of answers requested; `0` asks the server to stream everything
-    /// (a full-replay query that still wants the v3 trailer accounting).
+    /// (a full replay).
     pub k: u64,
     /// The paper's pτ stopping parameter (ignored when `k == 0`).
     pub p_tau: f64,
 }
 
-/// Frames a v3 query announcement and flushes. The pushdown client sends
-/// this immediately after connecting, **before** reading the hello.
+/// Frames a scan announcement and flushes. A shard client sends this
+/// immediately after connecting, **before** reading the hello.
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure.
-pub fn write_query(writer: &mut impl Write, query: &PushdownQuery) -> Result<()> {
-    let mut body = Vec::with_capacity(17);
-    body.push(FRAME_QUERY);
+pub fn write_scan(writer: &mut impl Write, query: &PushdownQuery) -> Result<()> {
+    let mut body = opening(FRAME_SCAN, 18);
     body.extend_from_slice(&query.k.to_le_bytes());
     body.extend_from_slice(&query.p_tau.to_bits().to_le_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
-/// Server-side decode of a [`write_query`] frame.
-///
-/// This is the strict pre-block decoder: it accepts only the 17-byte v3
-/// layout, which is exactly why a block-capable client that guessed wrong
-/// about its peer gets an immediate error (and redials speaking plain v3)
-/// instead of a silent misinterpretation. New servers use
-/// [`read_query_negotiated`].
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure, a malformed frame, or (for `k > 0`) a
-/// pτ outside `(0, 1)`.
-pub fn read_query(reader: &mut impl Read) -> Result<PushdownQuery> {
-    let body = read_frame_from(reader)?;
-    if body.first() != Some(&FRAME_QUERY) || body.len() != 17 {
-        return Err(Error::Source("corrupt wire query frame".into()));
-    }
-    decode_query_fields(&body)
-}
-
-/// Decodes the shared `(k, p_tau)` fields at `body[1..17]`.
-fn decode_query_fields(body: &[u8]) -> Result<PushdownQuery> {
-    let k = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
-    let p_tau = f64::from_bits(u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")));
-    if k > 0 && !(p_tau > 0.0 && p_tau < 1.0) {
-        return Err(Error::Source(format!(
-            "wire query frame carries p_tau {p_tau} outside (0, 1)"
-        )));
-    }
-    Ok(PushdownQuery { k, p_tau })
-}
-
-/// Frames a block-capable query announcement and flushes: the v3 query
-/// fields plus the largest tuple-block (in rows) the client wants per frame.
-///
-/// Negotiation is client-speaks-first, like every extension since v3: a
-/// block-capable server answers with its hello and ships
-/// [`WireWriter::write_block`] frames; a **pre-block v3–v5 server** rejects
-/// the unknown first frame (its [`read_query`] is strict), which the client
-/// observes as a failed hello and handles by redialing with the plain
-/// [`write_query`] announcement — old servers never see block frames, old
-/// byte layouts are untouched.
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure.
-pub fn write_query_blocks(
-    writer: &mut impl Write,
-    query: &PushdownQuery,
-    max_block: u16,
-) -> Result<()> {
-    let mut body = Vec::with_capacity(19);
-    body.push(FRAME_QUERY_BLOCKS);
-    body.extend_from_slice(&query.k.to_le_bytes());
-    body.extend_from_slice(&query.p_tau.to_bits().to_le_bytes());
-    body.extend_from_slice(&max_block.to_le_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
-}
-
-/// Server-side decode of a query announcement in either layout: the plain
-/// v3 [`write_query`] frame (returns `None` for the block size — ship
-/// per-tuple frames) or the block-capable [`write_query_blocks`] frame
-/// (returns the client's requested rows-per-block, clamped to ≥ 1).
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure, a malformed frame, or (for `k > 0`) a
-/// pτ outside `(0, 1)`.
-pub fn read_query_negotiated(reader: &mut impl Read) -> Result<(PushdownQuery, Option<u16>)> {
-    let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_QUERY) if body.len() == 17 => Ok((decode_query_fields(&body)?, None)),
-        Some(&FRAME_QUERY_BLOCKS) if body.len() == 19 => {
-            let query = decode_query_fields(&body)?;
-            let max_block = u16::from_le_bytes(body[17..19].try_into().expect("2 bytes")).max(1);
-            Ok((query, Some(max_block)))
-        }
-        _ => Err(Error::Source("corrupt wire query frame".into())),
-    }
-}
-
-/// Frames a v3 bound update — the merge-side gate's accumulated probability
+/// Frames a bound update — the merge-side gate's accumulated probability
 /// mass — and flushes. The client pushes these periodically while pulling
 /// tuples; the server folds the latest mass into its conservative stopping
 /// bound.
@@ -489,12 +516,11 @@ pub fn write_bound(writer: &mut impl Write, mass: f64) -> Result<()> {
     let mut body = Vec::with_capacity(9);
     body.push(FRAME_BOUND);
     body.extend_from_slice(&mass.to_bits().to_le_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
-/// The v3 stopped-at trailer: how the server's replay ended, sent just
-/// before the end frame so the client can account shipped-vs-scanned tuples.
+/// The stopped-at trailer: how the server's replay ended, sent just before
+/// the end frame so the client can account shipped-vs-scanned tuples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoppedAt {
     /// Rows the server pulled from its shard source.
@@ -506,7 +532,7 @@ pub struct StoppedAt {
     pub gate_limited: bool,
 }
 
-/// A control frame a v3 server reads off the client half of the socket
+/// A control frame a shard server reads off the client half of the socket
 /// mid-replay.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlFrame {
@@ -567,7 +593,7 @@ impl ControlParser {
     }
 }
 
-/// A v4 query request: the full query shape a client asks a query-serving
+/// A query request: the full query shape a client asks a query-serving
 /// daemon to execute against one of its resident datasets. Everything that
 /// influences the answer is on the wire — the serving side uses the same
 /// fields as its result-cache key, so two requests that encode identically
@@ -578,10 +604,6 @@ impl ControlParser {
 /// range-checks) the codes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
-    /// Protocol version the request speaks ([`WIRE_VERSION_V4`] through
-    /// [`WIRE_VERSION_V6`]). The server echoes it in the result header, so a
-    /// v4 client keeps receiving the byte-identical v4 result layout.
-    pub version: u8,
     /// Name of the server-resident dataset to query.
     pub dataset: String,
     /// Number of answers requested (`k >= 1`).
@@ -601,16 +623,9 @@ pub struct QueryRequest {
     pub u_topk: bool,
 }
 
-/// Appends the version-through-flags query-shape fields shared by the query
+/// Appends the k-through-flags query-shape fields shared by the query
 /// request and subscribe frames.
-fn push_query_shape(body: &mut Vec<u8>, request: &QueryRequest) -> Result<()> {
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&request.version) {
-        return Err(Error::Source(format!(
-            "query request version {} is not a version this build speaks (v4-v6)",
-            request.version
-        )));
-    }
-    body.push(request.version);
+fn push_query_shape(body: &mut Vec<u8>, request: &QueryRequest) {
     body.extend_from_slice(&request.k.to_le_bytes());
     body.extend_from_slice(&request.p_tau.to_bits().to_le_bytes());
     body.extend_from_slice(&request.typical_count.to_le_bytes());
@@ -618,106 +633,50 @@ fn push_query_shape(body: &mut Vec<u8>, request: &QueryRequest) -> Result<()> {
     body.push(request.algorithm);
     body.push(request.coalesce);
     body.push(u8::from(request.u_topk));
-    Ok(())
+}
+
+/// Decodes the fields [`push_query_shape`] wrote; the caller decodes what
+/// follows (max pushes for a subscription) and the trailing dataset label.
+fn pop_query_shape(cursor: &mut FrameCursor<'_>) -> Result<QueryRequest> {
+    let k = cursor.u64()?;
+    let p_tau = cursor.f64()?;
+    let typical_count = cursor.u64()?;
+    let max_lines = cursor.u64()?;
+    let algorithm = cursor.u8()?;
+    let coalesce = cursor.u8()?;
+    let u_topk = cursor.flag()?;
+    if k == 0 || !(p_tau > 0.0 && p_tau < 1.0) {
+        return Err(Error::Source(format!(
+            "{} carries k {k} / p_tau {p_tau} outside the accepted range",
+            cursor.what
+        )));
+    }
+    Ok(QueryRequest {
+        dataset: String::new(),
+        k,
+        p_tau,
+        typical_count,
+        max_lines,
+        algorithm,
+        coalesce,
+        u_topk,
+    })
 }
 
 /// Frames a query request and flushes. The client sends this immediately
-/// after connecting — the query-serving exchange has no hello. The frame
-/// carries [`QueryRequest::version`]: v4 requests encode byte-identically to
-/// the v4 release, v5 requests tell the server to stamp epoch metadata into
-/// the result header.
+/// after connecting; the server reads it with [`read_client_request`].
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, an over-long dataset name, or a version
-/// this build does not speak.
+/// [`Error::Source`] on I/O failure or an over-long dataset name.
 pub fn write_query_request(writer: &mut impl Write, request: &QueryRequest) -> Result<()> {
-    let mut body = Vec::with_capacity(39 + request.dataset.len());
-    body.push(FRAME_QUERY_REQUEST);
-    push_query_shape(&mut body, request)?;
+    let mut body = opening(FRAME_QUERY_REQUEST, 39 + request.dataset.len());
+    push_query_shape(&mut body, request);
     push_label(&mut body, &request.dataset)?;
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
-/// Decodes the version-through-flags query shape starting at `body[1]`,
-/// shared by the query request and subscribe frames. Returns the fields and
-/// the offset past them; the caller decodes what follows (max-pushes for a
-/// subscription) and the trailing dataset label.
-fn pop_query_shape(
-    body: &[u8],
-    what: &'static str,
-    min_version: u8,
-) -> Result<(QueryRequest, usize)> {
-    if body.len() < 39 {
-        return Err(Error::Source(format!("corrupt wire {what} frame")));
-    }
-    let version = body[1];
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&version) {
-        return Err(Error::Source(format!(
-            "{what} speaks protocol version {version} (query serving needs v4)"
-        )));
-    }
-    if version < min_version {
-        return Err(Error::Source(format!(
-            "{what} needs protocol version {min_version} or later (got v{version})"
-        )));
-    }
-    let k = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
-    let p_tau = f64::from_bits(u64::from_le_bytes(
-        body[10..18].try_into().expect("8 bytes"),
-    ));
-    let typical_count = u64::from_le_bytes(body[18..26].try_into().expect("8 bytes"));
-    let max_lines = u64::from_le_bytes(body[26..34].try_into().expect("8 bytes"));
-    let algorithm = body[34];
-    let coalesce = body[35];
-    let flags = body[36];
-    if flags > 1 {
-        return Err(Error::Source(format!("corrupt wire {what} frame")));
-    }
-    if k == 0 || !(p_tau > 0.0 && p_tau < 1.0) {
-        return Err(Error::Source(format!(
-            "{what} carries k {k} / p_tau {p_tau} outside the accepted range"
-        )));
-    }
-    Ok((
-        QueryRequest {
-            version,
-            dataset: String::new(),
-            k,
-            p_tau,
-            typical_count,
-            max_lines,
-            algorithm,
-            coalesce,
-            u_topk: flags == 1,
-        },
-        37,
-    ))
-}
-
-/// Decodes a [`write_query_request`] frame body (kind byte already matched).
-fn decode_query_request(body: &[u8]) -> Result<QueryRequest> {
-    let (mut request, at) = pop_query_shape(body, "query request", WIRE_VERSION_V4)?;
-    request.dataset = pop_label(body, at, "query request")?;
-    Ok(request)
-}
-
-/// Server-side decode of a [`write_query_request`] frame.
-///
-/// # Errors
-///
-/// [`Error::Source`] on I/O failure, a malformed frame, a version other than
-/// v4/v5, `k == 0`, or a pτ outside `(0, 1)`.
-pub fn read_query_request(reader: &mut impl Read) -> Result<QueryRequest> {
-    let body = read_frame_from(reader)?;
-    if body.first() != Some(&FRAME_QUERY_REQUEST) {
-        return Err(Error::Source("corrupt wire query request frame".into()));
-    }
-    decode_query_request(&body)
-}
-
-/// One typical answer as it travels in a v4 result header: the score line it
+/// One typical answer as it travels in a result header: the score line it
 /// represents, the line's probability, and (when the engine tracked
 /// witnesses) the most probable vector attaining it.
 #[derive(Debug, Clone, PartialEq)]
@@ -730,7 +689,7 @@ pub struct WireTypical {
     pub vector: Option<TopkVector>,
 }
 
-/// The U-Top-k baseline answer as it travels in a v4 result header.
+/// The U-Top-k baseline answer as it travels in a result header.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireUTopk {
     /// The most probable top-k vector.
@@ -746,11 +705,8 @@ pub struct WireUTopk {
 /// bit-identical to the server-side computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
-    /// Protocol version of the result layout ([`WIRE_VERSION_V4`] through
-    /// [`WIRE_VERSION_V6`]). Servers echo the version the request spoke; a
-    /// v4 result encodes byte-identically to the v4 release and carries
-    /// `epoch`/`cache_generation` as zero, and pre-v6 results carry the
-    /// live-scan tail (`live`/`live_segments`/`compacted_epoch`) as zero.
+    /// Protocol version of the result layout: [`WIRE_VERSION_V6`], the only
+    /// value [`write_query_result`] accepts.
     pub version: u8,
     /// Whether the server answered from its result cache.
     pub cache_hit: bool,
@@ -768,79 +724,21 @@ pub struct QueryResult {
     pub typical: Vec<WireTypical>,
     /// The U-Top-k baseline answer, when the request asked for it.
     pub u_topk: Option<WireUTopk>,
-    /// Epoch of the dataset snapshot the answer was computed against
-    /// (v5 results; `0` for v4 results and static datasets).
+    /// Epoch of the dataset snapshot the answer was computed against (`0`
+    /// for static datasets).
     pub epoch: u64,
     /// The server's result-cache generation — bumped on every append/seal
-    /// that advanced any live dataset's epoch (v5 results; `0` on v4).
+    /// that advanced any live dataset's epoch.
     pub cache_generation: u64,
     /// Whether the answered dataset is live — i.e. whether the segment/
-    /// compaction tail below is meaningful (v6 results; `false` on pre-v6).
+    /// compaction tail below is meaningful.
     pub live: bool,
     /// Sealed segments under the live snapshot the answer was computed
-    /// against (v6 results for live datasets; `0` otherwise).
+    /// against (`0` for static datasets).
     pub live_segments: u64,
     /// Epoch of the live log's most recent compaction, `0` when it was
-    /// never compacted (v6 results for live datasets; `0` otherwise).
+    /// never compacted (and for static datasets).
     pub compacted_epoch: u64,
-}
-
-/// Incremental decoder over one frame body: every short read or trailing
-/// garbage is the same corrupt-frame error the label decoder reports.
-struct FrameCursor<'a> {
-    body: &'a [u8],
-    at: usize,
-    what: &'static str,
-}
-
-impl<'a> FrameCursor<'a> {
-    fn new(body: &'a [u8], at: usize, what: &'static str) -> Self {
-        FrameCursor { body, at, what }
-    }
-
-    fn corrupt(&self) -> Error {
-        Error::Source(format!("corrupt wire {} frame", self.what))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.body.len())
-            .ok_or_else(|| self.corrupt())?;
-        let slice = &self.body[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Requires the cursor to have consumed the body exactly.
-    fn finish(self) -> Result<()> {
-        if self.at == self.body.len() {
-            Ok(())
-        } else {
-            Err(self.corrupt())
-        }
-    }
 }
 
 fn push_ids(body: &mut Vec<u8>, ids: &[TupleId]) -> Result<()> {
@@ -860,7 +758,7 @@ fn push_ids(body: &mut Vec<u8>, ids: &[TupleId]) -> Result<()> {
 
 fn pop_ids(cursor: &mut FrameCursor<'_>) -> Result<Vec<TupleId>> {
     let count = cursor.u16()? as usize;
-    let mut ids = Vec::with_capacity(count);
+    let mut ids = Vec::with_capacity(count.min(cursor.remaining() / 8));
     for _ in 0..count {
         ids.push(TupleId(cursor.u64()?));
     }
@@ -914,40 +812,24 @@ fn pop_point(cursor: &mut FrameCursor<'_>) -> Result<DistributionPoint> {
     })
 }
 
-/// Bytes of a result-chunk frame spent on kind + point count.
-const CHUNK_HEADER: usize = 3;
-
-fn new_chunk() -> Vec<u8> {
-    vec![FRAME_RESULT_CHUNK, 0, 0]
-}
-
-fn flush_chunk(writer: &mut impl Write, chunk: &mut Vec<u8>, count: &mut u16) -> Result<()> {
-    chunk[1..CHUNK_HEADER].copy_from_slice(&count.to_le_bytes());
-    write_frame_to(writer, chunk)?;
-    *chunk = new_chunk();
-    *count = 0;
-    Ok(())
-}
-
-/// Frames a v4 query result — header, distribution chunks, end frame — and
+/// Frames a query result — header, distribution chunks, end frame — and
 /// flushes. Chunks are packed up to the frame-body limit, so the full
 /// distribution streams regardless of its line count.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, or when a single header/point encoding
-/// exceeds the frame-body limit (vectors of more than `u16::MAX` ids, or a
-/// pathological typical-answer set).
+/// [`Error::Source`] on I/O failure, a `version` other than
+/// [`WIRE_VERSION_V6`], or when a single header/point encoding exceeds the
+/// frame-body limit (vectors of more than `u16::MAX` ids, or a pathological
+/// typical-answer set).
 pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Result<()> {
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&result.version) {
+    if result.version != WIRE_VERSION_V6 {
         return Err(Error::Source(format!(
-            "query result version {} is not a version this build speaks (v4-v6)",
+            "query result version {} is not the version this build speaks ({WIRE_VERSION_V6})",
             result.version
         )));
     }
-    let mut body = Vec::with_capacity(128);
-    body.push(FRAME_QUERY_RESULT);
-    body.push(result.version);
+    let mut body = opening(FRAME_QUERY_RESULT, 128);
     let mut flags = 0u8;
     if result.cache_hit {
         flags |= 1;
@@ -985,18 +867,11 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
         body.extend_from_slice(&u_topk.expansions.to_le_bytes());
         body.extend_from_slice(&u_topk.deepest_position.to_le_bytes());
     }
-    if result.version >= WIRE_VERSION_V5 {
-        // v5 only: a v4 client reads the byte-identical v4 header.
-        body.extend_from_slice(&result.epoch.to_le_bytes());
-        body.extend_from_slice(&result.cache_generation.to_le_bytes());
-    }
-    if result.version >= WIRE_VERSION_V6 {
-        // v6 only: the live-scan tail. Pre-v6 clients asked for pre-v6
-        // results and read a byte-identical older header.
-        body.push(u8::from(result.live));
-        body.extend_from_slice(&result.live_segments.to_le_bytes());
-        body.extend_from_slice(&result.compacted_epoch.to_le_bytes());
-    }
+    body.extend_from_slice(&result.epoch.to_le_bytes());
+    body.extend_from_slice(&result.cache_generation.to_le_bytes());
+    body.push(u8::from(result.live));
+    body.extend_from_slice(&result.live_segments.to_le_bytes());
+    body.extend_from_slice(&result.compacted_epoch.to_le_bytes());
     if body.len() > MAX_FRAME_BODY {
         return Err(Error::Source(format!(
             "query result header of {} bytes exceeds the {MAX_FRAME_BODY}-byte frame limit",
@@ -1004,29 +879,10 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
         )));
     }
     write_frame_to(writer, &body)?;
-
-    let mut chunk = new_chunk();
-    let mut in_chunk: u16 = 0;
-    for point in &result.points {
-        let mut encoded = Vec::with_capacity(32);
-        push_point(&mut encoded, point)?;
-        if CHUNK_HEADER + encoded.len() > MAX_FRAME_BODY {
-            return Err(Error::Source(format!(
-                "a single distribution point of {} bytes exceeds the {MAX_FRAME_BODY}-byte frame limit",
-                encoded.len()
-            )));
-        }
-        if in_chunk > 0 && (chunk.len() + encoded.len() > MAX_FRAME_BODY || in_chunk == u16::MAX) {
-            flush_chunk(writer, &mut chunk, &mut in_chunk)?;
-        }
-        chunk.extend_from_slice(&encoded);
-        in_chunk += 1;
-    }
-    if in_chunk > 0 {
-        flush_chunk(writer, &mut chunk, &mut in_chunk)?;
-    }
-    write_frame_to(writer, &[FRAME_END])?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_chunked(FRAME_RESULT_CHUNK, &result.points, push_point, |chunk| {
+        write_frame_to(writer, chunk)
+    })?;
+    write_flushed(writer, &[FRAME_END])
 }
 
 /// Client-side decode of a [`write_query_result`] stream: the header frame,
@@ -1034,30 +890,13 @@ pub fn write_query_result(writer: &mut impl Write, result: &QueryResult) -> Resu
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a point count that
-/// does not match the header's announcement, or a server-side failure (an
-/// error frame in place of the header or mid-stream).
+/// [`Error::Source`] on I/O failure, a malformed frame, a foreign version, a
+/// point count that does not match the header's announcement, or a
+/// server-side failure (an error frame in place of the header or
+/// mid-stream).
 pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
-    let remote_failed = |body: &[u8]| {
-        Error::Source(format!(
-            "remote query failed: {}",
-            String::from_utf8_lossy(body)
-        ))
-    };
     let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_QUERY_RESULT) => {}
-        Some(&FRAME_ERROR) => return Err(remote_failed(&body[1..])),
-        Some(&FRAME_BUSY) => return Err(busy_error(&body)),
-        _ => return Err(Error::Source("corrupt wire query result frame".into())),
-    }
-    let mut cursor = FrameCursor::new(&body, 1, "query result");
-    let version = cursor.u8()?;
-    if !(WIRE_VERSION_V4..=WIRE_VERSION_V6).contains(&version) {
-        return Err(Error::Source(format!(
-            "unsupported query result protocol version {version}"
-        )));
-    }
+    let mut cursor = open_reply(&body, FRAME_QUERY_RESULT, "query result", "query")?;
     let flags = cursor.u8()?;
     if flags > 3 {
         return Err(cursor.corrupt());
@@ -1067,8 +906,9 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     let typical_time_ns = cursor.u64()?;
     let point_count = cursor.u64()?;
     let expected_distance = cursor.f64()?;
-    let typical_count = cursor.u16()?;
-    let mut typical = Vec::with_capacity(typical_count as usize);
+    let typical_count = cursor.u16()? as usize;
+    // An encoded typical answer takes at least 17 bytes.
+    let mut typical = Vec::with_capacity(typical_count.min(cursor.remaining() / 17));
     for _ in 0..typical_count {
         let score = cursor.f64()?;
         let probability = cursor.f64()?;
@@ -1093,47 +933,26 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     } else {
         None
     };
-    let (epoch, cache_generation) = if version >= WIRE_VERSION_V5 {
-        (cursor.u64()?, cursor.u64()?)
-    } else {
-        (0, 0)
-    };
-    let (live, live_segments, compacted_epoch) = if version >= WIRE_VERSION_V6 {
-        let live = match cursor.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(Error::Source(format!(
-                    "corrupt query result live flag {other}"
-                )));
-            }
-        };
-        (live, cursor.u64()?, cursor.u64()?)
-    } else {
-        (false, 0, 0)
-    };
+    let epoch = cursor.u64()?;
+    let cache_generation = cursor.u64()?;
+    let live = cursor.flag()?;
+    let live_segments = cursor.u64()?;
+    let compacted_epoch = cursor.u64()?;
     cursor.finish()?;
 
     // The announced count sizes the allocation only up to a clamp — the
     // actual frames, not the header, decide how much memory is committed.
     let mut points = Vec::with_capacity((point_count as usize).min(4096));
-    loop {
-        let body = read_frame_from(reader)?;
-        match body.first() {
-            Some(&FRAME_RESULT_CHUNK) => {
-                let mut cursor = FrameCursor::new(&body, 1, "result chunk");
-                let count = cursor.u16()?;
-                for _ in 0..count {
-                    points.push(pop_point(&mut cursor)?);
-                }
-                cursor.finish()?;
-            }
-            Some(&FRAME_END) if body.len() == 1 => break,
-            Some(&FRAME_ERROR) => return Err(remote_failed(&body[1..])),
-            Some(&other) => return Err(Error::Source(format!("unknown wire frame kind {other}"))),
-            None => return Err(Error::Source("corrupt wire result chunk frame".into())),
-        }
-    }
+    read_chunks(
+        reader,
+        FRAME_RESULT_CHUNK,
+        "result chunk",
+        "query",
+        |cursor| {
+            points.push(pop_point(cursor)?);
+            Ok(())
+        },
+    )?;
     if points.len() as u64 != point_count {
         return Err(Error::Source(format!(
             "query result shipped {} distribution points but announced {point_count}",
@@ -1141,7 +960,7 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
         )));
     }
     Ok(QueryResult {
-        version,
+        version: WIRE_VERSION_V6,
         cache_hit: flags & 1 != 0,
         scan_depth,
         distribution_time_ns,
@@ -1158,24 +977,21 @@ pub fn read_query_result(reader: &mut impl Read) -> Result<QueryResult> {
     })
 }
 
-/// Frames a server-side failure on a v4 query connection and flushes: sent in
-/// place of the result header (or mid-stream) so the client's
-/// [`read_query_result`] surfaces it as [`Error::Source`]. Also the
-/// query-serving daemon's answer to a peer that opened with anything other
-/// than a request frame — pre-v4 peers get a decodable refusal, not a hang.
+/// Frames an error and flushes: a daemon's refusal of a connection's opening
+/// frame, or a server-side failure sent in place of (or in the middle of) a
+/// reply. Every client decoder surfaces it as [`Error::Source`].
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure.
-pub fn write_query_error(writer: &mut impl Write, message: &str) -> Result<()> {
+pub fn write_error(writer: &mut impl Write, message: &str) -> Result<()> {
     let mut body = Vec::with_capacity(1 + message.len());
     body.push(FRAME_ERROR);
     body.extend_from_slice(message.as_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
-/// Frames a v5 busy/retry-after refusal and flushes: the admission-control
+/// Frames a busy/retry-after refusal and flushes: the admission-control
 /// answer of a daemon whose worker handoff would block. Sent in place of any
 /// reply (the daemon closes right after), so a flood is shed with one cheap
 /// frame instead of sitting in the listen backlog.
@@ -1184,12 +1000,9 @@ pub fn write_query_error(writer: &mut impl Write, message: &str) -> Result<()> {
 ///
 /// [`Error::Source`] on I/O failure.
 pub fn write_busy(writer: &mut impl Write, retry_after_ms: u64) -> Result<()> {
-    let mut body = Vec::with_capacity(10);
-    body.push(FRAME_BUSY);
-    body.push(WIRE_VERSION_V5);
+    let mut body = opening(FRAME_BUSY, 10);
     body.extend_from_slice(&retry_after_ms.to_le_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
 /// Decodes a busy frame body into the client-side error. The message
@@ -1197,16 +1010,20 @@ pub fn write_busy(writer: &mut impl Write, retry_after_ms: u64) -> Result<()> {
 /// retrying clients treat as final — a busy refusal is the one server answer
 /// that is *meant* to be retried.
 fn busy_error(body: &[u8]) -> Error {
-    if body.len() != 10 || body[1] != WIRE_VERSION_V5 {
-        return Error::Source("corrupt wire busy frame".into());
+    let retry_after_ms = open_frame(body, "busy").and_then(|mut cursor| {
+        let retry_after_ms = cursor.u64()?;
+        cursor.finish()?;
+        Ok(retry_after_ms)
+    });
+    match retry_after_ms {
+        Ok(ms) => Error::Source(format!(
+            "server busy: connection shed by admission control, retry after {ms}ms"
+        )),
+        Err(e) => e,
     }
-    let retry_after_ms = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
-    Error::Source(format!(
-        "server busy: connection shed by admission control, retry after {retry_after_ms}ms"
-    ))
 }
 
-/// A v5 append request: scored rows for one of the server's live datasets,
+/// An append request: scored rows for one of the server's live datasets,
 /// with an optional seal trigger publishing them as a new snapshot epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AppendRequest {
@@ -1222,37 +1039,7 @@ pub struct AppendRequest {
 /// allocation the same way [`MAX_FRAME_BODY`] bounds one frame.
 const MAX_APPEND_ROWS: u64 = 1 << 20;
 
-/// Encodes one row in a chunk body: the tuple-frame layout minus the kind
-/// byte (id, score bits, prob bits, group flag [+ key]).
-fn push_source_tuple(body: &mut Vec<u8>, row: &SourceTuple) {
-    body.extend_from_slice(&row.tuple.id().raw().to_le_bytes());
-    body.extend_from_slice(&row.tuple.score().to_bits().to_le_bytes());
-    body.extend_from_slice(&row.tuple.prob().to_bits().to_le_bytes());
-    match row.group {
-        GroupKey::Independent => body.push(0),
-        GroupKey::Shared(key) => {
-            body.push(1);
-            body.extend_from_slice(&key.to_le_bytes());
-        }
-    }
-}
-
-/// Decodes one row from a chunk body, re-validating through
-/// [`UncertainTuple::new`] so a peer cannot append rows the import paths
-/// would have refused.
-fn pop_source_tuple(cursor: &mut FrameCursor<'_>) -> Result<SourceTuple> {
-    let id = cursor.u64()?;
-    let score = f64::from_bits(cursor.u64()?);
-    let prob = f64::from_bits(cursor.u64()?);
-    let tuple = UncertainTuple::new(id, score, prob)?;
-    match cursor.u8()? {
-        0 => Ok(SourceTuple::independent(tuple)),
-        1 => Ok(SourceTuple::grouped(tuple, cursor.u64()?)),
-        _ => Err(cursor.corrupt()),
-    }
-}
-
-/// Frames a v5 append request — header, row chunks, end frame — and flushes.
+/// Frames an append request — header, row chunks, end frame — and flushes.
 /// Rows pack into size-bounded chunk frames like a result's distribution
 /// points, so an append of any size streams without oversized frames.
 ///
@@ -1267,81 +1054,54 @@ pub fn write_append_request(writer: &mut impl Write, request: &AppendRequest) ->
             request.rows.len()
         )));
     }
-    let mut body = Vec::with_capacity(13 + request.dataset.len());
-    body.push(FRAME_APPEND);
-    body.push(WIRE_VERSION_V5);
+    let mut body = opening(FRAME_APPEND, 13 + request.dataset.len());
     body.push(u8::from(request.seal));
     body.extend_from_slice(&(request.rows.len() as u64).to_le_bytes());
     push_label(&mut body, &request.dataset)?;
     write_frame_to(writer, &body)?;
-
-    let mut chunk = vec![FRAME_APPEND_ROWS, 0, 0];
-    let mut in_chunk: u16 = 0;
-    for row in &request.rows {
-        // A row is at most 33 bytes, so one more always fits a fresh chunk.
-        if in_chunk > 0 && (chunk.len() + 33 > MAX_FRAME_BODY || in_chunk == u16::MAX) {
-            chunk[1..CHUNK_HEADER].copy_from_slice(&in_chunk.to_le_bytes());
-            write_frame_to(writer, &chunk)?;
-            chunk = vec![FRAME_APPEND_ROWS, 0, 0];
-            in_chunk = 0;
-        }
-        push_source_tuple(&mut chunk, row);
-        in_chunk += 1;
-    }
-    if in_chunk > 0 {
-        chunk[1..CHUNK_HEADER].copy_from_slice(&in_chunk.to_le_bytes());
-        write_frame_to(writer, &chunk)?;
-    }
-    write_frame_to(writer, &[FRAME_END])?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_chunked(
+        FRAME_APPEND_ROWS,
+        &request.rows,
+        |chunk, row| {
+            push_source_tuple(chunk, row);
+            Ok(())
+        },
+        |chunk| write_frame_to(writer, chunk),
+    )?;
+    write_flushed(writer, &[FRAME_END])
 }
 
-/// Decodes the row chunks and end frame following an append header whose
-/// body is `body`. Cross-checks the shipped row count against the header's
-/// announcement.
-fn read_append_rows(reader: &mut impl Read, body: &[u8]) -> Result<AppendRequest> {
-    let corrupt = || Error::Source("corrupt wire append request frame".into());
-    if body.len() < 13 || body[1] != WIRE_VERSION_V5 || body[2] > 1 {
-        return Err(corrupt());
-    }
-    let seal = body[2] == 1;
-    let announced = u64::from_le_bytes(body[3..11].try_into().expect("8 bytes"));
+/// Decodes the rest of an append header (`cursor` sits after its version
+/// byte), then the row chunks and end frame that follow it. Cross-checks the
+/// shipped row count against the header's announcement.
+fn read_append_rows(reader: &mut impl Read, mut cursor: FrameCursor<'_>) -> Result<AppendRequest> {
+    let seal = cursor.flag()?;
+    let announced = cursor.u64()?;
+    let dataset = cursor.label()?;
+    cursor.finish()?;
     if announced > MAX_APPEND_ROWS {
         return Err(Error::Source(format!(
             "append request announces {announced} rows (limit {MAX_APPEND_ROWS})"
         )));
     }
-    let dataset = pop_label(body, 11, "append request")?;
     // The announced count sizes the allocation only up to a clamp — the
     // actual frames, not the header, decide how much memory is committed.
     let mut rows = Vec::with_capacity((announced as usize).min(4096));
-    loop {
-        let body = read_frame_from(reader)?;
-        match body.first() {
-            Some(&FRAME_APPEND_ROWS) => {
-                let mut cursor = FrameCursor::new(&body, 1, "append row chunk");
-                let count = cursor.u16()?;
-                for _ in 0..count {
-                    if rows.len() as u64 >= MAX_APPEND_ROWS {
-                        return Err(Error::Source(format!(
-                            "append request ships more than {MAX_APPEND_ROWS} rows"
-                        )));
-                    }
-                    rows.push(pop_source_tuple(&mut cursor)?);
-                }
-                cursor.finish()?;
-            }
-            Some(&FRAME_END) if body.len() == 1 => break,
-            Some(&FRAME_ERROR) => {
+    read_chunks(
+        reader,
+        FRAME_APPEND_ROWS,
+        "append row chunk",
+        "append client",
+        |cursor| {
+            if rows.len() as u64 >= MAX_APPEND_ROWS {
                 return Err(Error::Source(format!(
-                    "append request aborted by the peer: {}",
-                    String::from_utf8_lossy(&body[1..])
-                )))
+                    "append request ships more than {MAX_APPEND_ROWS} rows"
+                )));
             }
-            Some(&other) => return Err(Error::Source(format!("unknown wire frame kind {other}"))),
-            None => return Err(corrupt()),
-        }
-    }
+            rows.push(pop_source_tuple(cursor)?);
+            Ok(())
+        },
+    )?;
     if rows.len() as u64 != announced {
         return Err(Error::Source(format!(
             "append request shipped {} rows but announced {announced}",
@@ -1370,21 +1130,18 @@ pub struct AppendAck {
     pub sealed_now: bool,
 }
 
-/// Frames a v5 append acknowledgement and flushes.
+/// Frames an append acknowledgement and flushes.
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure.
 pub fn write_append_ack(writer: &mut impl Write, ack: &AppendAck) -> Result<()> {
-    let mut body = Vec::with_capacity(27);
-    body.push(FRAME_APPEND_ACK);
-    body.push(WIRE_VERSION_V5);
+    let mut body = opening(FRAME_APPEND_ACK, 27);
     body.push(u8::from(ack.sealed_now));
     body.extend_from_slice(&ack.epoch.to_le_bytes());
     body.extend_from_slice(&ack.staged.to_le_bytes());
     body.extend_from_slice(&ack.sealed_rows.to_le_bytes());
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
 /// Client-side decode of a [`write_append_ack`] frame. A server-side error
@@ -1394,85 +1151,50 @@ pub fn write_append_ack(writer: &mut impl Write, ack: &AppendAck) -> Result<()> 
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a server-side
-/// refusal, or a busy refusal.
+/// [`Error::Source`] on I/O failure, a malformed frame, a foreign version, a
+/// server-side refusal, or a busy refusal.
 pub fn read_append_ack(reader: &mut impl Read) -> Result<AppendAck> {
     let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_APPEND_ACK) => {}
-        Some(&FRAME_ERROR) => {
-            return Err(Error::Source(format!(
-                "remote append failed: {}",
-                String::from_utf8_lossy(&body[1..])
-            )))
-        }
-        Some(&FRAME_BUSY) => return Err(busy_error(&body)),
-        _ => return Err(Error::Source("corrupt wire append ack frame".into())),
-    }
-    if body.len() != 27 || body[1] != WIRE_VERSION_V5 || body[2] > 1 {
-        return Err(Error::Source("corrupt wire append ack frame".into()));
-    }
-    Ok(AppendAck {
-        sealed_now: body[2] == 1,
-        epoch: u64::from_le_bytes(body[3..11].try_into().expect("8 bytes")),
-        staged: u64::from_le_bytes(body[11..19].try_into().expect("8 bytes")),
-        sealed_rows: u64::from_le_bytes(body[19..27].try_into().expect("8 bytes")),
-    })
+    let mut cursor = open_reply(&body, FRAME_APPEND_ACK, "append ack", "append")?;
+    let ack = AppendAck {
+        sealed_now: cursor.flag()?,
+        epoch: cursor.u64()?,
+        staged: cursor.u64()?,
+        sealed_rows: cursor.u64()?,
+    };
+    cursor.finish()?;
+    Ok(ack)
 }
 
-/// A v5 subscription request: a standing query the server re-evaluates on
+/// A subscription request: a standing query the server re-evaluates on
 /// every epoch advance of the named live dataset, pushing a notification
 /// (plus a full result stream) only when the answer distribution shifted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubscribeRequest {
-    /// The standing query shape (its `dataset` names the live dataset; its
-    /// `version` must be [`WIRE_VERSION_V5`]).
+    /// The standing query shape (its `dataset` names the live dataset).
     pub query: QueryRequest,
     /// Pushes after which the server closes the subscription (`0` = no
     /// limit; the subscription lives until a side disconnects).
     pub max_pushes: u64,
 }
 
-/// Frames a v5 subscribe request and flushes. Sent immediately after
+/// Frames a subscribe request and flushes. Sent immediately after
 /// connecting, like the query request it extends.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, an over-long dataset name, or a query
-/// whose version is not v5.
+/// [`Error::Source`] on I/O failure or an over-long dataset name.
 pub fn write_subscribe(writer: &mut impl Write, request: &SubscribeRequest) -> Result<()> {
-    if request.query.version != WIRE_VERSION_V5 {
-        return Err(Error::Source(format!(
-            "subscriptions need protocol version {WIRE_VERSION_V5} (request speaks v{})",
-            request.query.version
-        )));
-    }
-    let mut body = Vec::with_capacity(47 + request.query.dataset.len());
-    body.push(FRAME_SUBSCRIBE);
-    push_query_shape(&mut body, &request.query)?;
+    let mut body = opening(FRAME_SUBSCRIBE, 47 + request.query.dataset.len());
+    push_query_shape(&mut body, &request.query);
     body.extend_from_slice(&request.max_pushes.to_le_bytes());
     push_label(&mut body, &request.query.dataset)?;
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
-}
-
-/// Decodes a [`write_subscribe`] frame body (kind byte already matched).
-fn decode_subscribe(body: &[u8]) -> Result<SubscribeRequest> {
-    let (mut query, at) = pop_query_shape(body, "subscribe request", WIRE_VERSION_V5)?;
-    let corrupt = || Error::Source("corrupt wire subscribe request frame".into());
-    let max_pushes = u64::from_le_bytes(
-        body.get(at..at + 8)
-            .ok_or_else(corrupt)?
-            .try_into()
-            .expect("8 bytes"),
-    );
-    query.dataset = pop_label(body, at + 8, "subscribe request")?;
-    Ok(SubscribeRequest { query, max_pushes })
+    write_flushed(writer, &body)
 }
 
 /// One subscription push announcement: the epoch the standing query was
 /// re-evaluated at and the answer-distribution hash that shifted. A complete
-/// v5 result stream ([`read_query_result`]) follows every notification.
+/// result stream ([`read_query_result`]) follows every notification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Notification {
     /// Epoch of the snapshot the pushed answer was computed against.
@@ -1482,16 +1204,14 @@ pub struct Notification {
     pub answer_hash: u64,
 }
 
-/// Frames a v5 notification. The caller streams the full query result right
+/// Frames a notification. The caller streams the full query result right
 /// after it; no flush here, so notification + result leave as one write.
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure.
 pub fn write_notification(writer: &mut impl Write, notification: &Notification) -> Result<()> {
-    let mut body = Vec::with_capacity(18);
-    body.push(FRAME_NOTIFY);
-    body.push(WIRE_VERSION_V5);
+    let mut body = opening(FRAME_NOTIFY, 18);
     body.extend_from_slice(&notification.epoch.to_le_bytes());
     body.extend_from_slice(&notification.answer_hash.to_le_bytes());
     write_frame_to(writer, &body)
@@ -1505,10 +1225,7 @@ pub fn write_notification(writer: &mut impl Write, notification: &Notification) 
 ///
 /// [`Error::Source`] on I/O failure.
 pub fn write_push_end(writer: &mut impl Write) -> Result<()> {
-    write_frame_to(writer, &[FRAME_END])?;
-    writer
-        .flush()
-        .map_err(|e| Error::Source(format!("flushing the wire stream: {e}")))
+    write_flushed(writer, &[FRAME_END])
 }
 
 /// Client-side read of the next subscription event: `Some(notification)`
@@ -1518,50 +1235,24 @@ pub fn write_push_end(writer: &mut impl Write) -> Result<()> {
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a server-side
-/// subscription failure, or a busy refusal (possible only as the very first
-/// event).
+/// [`Error::Source`] on I/O failure, a malformed frame, a foreign version, a
+/// server-side subscription failure, or a busy refusal (possible only as the
+/// very first event).
 pub fn read_push(reader: &mut impl Read) -> Result<Option<Notification>> {
     let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_NOTIFY) if body.len() == 18 && body[1] == WIRE_VERSION_V5 => {
-            Ok(Some(Notification {
-                epoch: u64::from_le_bytes(body[2..10].try_into().expect("8 bytes")),
-                answer_hash: u64::from_le_bytes(body[10..18].try_into().expect("8 bytes")),
-            }))
-        }
-        Some(&FRAME_NOTIFY) => Err(Error::Source("corrupt wire notification frame".into())),
-        Some(&FRAME_END) if body.len() == 1 => Ok(None),
-        Some(&FRAME_ERROR) => Err(Error::Source(format!(
-            "remote subscription failed: {}",
-            String::from_utf8_lossy(&body[1..])
-        ))),
-        Some(&FRAME_BUSY) => Err(busy_error(&body)),
-        Some(&other) => Err(Error::Source(format!("unknown wire frame kind {other}"))),
-        None => Err(Error::Source("corrupt wire notification frame".into())),
+    if body == [FRAME_END] {
+        return Ok(None);
     }
+    let mut cursor = open_reply(&body, FRAME_NOTIFY, "notification", "subscription")?;
+    let notification = Notification {
+        epoch: cursor.u64()?,
+        answer_hash: cursor.u64()?,
+    };
+    cursor.finish()?;
+    Ok(Some(notification))
 }
 
-/// Decodes a `u16`-length-prefixed label starting at `body[at..]` that is
-/// *not* required to end at the frame boundary; returns the label and the
-/// offset of the first byte after it. Multi-label frames decode every label
-/// but the last through this, and the last through [`pop_label`] (which
-/// enforces the frame boundary).
-fn pop_label_chained(body: &[u8], at: usize, what: &str) -> Result<(String, usize)> {
-    let corrupt = || Error::Source(format!("corrupt wire {what} frame"));
-    if body.len() < at + 2 {
-        return Err(corrupt());
-    }
-    let len = u16::from_le_bytes(body[at..at + 2].try_into().expect("2 bytes")) as usize;
-    let end = at + 2 + len;
-    if body.len() < end {
-        return Err(corrupt());
-    }
-    let label = String::from_utf8(body[at + 2..end].to_vec()).map_err(|_| corrupt())?;
-    Ok((label, end))
-}
-
-/// The lifecycle verbs a wire-v6 admin client can send a serving daemon.
+/// The lifecycle verbs an admin client can send a serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdminVerb {
     /// Report the resident datasets, cache counters and runtime state.
@@ -1624,17 +1315,13 @@ pub struct AdminRequest {
     pub arg: String,
 }
 
-/// Frames a wire-v6 admin request and flushes. Client-speaks-first: a server
-/// that never receives one never emits a v6 byte, so v5-and-older peers
-/// interop byte-identically.
+/// Frames an admin request and flushes.
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure or an over-long name/argument.
 pub fn write_admin_request(writer: &mut impl Write, request: &AdminRequest) -> Result<()> {
-    let mut body = Vec::with_capacity(7 + request.name.len() + request.arg.len());
-    body.push(FRAME_ADMIN);
-    body.push(WIRE_VERSION_V6);
+    let mut body = opening(FRAME_ADMIN, 7 + request.name.len() + request.arg.len());
     body.push(request.verb.code());
     push_label(&mut body, &request.name)?;
     push_label(&mut body, &request.arg)?;
@@ -1644,40 +1331,18 @@ pub fn write_admin_request(writer: &mut impl Write, request: &AdminRequest) -> R
             body.len()
         )));
     }
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
-}
-
-/// Decodes an already-read [`write_admin_request`] frame body.
-fn decode_admin(body: &[u8]) -> Result<AdminRequest> {
-    let corrupt = || Error::Source("corrupt wire admin frame".into());
-    if body.len() < 3 {
-        return Err(corrupt());
-    }
-    if body[1] != WIRE_VERSION_V6 {
-        return Err(Error::Source(format!(
-            "admin frame speaks protocol version {} (the admin plane needs v6)",
-            body[1]
-        )));
-    }
-    let verb = AdminVerb::from_code(body[2])
-        .ok_or_else(|| Error::Source(format!("unknown admin verb {}", body[2])))?;
-    let (name, after_name) = pop_label_chained(body, 3, "admin")?;
-    let arg = pop_label(body, after_name, "admin")?;
-    Ok(AdminRequest { verb, name, arg })
+    write_flushed(writer, &body)
 }
 
 /// Frames a successful admin outcome — a short human-readable report — and
-/// flushes. Failures are sent as plain error frames ([`write_query_error`])
+/// flushes. Failures are sent as plain error frames ([`write_error`])
 /// instead, which [`read_admin_response`] surfaces as [`Error::Source`].
 ///
 /// # Errors
 ///
 /// [`Error::Source`] on I/O failure or an over-long report.
 pub fn write_admin_response(writer: &mut impl Write, text: &str) -> Result<()> {
-    let mut body = Vec::with_capacity(2 + text.len());
-    body.push(FRAME_ADMIN_RESPONSE);
-    body.push(WIRE_VERSION_V6);
+    let mut body = opening(FRAME_ADMIN_RESPONSE, 2 + text.len());
     body.extend_from_slice(text.as_bytes());
     if body.len() > MAX_FRAME_BODY {
         return Err(Error::Source(format!(
@@ -1685,8 +1350,7 @@ pub fn write_admin_response(writer: &mut impl Write, text: &str) -> Result<()> {
             body.len()
         )));
     }
-    write_frame_to(writer, &body)?;
-    writer.flush().map_err(|e| io_err("flush", e))
+    write_flushed(writer, &body)
 }
 
 /// Client-side decode of the server's answer to an admin request: the report
@@ -1694,61 +1358,129 @@ pub fn write_admin_response(writer: &mut impl Write, text: &str) -> Result<()> {
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed frame, a busy refusal (which
-/// clients may retry), or a server-side failure — surfaced with the `remote
-/// admin failed` prefix the retrying clients treat as final.
+/// [`Error::Source`] on I/O failure, a malformed frame, a foreign version, a
+/// busy refusal (which clients may retry), or a server-side failure —
+/// surfaced with the `remote admin failed` prefix the retrying clients treat
+/// as final.
 pub fn read_admin_response(reader: &mut impl Read) -> Result<String> {
     let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_ADMIN_RESPONSE) if body.len() >= 2 && body[1] == WIRE_VERSION_V6 => {
-            String::from_utf8(body[2..].to_vec())
-                .map_err(|_| Error::Source("corrupt wire admin response frame".into()))
-        }
-        Some(&FRAME_ERROR) => Err(Error::Source(format!(
-            "remote admin failed: {}",
-            String::from_utf8_lossy(&body[1..])
-        ))),
-        Some(&FRAME_BUSY) => Err(busy_error(&body)),
-        _ => Err(Error::Source("corrupt wire admin response frame".into())),
-    }
+    let cursor = open_reply(&body, FRAME_ADMIN_RESPONSE, "admin response", "admin")?;
+    String::from_utf8(body[cursor.at..].to_vec()).map_err(|_| cursor.corrupt())
 }
 
-/// The first frame a serving daemon reads off a fresh connection: one of
-/// the four client-speaks-first request kinds.
+/// The opening frame of a connection, as [`read_client_request`] decodes it
+/// for every daemon. Each daemon serves some of the kinds and refuses the
+/// rest with an error frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientRequest {
-    /// A one-shot query ([`write_query_request`], v4 through v6).
+    /// A shard scan ([`write_scan`]), served by `serve-shard`.
+    Scan(PushdownQuery),
+    /// A shard server's registration ([`write_register`]), served by the
+    /// coordinator.
+    Register {
+        /// Rows of the registering shard.
+        rows: u64,
+        /// The shard's display label.
+        label: String,
+    },
+    /// A one-shot query ([`write_query_request`]), served by `serve`.
     Query(QueryRequest),
     /// An append (+ optional seal) to a live dataset
-    /// ([`write_append_request`], v5).
+    /// ([`write_append_request`]), served by `serve`.
     Append(AppendRequest),
-    /// A standing-query subscription ([`write_subscribe`], v5).
+    /// A standing-query subscription ([`write_subscribe`]), served by
+    /// `serve`.
     Subscribe(SubscribeRequest),
-    /// A lifecycle verb on the admin plane ([`write_admin_request`], v6).
+    /// A lifecycle verb on the admin plane ([`write_admin_request`]), served
+    /// by `serve`.
     Admin(AdminRequest),
 }
 
-/// Server-side dispatch on the first frame of a connection: decodes a query,
-/// append (draining its row chunks), subscribe or admin request. Anything
-/// else — a pre-v4 hello, garbage — is an error the daemon answers with an
-/// error frame, so old peers fail cleanly instead of hanging.
+impl ClientRequest {
+    /// What kind of request this is, for a daemon's refusal of kinds it does
+    /// not serve.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ClientRequest::Scan(_) => "scan announcement",
+            ClientRequest::Register { .. } => "register request",
+            ClientRequest::Query(_) => "query request",
+            ClientRequest::Append(_) => "append request",
+            ClientRequest::Subscribe(_) => "subscribe request",
+            ClientRequest::Admin(_) => "admin request",
+        }
+    }
+}
+
+/// Decodes the opening frame of a connection — the one decoder every daemon
+/// reads its first frame through. An append also drains its row chunks.
+/// Anything that is not a request, or a request at a version other than
+/// [`WIRE_VERSION_V6`], is an error the daemon answers with an error frame.
 ///
 /// # Errors
 ///
-/// [`Error::Source`] on I/O failure, a malformed or unexpected frame, or
-/// invalid request fields.
+/// [`Error::Source`] on I/O failure, a malformed or unexpected frame, a
+/// foreign version, or invalid request fields.
 pub fn read_client_request(reader: &mut impl Read) -> Result<ClientRequest> {
     let body = read_frame_from(reader)?;
-    match body.first() {
-        Some(&FRAME_QUERY_REQUEST) => Ok(ClientRequest::Query(decode_query_request(&body)?)),
-        Some(&FRAME_APPEND) => Ok(ClientRequest::Append(read_append_rows(reader, &body)?)),
-        Some(&FRAME_SUBSCRIBE) => Ok(ClientRequest::Subscribe(decode_subscribe(&body)?)),
-        Some(&FRAME_ADMIN) => Ok(ClientRequest::Admin(decode_admin(&body)?)),
-        Some(&other) => Err(Error::Source(format!(
-            "unexpected wire frame kind {other} (a query-serving daemon expects a query, \
-             append, subscribe or admin request)"
+    match body[0] {
+        FRAME_SCAN => {
+            let mut cursor = open_frame(&body, "scan announcement")?;
+            let query = PushdownQuery {
+                k: cursor.u64()?,
+                p_tau: cursor.f64()?,
+            };
+            cursor.finish()?;
+            if query.k > 0 && !(query.p_tau > 0.0 && query.p_tau < 1.0) {
+                return Err(Error::Source(format!(
+                    "wire scan announcement carries p_tau {} outside (0, 1)",
+                    query.p_tau
+                )));
+            }
+            Ok(ClientRequest::Scan(query))
+        }
+        FRAME_REGISTER => {
+            let mut cursor = open_frame(&body, "register")?;
+            let rows = cursor.u64()?;
+            let label = cursor.label()?;
+            cursor.finish()?;
+            Ok(ClientRequest::Register { rows, label })
+        }
+        FRAME_QUERY_REQUEST => {
+            let mut cursor = open_frame(&body, "query request")?;
+            let mut query = pop_query_shape(&mut cursor)?;
+            query.dataset = cursor.label()?;
+            cursor.finish()?;
+            Ok(ClientRequest::Query(query))
+        }
+        FRAME_APPEND => {
+            let cursor = open_frame(&body, "append request")?;
+            Ok(ClientRequest::Append(read_append_rows(reader, cursor)?))
+        }
+        FRAME_SUBSCRIBE => {
+            let mut cursor = open_frame(&body, "subscribe request")?;
+            let mut query = pop_query_shape(&mut cursor)?;
+            let max_pushes = cursor.u64()?;
+            query.dataset = cursor.label()?;
+            cursor.finish()?;
+            Ok(ClientRequest::Subscribe(SubscribeRequest {
+                query,
+                max_pushes,
+            }))
+        }
+        FRAME_ADMIN => {
+            let mut cursor = open_frame(&body, "admin")?;
+            let code = cursor.u8()?;
+            let verb = AdminVerb::from_code(code)
+                .ok_or_else(|| Error::Source(format!("unknown admin verb {code}")))?;
+            let name = cursor.label()?;
+            let arg = cursor.label()?;
+            cursor.finish()?;
+            Ok(ClientRequest::Admin(AdminRequest { verb, name, arg }))
+        }
+        other => Err(Error::Source(format!(
+            "unexpected wire frame kind {other} (a connection opens with a scan announcement, \
+             register, query, append, subscribe or admin request)"
         ))),
-        None => Err(Error::Source("corrupt wire request frame".into())),
     }
 }
 
@@ -1806,14 +1538,13 @@ impl LeaseRegistry {
     }
 }
 
-/// The sending half of the codec: frames a rank-ordered tuple stream onto
-/// any blocking [`Write`].
+/// The sending half of a shard stream: frames a rank-ordered tuple stream
+/// onto any blocking [`Write`].
 ///
-/// Construction writes the hello frame (protocol version plus an optional
-/// tuple-count hint the receiving planner can surface). Call
-/// [`write_tuple`](WireWriter::write_tuple) per tuple, then exactly one of
-/// [`finish`](WireWriter::finish) or [`fail`](WireWriter::fail);
-/// [`serve`](WireWriter::serve) drives all three from a [`TupleSource`].
+/// Construction writes the hello frame. Call
+/// [`write_block`](WireWriter::write_block) for the tuples, optionally
+/// [`write_stopped`](WireWriter::write_stopped), then exactly one of
+/// [`finish`](WireWriter::finish) or [`fail`](WireWriter::fail).
 #[derive(Debug)]
 pub struct WireWriter<W: Write> {
     writer: W,
@@ -1821,69 +1552,23 @@ pub struct WireWriter<W: Write> {
 }
 
 impl<W: Write> WireWriter<W> {
-    /// Wraps `writer` and sends the **v1** hello frame carrying `size_hint` —
-    /// the layout every reader since protocol v1 decodes. Use
-    /// [`with_assignment`](WireWriter::with_assignment) to speak v2 to a
-    /// client that announced it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Source`] when the hello frame cannot be written.
-    pub fn new(writer: W, size_hint: Option<usize>) -> Result<Self> {
-        let mut body = Vec::with_capacity(10);
-        body.push(FRAME_HELLO);
-        body.push(WIRE_VERSION_V1);
-        let hint = size_hint.map(|n| n as u64).unwrap_or(u64::MAX);
-        body.extend_from_slice(&hint.to_le_bytes());
-        let mut this = WireWriter { writer, bytes: 0 };
-        this.frame(&body)?;
-        Ok(this)
-    }
-
-    /// Wraps `writer` and sends the **v2** hello frame: `size_hint` plus the
-    /// shard's id-base/namespace assignment. Serve this layout only when the
-    /// server actually holds an assignment to advertise (a coordinator lease
-    /// or an operator-pinned namespace) — a v1 reader rejects it, which is
-    /// the intended contract: coordinated serving requires v2 consumers.
+    /// Wraps `writer` and sends the hello frame: `size_hint` (a tuple-count
+    /// hint the receiving planner can surface) and, when the server holds
+    /// one, the shard's id-base/namespace assignment.
     ///
     /// # Errors
     ///
     /// [`Error::Source`] when the hello frame cannot be written or the
     /// namespace label is over-long.
-    pub fn with_assignment(
-        writer: W,
-        size_hint: Option<usize>,
-        assignment: &ShardAssignment,
-    ) -> Result<Self> {
-        let mut body = Vec::with_capacity(20 + assignment.namespace.len());
-        body.push(FRAME_HELLO);
-        body.push(WIRE_VERSION);
-        let hint = size_hint.map(|n| n as u64).unwrap_or(u64::MAX);
-        body.extend_from_slice(&hint.to_le_bytes());
-        body.extend_from_slice(&assignment.id_base.to_le_bytes());
-        push_label(&mut body, &assignment.namespace)?;
-        let mut this = WireWriter { writer, bytes: 0 };
-        this.frame(&body)?;
-        Ok(this)
-    }
-
-    /// Wraps `writer` and sends the **v3** (query-mode) hello frame:
-    /// `size_hint`, an assignment-present flag, and the assignment fields
-    /// when the server holds one. Serve this layout only to a client that
-    /// announced itself with a query frame — old clients never see it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Source`] when the hello frame cannot be written or the
-    /// namespace label is over-long.
-    pub fn v3(
+    pub fn new(
         writer: W,
         size_hint: Option<usize>,
         assignment: Option<&ShardAssignment>,
     ) -> Result<Self> {
-        let mut body = Vec::with_capacity(19 + assignment.map_or(0, |a| 10 + a.namespace.len()));
-        body.push(FRAME_HELLO);
-        body.push(WIRE_VERSION_V3);
+        let mut body = opening(
+            FRAME_HELLO,
+            21 + assignment.map_or(0, |a| a.namespace.len()),
+        );
         let hint = size_hint.map(|n| n as u64).unwrap_or(u64::MAX);
         body.extend_from_slice(&hint.to_le_bytes());
         match assignment {
@@ -1899,9 +1584,8 @@ impl<W: Write> WireWriter<W> {
         Ok(this)
     }
 
-    /// Sends the v3 stopped-at trailer. Call exactly once, just before
-    /// [`finish`](WireWriter::finish), and only on streams opened with the
-    /// v3 hello.
+    /// Sends the stopped-at trailer. Call at most once, just before
+    /// [`finish`](WireWriter::finish).
     ///
     /// # Errors
     ///
@@ -1926,48 +1610,22 @@ impl<W: Write> WireWriter<W> {
         self.bytes
     }
 
-    /// Frames one tuple.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Source`] on I/O failure.
-    pub fn write_tuple(&mut self, tuple: &SourceTuple) -> Result<()> {
-        let mut body = Vec::with_capacity(34);
-        body.push(FRAME_TUPLE);
-        body.extend_from_slice(&tuple.tuple.id().raw().to_le_bytes());
-        body.extend_from_slice(&tuple.tuple.score().to_bits().to_le_bytes());
-        body.extend_from_slice(&tuple.tuple.prob().to_bits().to_le_bytes());
-        match tuple.group {
-            GroupKey::Independent => body.push(0),
-            GroupKey::Shared(key) => {
-                body.push(1);
-                body.extend_from_slice(&key.to_le_bytes());
-            }
-        }
-        self.frame(&body)
-    }
-
-    /// Frames a columnar tuple block as one or more kind-20 frames of at
+    /// Frames a columnar tuple block as one or more tuple-block frames of at
     /// most [`MAX_FRAME_BODY`] bytes each (an empty block frames nothing).
-    /// Only send on connections whose peer announced block support with the
-    /// kind-19 query frame — per-tuple peers treat kind 20 as corrupt.
     ///
     /// # Errors
     ///
     /// [`Error::Source`] on I/O failure.
     pub fn write_block(&mut self, block: &TupleBlock) -> Result<()> {
-        let mut at = 0;
-        while at < block.len() {
-            let count = (block.len() - at).min(MAX_BLOCK_ROWS);
-            let mut body = vec![FRAME_TUPLE_BLOCK, 0, 0];
-            for row in at..at + count {
-                push_source_tuple(&mut body, &block.get(row));
-            }
-            body[1..CHUNK_HEADER].copy_from_slice(&(count as u16).to_le_bytes());
-            self.frame(&body)?;
-            at += count;
-        }
-        Ok(())
+        write_chunked(
+            FRAME_TUPLE_BLOCK,
+            (0..block.len()).map(|row| block.get(row)),
+            |chunk, row| {
+                push_source_tuple(chunk, &row);
+                Ok(())
+            },
+            |chunk| self.frame(chunk),
+        )
     }
 
     /// Sends the end-of-stream frame and flushes, returning the total bytes
@@ -1990,46 +1648,13 @@ impl<W: Write> WireWriter<W> {
     ///
     /// [`Error::Source`] on I/O failure.
     pub fn fail(mut self, message: &str) -> Result<()> {
-        let mut body = Vec::with_capacity(1 + message.len());
-        body.push(FRAME_ERROR);
-        body.extend_from_slice(message.as_bytes());
-        self.frame(&body)?;
-        self.writer.flush().map_err(|e| io_err("flush", e))
-    }
-
-    /// Pulls `source` to exhaustion and frames every tuple, terminating the
-    /// stream correctly on both outcomes: a clean end sends the end frame, a
-    /// source failure is forwarded as an error frame (and returned).
-    ///
-    /// Returns the number of tuples served.
-    ///
-    /// # Errors
-    ///
-    /// The source's error (after forwarding it to the peer), or
-    /// [`Error::Source`] on I/O failure.
-    pub fn serve(mut self, source: &mut dyn TupleSource) -> Result<usize> {
-        let mut served = 0usize;
-        loop {
-            match source.next_tuple() {
-                Ok(Some(tuple)) => {
-                    self.write_tuple(&tuple)?;
-                    served += 1;
-                }
-                Ok(None) => {
-                    self.finish()?;
-                    return Ok(served);
-                }
-                Err(error) => {
-                    self.fail(&error.to_string())?;
-                    return Err(error);
-                }
-            }
-        }
+        self.bytes += 5 + message.len() as u64;
+        write_error(&mut self.writer, message)
     }
 }
 
-/// The receiving half of the codec: a [`TupleSource`] decoding frames from
-/// any blocking [`Read`].
+/// The receiving half of a shard stream: a [`TupleSource`] decoding frames
+/// from any blocking [`Read`].
 ///
 /// The hello frame is read lazily on the first pull, so constructing a
 /// reader never blocks. Wrap network streams in a `BufReader` — the decoder
@@ -2041,12 +1666,12 @@ pub struct WireReader<R: Read> {
     done: bool,
     hint: Option<usize>,
     stopped: Option<StoppedAt>,
-    /// Undelivered remainder of the last kind-20 block frame; frames are
-    /// only read while this buffer is empty.
+    /// Undelivered remainder of the last tuple-block frame; frames are only
+    /// read while this buffer is empty.
     pending: TupleBlock,
     cursor: usize,
-    /// Kind-20 block frames decoded off the wire, and the rows they carried
-    /// — the framing truth, independent of how the consumer pulls (a merge
+    /// Tuple-block frames decoded off the wire, and the rows they carried —
+    /// the framing truth, independent of how the consumer pulls (a merge
     /// draining tuple-at-a-time still empties block frames through the
     /// buffer above).
     block_frames: u64,
@@ -2069,77 +1694,34 @@ impl<R: Read> WireReader<R> {
         }
     }
 
-    /// How many kind-20 block frames this reader has decoded so far, and
-    /// the total rows they carried — regardless of whether the consumer
-    /// pulled them back out as blocks or tuple-at-a-time. `(0, 0)` means the
-    /// peer framed every tuple individually (a pre-block server, or blocks
-    /// disabled at either end).
+    /// How many tuple-block frames this reader has decoded so far, and the
+    /// total rows they carried — regardless of whether the consumer pulled
+    /// them back out as blocks or tuple-at-a-time.
     pub fn block_frames_decoded(&self) -> (u64, u64) {
         (self.block_frames, self.block_frame_rows)
     }
 
-    fn read_frame(&mut self) -> Result<Vec<u8>> {
-        read_frame_from(&mut self.reader)
-    }
-
-    fn expect_hello(&mut self) -> Result<()> {
-        let body = self.read_frame()?;
-        if body.first() != Some(&FRAME_HELLO) || body.len() < 10 {
-            return Err(Error::Source(
-                "wire stream does not start with a hello frame".into(),
-            ));
-        }
-        let version = body[1];
-        let assignment = match version {
-            WIRE_VERSION_V1 => {
-                if body.len() != 10 {
-                    return Err(Error::Source("corrupt v1 wire hello frame".into()));
-                }
-                None
-            }
-            WIRE_VERSION => Some(ShardAssignment {
-                id_base: u64::from_le_bytes(
-                    body.get(10..18)
-                        .ok_or_else(|| Error::Source("corrupt v2 wire hello frame".into()))?
-                        .try_into()
-                        .expect("8 bytes"),
-                ),
-                namespace: pop_label(&body, 18, "hello")?,
+    fn expect_hello(&mut self) -> Result<Hello> {
+        let body = read_frame_from(&mut self.reader)?;
+        let mut cursor = open_reply(&body, FRAME_HELLO, "hello", "source")?;
+        let hint = cursor.u64()?;
+        let assignment = match cursor.u8()? {
+            0 => None,
+            1 => Some(ShardAssignment {
+                id_base: cursor.u64()?,
+                namespace: cursor.label()?,
             }),
-            WIRE_VERSION_V3 => {
-                let corrupt = || Error::Source("corrupt v3 wire hello frame".into());
-                match body.get(10) {
-                    Some(0) if body.len() == 11 => None,
-                    Some(1) => Some(ShardAssignment {
-                        id_base: u64::from_le_bytes(
-                            body.get(11..19)
-                                .ok_or_else(corrupt)?
-                                .try_into()
-                                .expect("8 bytes"),
-                        ),
-                        namespace: pop_label(&body, 19, "hello")?,
-                    }),
-                    _ => return Err(corrupt()),
-                }
-            }
-            other => {
-                return Err(Error::Source(format!(
-                    "unsupported wire protocol version {other}"
-                )))
-            }
+            _ => return Err(cursor.corrupt()),
         };
-        let hint = u64::from_le_bytes(body[2..10].try_into().expect("8 bytes"));
-        self.hint = (hint != u64::MAX).then_some(hint as usize);
-        self.hello = Some(Hello {
-            version,
-            size_hint: self.hint,
+        cursor.finish()?;
+        Ok(Hello {
+            size_hint: (hint != u64::MAX).then_some(hint as usize),
             assignment,
-        });
-        Ok(())
+        })
     }
 
     /// Forces the hello frame to be read (a no-op if already decoded) and
-    /// returns it. Lets a connection manager validate version and
+    /// returns it. Lets a connection manager validate the
     /// [`ShardAssignment`] **before** handing the reader to a merge — a dead
     /// or misconfigured peer then fails at connection time, where it can be
     /// retried, instead of mid-scan.
@@ -2149,255 +1731,118 @@ impl<R: Read> WireReader<R> {
     /// [`Error::Source`] when the stream does not open with a valid hello.
     pub fn hello(&mut self) -> Result<&Hello> {
         if self.hello.is_none() {
-            if let Err(e) = self.expect_hello() {
-                self.done = true;
-                return Err(e);
+            match self.expect_hello() {
+                Ok(hello) => {
+                    self.hint = hello.size_hint;
+                    self.hello = Some(hello);
+                }
+                Err(e) => {
+                    self.done = true;
+                    return Err(e);
+                }
             }
         }
         Ok(self.hello.as_ref().expect("hello decoded above"))
     }
 
-    /// The shard assignment the hello carried, when one was decoded.
-    pub fn assignment(&self) -> Option<&ShardAssignment> {
-        self.hello.as_ref().and_then(|h| h.assignment.as_ref())
-    }
-
-    /// The v3 stopped-at trailer, once the stream has ended (always `None`
-    /// on v1/v2 streams, which carry no trailer).
+    /// The stopped-at trailer, once the stream has ended (`None` before,
+    /// and for a stream the server closed without one).
     pub fn stopped_at(&self) -> Option<&StoppedAt> {
         self.stopped.as_ref()
     }
 
-    fn decode_tuple(body: &[u8]) -> Result<SourceTuple> {
-        let corrupt = || Error::Source("corrupt wire tuple frame".into());
-        if body.len() != 26 && body.len() != 34 {
-            return Err(corrupt());
+    /// Reads frames until a non-empty block is buffered (`true`) or the
+    /// stream has ended (`false`). Every failure ends the stream.
+    fn fill(&mut self) -> Result<bool> {
+        if self.done {
+            return Ok(false);
         }
-        let id = u64::from_le_bytes(body[1..9].try_into().expect("8 bytes"));
-        let score = f64::from_bits(u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")));
-        let prob = f64::from_bits(u64::from_le_bytes(
-            body[17..25].try_into().expect("8 bytes"),
-        ));
-        let tuple = UncertainTuple::new(id, score, prob)?;
-        match (body[25], body.len()) {
-            (0, 26) => Ok(SourceTuple::independent(tuple)),
-            (1, 34) => Ok(SourceTuple::grouped(
-                tuple,
-                u64::from_le_bytes(body[26..34].try_into().expect("8 bytes")),
-            )),
-            _ => Err(corrupt()),
+        self.hello()?;
+        let filled = self.load_block();
+        if !matches!(filled, Ok(true)) {
+            self.done = true;
+        }
+        filled
+    }
+
+    fn load_block(&mut self) -> Result<bool> {
+        loop {
+            let body = read_frame_from(&mut self.reader)?;
+            match body[0] {
+                FRAME_TUPLE_BLOCK => {
+                    let mut cursor = FrameCursor::new(&body, 1, "tuple block");
+                    let count = cursor.u16()? as usize;
+                    let mut block =
+                        TupleBlock::with_capacity(count.min(cursor.remaining() / MIN_ROW_BYTES));
+                    for _ in 0..count {
+                        block.push(&pop_source_tuple(&mut cursor)?);
+                    }
+                    cursor.finish()?;
+                    self.block_frames += 1;
+                    self.block_frame_rows += block.len() as u64;
+                    if !block.is_empty() {
+                        self.pending = block;
+                        self.cursor = 0;
+                        return Ok(true);
+                    }
+                }
+                FRAME_STOPPED => {
+                    let mut cursor = FrameCursor::new(&body, 1, "stopped-at");
+                    let stopped = StoppedAt {
+                        scanned: cursor.u64()?,
+                        shipped: cursor.u64()?,
+                        gate_limited: cursor.flag()?,
+                    };
+                    cursor.finish()?;
+                    // The end frame follows the trailer.
+                    self.stopped = Some(stopped);
+                }
+                FRAME_END => return Ok(false),
+                FRAME_ERROR => return Err(remote_failed("source", &body)),
+                other => return Err(Error::Source(format!("unknown wire frame kind {other}"))),
+            }
         }
     }
 
-    fn decode_block(body: &[u8]) -> Result<TupleBlock> {
-        let mut cursor = FrameCursor::new(body, 1, "tuple block");
-        let count = cursor.u16()? as usize;
-        let mut block = TupleBlock::with_capacity(count);
-        for _ in 0..count {
-            block.push(&pop_source_tuple(&mut cursor)?);
-        }
-        cursor.finish()?;
-        Ok(block)
-    }
-
-    /// Delivers the next buffered block-frame row, maintaining the hint.
-    fn pop_buffered(&mut self) -> Option<SourceTuple> {
-        if self.cursor >= self.pending.len() {
-            return None;
-        }
-        let row = self.pending.get(self.cursor);
-        self.cursor += 1;
+    /// Moves `delivered` rows out of the buffer, maintaining the hint.
+    fn consume(&mut self, delivered: usize) {
+        self.cursor += delivered;
         if self.cursor >= self.pending.len() {
             self.pending.clear();
             self.cursor = 0;
         }
         if let Some(hint) = &mut self.hint {
-            *hint = hint.saturating_sub(1);
+            *hint = hint.saturating_sub(delivered);
         }
-        Some(row)
-    }
-
-    fn note_stopped(&mut self, body: &[u8]) -> Result<()> {
-        if body.len() != 18 || body[17] > 1 {
-            self.done = true;
-            return Err(Error::Source("corrupt wire stopped-at frame".into()));
-        }
-        self.stopped = Some(StoppedAt {
-            scanned: u64::from_le_bytes(body[1..9].try_into().expect("8 bytes")),
-            shipped: u64::from_le_bytes(body[9..17].try_into().expect("8 bytes")),
-            gate_limited: body[17] == 1,
-        });
-        Ok(())
     }
 }
 
 impl<R: Read> TupleSource for WireReader<R> {
     fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
-        if let Some(row) = self.pop_buffered() {
-            return Ok(Some(row));
-        }
-        if self.done {
+        if self.cursor >= self.pending.len() && !self.fill()? {
             return Ok(None);
         }
-        if self.hello.is_none() {
-            self.hello()?;
-        }
-        loop {
-            let body = match self.read_frame() {
-                Ok(body) => body,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            return match body[0] {
-                FRAME_TUPLE => match Self::decode_tuple(&body) {
-                    Ok(tuple) => {
-                        if let Some(hint) = &mut self.hint {
-                            *hint = hint.saturating_sub(1);
-                        }
-                        Ok(Some(tuple))
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        Err(e)
-                    }
-                },
-                FRAME_TUPLE_BLOCK => match Self::decode_block(&body) {
-                    Ok(block) => {
-                        self.block_frames += 1;
-                        self.block_frame_rows += block.len() as u64;
-                        self.pending = block;
-                        self.cursor = 0;
-                        match self.pop_buffered() {
-                            Some(row) => Ok(Some(row)),
-                            None => continue, // empty block frame
-                        }
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        Err(e)
-                    }
-                },
-                FRAME_END => {
-                    self.done = true;
-                    Ok(None)
-                }
-                FRAME_STOPPED => {
-                    self.note_stopped(&body)?;
-                    continue; // the end frame follows the trailer
-                }
-                FRAME_ERROR => {
-                    self.done = true;
-                    Err(Error::Source(format!(
-                        "remote source failed: {}",
-                        String::from_utf8_lossy(&body[1..])
-                    )))
-                }
-                other => {
-                    self.done = true;
-                    Err(Error::Source(format!("unknown wire frame kind {other}")))
-                }
-            };
-        }
+        let row = self.pending.get(self.cursor);
+        self.consume(1);
+        Ok(Some(row))
     }
 
     fn next_block(&mut self, max: usize) -> Result<Option<TupleBlock>> {
-        let max = max.max(1);
-        let buffered = self.pending.len() - self.cursor;
-        if buffered > 0 {
-            // Whole-block handover when the buffer fits the ask; otherwise
-            // copy a slice of the columns and keep the remainder buffered.
-            let block = if self.cursor == 0 && buffered <= max {
-                std::mem::take(&mut self.pending)
-            } else {
-                let take = buffered.min(max);
-                let mut out = TupleBlock::with_capacity(take);
-                out.push_range(&self.pending, self.cursor, self.cursor + take);
-                self.cursor += take;
-                if self.cursor >= self.pending.len() {
-                    self.pending.clear();
-                    self.cursor = 0;
-                }
-                out
-            };
-            if let Some(hint) = &mut self.hint {
-                *hint = hint.saturating_sub(block.len());
-            }
-            return Ok(Some(block));
-        }
-        if self.done {
+        if self.cursor >= self.pending.len() && !self.fill()? {
             return Ok(None);
         }
-        if self.hello.is_none() {
-            self.hello()?;
-        }
-        loop {
-            let body = match self.read_frame() {
-                Ok(body) => body,
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            };
-            match body[0] {
-                FRAME_TUPLE_BLOCK => match Self::decode_block(&body) {
-                    Ok(block) if block.is_empty() => {
-                        self.block_frames += 1;
-                        continue;
-                    }
-                    Ok(block) => {
-                        self.block_frames += 1;
-                        self.block_frame_rows += block.len() as u64;
-                        self.pending = block;
-                        self.cursor = 0;
-                        // Deliver through the buffer path above, which
-                        // honors `max` and maintains the hint.
-                        return self.next_block(max);
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                },
-                // A per-tuple peer: hand each tuple up as a unit block
-                // rather than blocking here to batch frames the server may
-                // not have sent yet.
-                FRAME_TUPLE => match Self::decode_tuple(&body) {
-                    Ok(tuple) => {
-                        if let Some(hint) = &mut self.hint {
-                            *hint = hint.saturating_sub(1);
-                        }
-                        let mut block = TupleBlock::with_capacity(1);
-                        block.push(&tuple);
-                        return Ok(Some(block));
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Err(e);
-                    }
-                },
-                FRAME_END => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                FRAME_STOPPED => {
-                    self.note_stopped(&body)?;
-                    continue;
-                }
-                FRAME_ERROR => {
-                    self.done = true;
-                    return Err(Error::Source(format!(
-                        "remote source failed: {}",
-                        String::from_utf8_lossy(&body[1..])
-                    )));
-                }
-                other => {
-                    self.done = true;
-                    return Err(Error::Source(format!("unknown wire frame kind {other}")));
-                }
-            }
-        }
+        let take = (self.pending.len() - self.cursor).min(max.max(1));
+        // Whole-block handover when the buffer fits the ask; otherwise copy
+        // a slice of the columns and keep the remainder buffered.
+        let block = if self.cursor == 0 && take == self.pending.len() {
+            std::mem::take(&mut self.pending)
+        } else {
+            let mut out = TupleBlock::with_capacity(take);
+            out.push_range(&self.pending, self.cursor, self.cursor + take);
+            out
+        };
+        self.consume(take);
+        Ok(Some(block))
     }
 
     fn size_hint(&self) -> Option<usize> {
@@ -2417,12 +1862,9 @@ impl<R: Read> TupleSource for WireReader<R> {
 pub struct WireScanStats {
     tuples: std::sync::atomic::AtomicU64,
     blocks: std::sync::atomic::AtomicU64,
-    block_tuples: std::sync::atomic::AtomicU64,
-    pushdown_conns: std::sync::atomic::AtomicU64,
-    plain_conns: std::sync::atomic::AtomicU64,
+    block_rows: std::sync::atomic::AtomicU64,
     server_scanned: std::sync::atomic::AtomicU64,
     server_shipped: std::sync::atomic::AtomicU64,
-    trailers: std::sync::atomic::AtomicU64,
 }
 
 impl WireScanStats {
@@ -2445,28 +1887,18 @@ impl WireScanStats {
         self.tuples.fetch_add(tuples as u64, Self::ORDER);
     }
 
-    /// Folds in kind-20 block frames decoded off the wire (`frames` frames
+    /// Folds in tuple-block frames decoded off the wire (`frames` frames
     /// carrying `rows` rows total), typically harvested from
     /// [`WireReader::block_frames_decoded`].
     pub fn record_block_frames(&self, frames: u64, rows: u64) {
         self.blocks.fetch_add(frames, Self::ORDER);
-        self.block_tuples.fetch_add(rows, Self::ORDER);
-    }
-
-    /// Records one opened connection, pushdown-negotiated or plain.
-    pub fn record_connection(&self, pushdown: bool) {
-        if pushdown {
-            self.pushdown_conns.fetch_add(1, Self::ORDER);
-        } else {
-            self.plain_conns.fetch_add(1, Self::ORDER);
-        }
+        self.block_rows.fetch_add(rows, Self::ORDER);
     }
 
     /// Folds in a server's stopped-at trailer.
     pub fn record_stopped(&self, stopped: &StoppedAt) {
         self.server_scanned.fetch_add(stopped.scanned, Self::ORDER);
         self.server_shipped.fetch_add(stopped.shipped, Self::ORDER);
-        self.trailers.fetch_add(1, Self::ORDER);
     }
 
     /// Tuples received over the wire so far.
@@ -2474,7 +1906,7 @@ impl WireScanStats {
         self.tuples.load(Self::ORDER)
     }
 
-    /// Kind-20 columnar block frames decoded off the wire so far.
+    /// Tuple-block frames decoded off the wire so far.
     pub fn blocks_received(&self) -> u64 {
         self.blocks.load(Self::ORDER)
     }
@@ -2483,18 +1915,8 @@ impl WireScanStats {
     /// [`blocks_received`] for the mean block fill).
     ///
     /// [`blocks_received`]: WireScanStats::blocks_received
-    pub fn block_tuples_received(&self) -> u64 {
-        self.block_tuples.load(Self::ORDER)
-    }
-
-    /// Connections that negotiated v3 pushdown.
-    pub fn pushdown_connections(&self) -> u64 {
-        self.pushdown_conns.load(Self::ORDER)
-    }
-
-    /// Connections served over the plain v1/v2 protocol.
-    pub fn plain_connections(&self) -> u64 {
-        self.plain_conns.load(Self::ORDER)
+    pub fn block_rows_received(&self) -> u64 {
+        self.block_rows.load(Self::ORDER)
     }
 
     /// Total rows the servers reported scanning (summed trailers).
@@ -2506,17 +1928,11 @@ impl WireScanStats {
     pub fn server_shipped(&self) -> u64 {
         self.server_shipped.load(Self::ORDER)
     }
-
-    /// Number of stopped-at trailers received.
-    pub fn trailers(&self) -> u64 {
-        self.trailers.load(Self::ORDER)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::VecSource;
 
     fn tuples(n: u64) -> Vec<SourceTuple> {
         (0..n)
@@ -2531,6 +1947,27 @@ mod tests {
             .collect()
     }
 
+    fn block_of(rows: &[SourceTuple]) -> TupleBlock {
+        let mut block = TupleBlock::with_capacity(rows.len());
+        for row in rows {
+            block.push(row);
+        }
+        block
+    }
+
+    /// A complete shard stream: hello, `rows` as one block, end.
+    fn stream_of(
+        rows: &[SourceTuple],
+        hint: Option<usize>,
+        assignment: Option<&ShardAssignment>,
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut writer = WireWriter::new(&mut buf, hint, assignment).unwrap();
+        writer.write_block(&block_of(rows)).unwrap();
+        writer.finish().unwrap();
+        buf
+    }
+
     fn drain(source: &mut dyn TupleSource) -> Result<Vec<SourceTuple>> {
         let mut out = Vec::new();
         while let Some(t) = source.next_tuple()? {
@@ -2542,10 +1979,7 @@ mod tests {
     #[test]
     fn round_trip_is_bit_identical() {
         let all = tuples(50);
-        let mut buf = Vec::new();
-        let writer = WireWriter::new(&mut buf, Some(all.len())).unwrap();
-        let served = writer.serve(&mut VecSource::new(all.clone())).unwrap();
-        assert_eq!(served, 50);
+        let buf = stream_of(&all, Some(all.len()), None);
         let mut reader = WireReader::new(buf.as_slice());
         assert_eq!(reader.size_hint(), None, "hint unknown before hello");
         let decoded = drain(&mut reader).unwrap();
@@ -2557,13 +1991,9 @@ mod tests {
     #[test]
     fn block_frames_round_trip_bit_identical() {
         let all = tuples(1000);
-        let mut block = TupleBlock::with_capacity(all.len());
-        for t in &all {
-            block.push(t);
-        }
         let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, Some(all.len())).unwrap();
-        writer.write_block(&block).unwrap();
+        let mut writer = WireWriter::new(&mut buf, Some(all.len()), None).unwrap();
+        writer.write_block(&block_of(&all)).unwrap();
         assert!(writer.bytes_written() > 0);
         writer.finish().unwrap();
 
@@ -2584,27 +2014,22 @@ mod tests {
 
     #[test]
     fn oversized_block_splits_into_bounded_frames() {
-        // 34-byte grouped rows: MAX_BLOCK_ROWS rows won't fit one frame
-        // once every row carries a key, so the writer must split.
-        let mut block = TupleBlock::with_capacity(MAX_BLOCK_ROWS + 10);
-        for i in 0..(MAX_BLOCK_ROWS + 10) as u64 {
-            let t = UncertainTuple::new(i, 1e6 - i as f64, 0.5).unwrap();
-            block.push(&SourceTuple::grouped(t, i));
-        }
-        let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, None).unwrap();
-        writer.write_block(&block).unwrap();
-        writer.finish().unwrap();
+        // 33-byte grouped rows: more than a 64 KiB frame holds, so the
+        // writer must split.
+        let rows = MAX_FRAME_BODY / 33 + 10;
+        let all: Vec<SourceTuple> = (0..rows as u64)
+            .map(|i| SourceTuple::grouped(UncertainTuple::new(i, 1e6 - i as f64, 0.5).unwrap(), i))
+            .collect();
+        let buf = stream_of(&all, None, None);
         let mut reader = WireReader::new(buf.as_slice());
-        let decoded = drain(&mut reader).unwrap();
-        assert_eq!(decoded.len(), block.len());
-        assert_eq!(decoded[MAX_BLOCK_ROWS], block.get(MAX_BLOCK_ROWS));
+        assert_eq!(drain(&mut reader).unwrap(), all);
+        assert_eq!(reader.block_frames_decoded(), (2, rows as u64));
     }
 
     #[test]
     fn empty_block_frames_nothing() {
         let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, None).unwrap();
+        let mut writer = WireWriter::new(&mut buf, None, None).unwrap();
         let before = writer.bytes_written();
         writer.write_block(&TupleBlock::default()).unwrap();
         assert_eq!(writer.bytes_written(), before);
@@ -2615,64 +2040,26 @@ mod tests {
     }
 
     #[test]
-    fn mixed_tuple_and_block_frames_interleave() {
-        let all = tuples(10);
-        let mut block = TupleBlock::default();
-        for t in &all[2..7] {
-            block.push(t);
-        }
-        let mut buf = Vec::new();
-        let mut writer = WireWriter::new(&mut buf, None).unwrap();
-        writer.write_tuple(&all[0]).unwrap();
-        writer.write_tuple(&all[1]).unwrap();
-        writer.write_block(&block).unwrap();
-        for t in &all[7..] {
-            writer.write_tuple(t).unwrap();
-        }
-        writer.finish().unwrap();
-        assert_eq!(drain(&mut WireReader::new(buf.as_slice())).unwrap(), all);
-    }
-
-    #[test]
     fn blocked_query_negotiation_round_trips() {
-        let query = PushdownQuery { k: 7, p_tau: 0.125 };
-        let mut buf = Vec::new();
-        write_query_blocks(&mut buf, &query, 512).unwrap();
-        let (decoded, max_block) = read_query_negotiated(&mut buf.as_slice()).unwrap();
-        assert_eq!(decoded, query);
-        assert_eq!(max_block, Some(512));
-
-        // A plain kind-7 query decodes with no block capability.
-        let mut buf = Vec::new();
-        write_query(&mut buf, &query).unwrap();
-        let (decoded, max_block) = read_query_negotiated(&mut buf.as_slice()).unwrap();
-        assert_eq!(decoded, query);
-        assert_eq!(max_block, None);
-
-        // The strict pre-block reader rejects the kind-19 frame — that
-        // rejection is what triggers the client's plain-query redial.
-        let mut buf = Vec::new();
-        write_query_blocks(&mut buf, &query, 512).unwrap();
-        assert!(read_query(&mut buf.as_slice()).is_err());
-    }
-
-    #[test]
-    fn negotiated_zero_block_clamps_to_one() {
-        let query = PushdownQuery { k: 1, p_tau: 0.5 };
-        let mut buf = Vec::new();
-        write_query_blocks(&mut buf, &query, 0).unwrap();
-        let (_, max_block) = read_query_negotiated(&mut buf.as_slice()).unwrap();
-        assert_eq!(max_block, Some(1));
+        // The scan announcement opens a shard stream; k = 0 asks for a full
+        // replay and skips the pτ range check.
+        for query in [
+            PushdownQuery { k: 7, p_tau: 0.125 },
+            PushdownQuery { k: 0, p_tau: 0.0 },
+        ] {
+            let mut buf = Vec::new();
+            write_scan(&mut buf, &query).unwrap();
+            assert_eq!(buf[4..6], [FRAME_SCAN, WIRE_VERSION_V6]);
+            assert_eq!(
+                read_client_request(&mut buf.as_slice()).unwrap(),
+                ClientRequest::Scan(query)
+            );
+        }
     }
 
     #[test]
     fn size_hint_counts_down_after_hello() {
-        let all = tuples(4);
-        let mut buf = Vec::new();
-        WireWriter::new(&mut buf, Some(4))
-            .unwrap()
-            .serve(&mut VecSource::new(all))
-            .unwrap();
+        let buf = stream_of(&tuples(4), Some(4), None);
         let mut reader = WireReader::new(buf.as_slice());
         reader.next_tuple().unwrap().unwrap();
         assert_eq!(reader.size_hint(), Some(3));
@@ -2680,18 +2067,11 @@ mod tests {
 
     #[test]
     fn server_side_error_is_forwarded_as_source_error() {
-        struct Fails;
-        impl TupleSource for Fails {
-            fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
-                Err(Error::Source("backing store gone".into()))
-            }
-        }
         let mut buf = Vec::new();
-        let err = WireWriter::new(&mut buf, None)
+        WireWriter::new(&mut buf, None, None)
             .unwrap()
-            .serve(&mut Fails)
-            .unwrap_err();
-        assert!(matches!(err, Error::Source(_)));
+            .fail("backing store gone")
+            .unwrap();
         let err = drain(&mut WireReader::new(buf.as_slice())).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.contains("backing store gone")),
@@ -2701,11 +2081,7 @@ mod tests {
 
     #[test]
     fn truncation_and_corruption_surface_as_errors() {
-        let mut buf = Vec::new();
-        WireWriter::new(&mut buf, None)
-            .unwrap()
-            .serve(&mut VecSource::new(tuples(5)))
-            .unwrap();
+        let buf = stream_of(&tuples(5), None, None);
 
         // Cut the stream before the end frame: every prefix fails, none hang
         // and none pretend the stream ended cleanly.
@@ -2723,7 +2099,7 @@ mod tests {
         ));
 
         // A stream that does not open with hello is rejected.
-        let headless = &buf[14..]; // skip the 4+10 byte hello frame
+        let headless = &buf[15..]; // skip the 4+11 byte hello frame
         assert!(matches!(
             drain(&mut WireReader::new(headless)),
             Err(Error::Source(_))
@@ -2731,77 +2107,24 @@ mod tests {
     }
 
     #[test]
-    fn v2_hello_round_trips_the_assignment() {
-        let all = tuples(10);
-        let assignment = ShardAssignment {
-            id_base: 40,
-            namespace: "coord-7".into(),
-        };
-        let mut buf = Vec::new();
-        WireWriter::with_assignment(&mut buf, Some(all.len()), &assignment)
-            .unwrap()
-            .serve(&mut VecSource::new(all.clone()))
-            .unwrap();
-        let mut reader = WireReader::new(buf.as_slice());
-        let hello = reader.hello().unwrap();
-        assert_eq!(hello.version, WIRE_VERSION);
-        assert_eq!(hello.size_hint, Some(10));
-        assert_eq!(hello.assignment.as_ref(), Some(&assignment));
-        assert_eq!(reader.size_hint(), Some(10), "hint known right after hello");
-        assert_eq!(drain(&mut reader).unwrap(), all);
-        assert_eq!(reader.assignment(), Some(&assignment));
-    }
-
-    #[test]
-    fn v1_hello_still_decodes_and_carries_no_assignment() {
-        // A v1 server (today's `WireWriter::new`) against the v2 reader.
-        let all = tuples(6);
-        let mut buf = Vec::new();
-        WireWriter::new(&mut buf, Some(6))
-            .unwrap()
-            .serve(&mut VecSource::new(all.clone()))
-            .unwrap();
-        let mut reader = WireReader::new(buf.as_slice());
-        let hello = reader.hello().unwrap();
-        assert_eq!(hello.version, 1);
-        assert_eq!(hello.assignment, None);
-        assert_eq!(drain(&mut reader).unwrap(), all);
-        // And the v1 decode rules (10-byte hello, version byte 1) accept what
-        // `WireWriter::new` emits — a v1-era client decodes a v2 server that
-        // answered its silence with the v1 hello.
-        assert_eq!(buf[4], FRAME_HELLO);
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), 10);
-        assert_eq!(buf[5], WIRE_VERSION_V1);
-    }
-
-    #[test]
     fn future_versions_and_corrupt_v2_hellos_are_rejected() {
-        let mut buf = Vec::new();
-        WireWriter::with_assignment(
-            &mut buf,
-            None,
-            &ShardAssignment {
-                id_base: 0,
-                namespace: "ns".into(),
-            },
-        )
-        .unwrap()
-        .finish()
-        .unwrap();
-        // Bump the version byte past what this build speaks. (Version 3 is
-        // spoken since the pushdown release — but with its own hello layout,
-        // so the first genuinely-unknown version is 4.)
+        let assignment = ShardAssignment {
+            id_base: 0,
+            namespace: "ns".into(),
+        };
+        let buf = stream_of(&[], None, Some(&assignment));
+        // Bump the version byte past what this build speaks.
         let mut future = buf.clone();
-        future[5] = WIRE_VERSION_V3 + 1;
+        future[5] = WIRE_VERSION_V6 + 1;
         let err = drain(&mut WireReader::new(future.as_slice())).unwrap_err();
         assert!(
-            matches!(&err, Error::Source(m) if m.contains("version")),
+            matches!(&err, Error::Source(m) if m.contains("peer speaks wire version 7")),
             "{err}"
         );
-        // Truncate the namespace out of the v2 hello: corrupt, not a panic.
+        // Truncate the namespace out of the hello: corrupt, not a panic.
         let mut short = buf.clone();
-        short[0..4].copy_from_slice(&18u32.to_le_bytes());
-        short.truncate(4 + 18);
+        short[0..4].copy_from_slice(&19u32.to_le_bytes());
+        short.truncate(4 + 19);
         assert!(drain(&mut WireReader::new(short.as_slice())).is_err());
     }
 
@@ -2811,7 +2134,11 @@ mod tests {
         assert_eq!(registry.next_id_base(), 0);
         let mut buf = Vec::new();
         write_register(&mut buf, 120, "area.shard0.csv").unwrap();
-        let (rows, label) = read_register(&mut buf.as_slice()).unwrap();
+        let ClientRequest::Register { rows, label } =
+            read_client_request(&mut buf.as_slice()).unwrap()
+        else {
+            panic!("expected a register request");
+        };
         assert_eq!((rows, label.as_str()), (120, "area.shard0.csv"));
         let lease = registry.register(rows);
         assert_eq!(lease.id_base, 0);
@@ -2836,20 +2163,40 @@ mod tests {
             }
         )
         .is_err());
-        // Malformed register/lease frames are errors, not panics.
-        assert!(read_register(&mut [0u8; 3].as_slice()).is_err());
-        let mut v1_register = Vec::new();
-        write_frame_to(
-            &mut v1_register,
-            &[&[FRAME_REGISTER, 1][..], &[0u8; 10][..]].concat(),
-        )
-        .unwrap();
-        let err = read_register(&mut v1_register.as_slice()).unwrap_err();
+        // Malformed register/lease frames are errors, not panics; the
+        // coordinator's refusal surfaces through the lease read.
+        assert!(read_client_request(&mut [0u8; 3].as_slice()).is_err());
+        assert!(read_lease(&mut buf.as_slice()).is_err(), "kind mismatch");
+        let mut refusal = Vec::new();
+        write_error(&mut refusal, "no more leases").unwrap();
+        let err = read_lease(&mut refusal.as_slice()).unwrap_err();
         assert!(
-            matches!(&err, Error::Source(m) if m.contains("needs v2")),
+            matches!(&err, Error::Source(m) if m.contains("no more leases")),
             "{err}"
         );
-        assert!(read_lease(&mut buf.as_slice()).is_err(), "kind mismatch");
+    }
+
+    #[test]
+    fn v2_hello_round_trips_the_assignment() {
+        let all = tuples(10);
+        let assignment = ShardAssignment {
+            id_base: 40,
+            namespace: "coord-7".into(),
+        };
+        let buf = stream_of(&all, Some(all.len()), Some(&assignment));
+        assert_eq!(buf[4], FRAME_HELLO);
+        assert_eq!(buf[5], WIRE_VERSION_V6, "version byte on the wire");
+        let mut reader = WireReader::new(buf.as_slice());
+        let hello = reader.hello().unwrap();
+        assert_eq!(hello.size_hint, Some(10));
+        assert_eq!(hello.assignment.as_ref(), Some(&assignment));
+        assert_eq!(reader.size_hint(), Some(10), "hint known right after hello");
+        assert_eq!(drain(&mut reader).unwrap(), all);
+        // The decoded hello stays available once the stream has ended.
+        assert_eq!(
+            reader.hello().unwrap().assignment.as_ref(),
+            Some(&assignment)
+        );
     }
 
     #[test]
@@ -2864,10 +2211,8 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             let mut writer =
-                WireWriter::v3(&mut buf, Some(all.len()), assignment.as_ref()).unwrap();
-            for t in &all {
-                writer.write_tuple(t).unwrap();
-            }
+                WireWriter::new(&mut buf, Some(all.len()), assignment.as_ref()).unwrap();
+            writer.write_block(&block_of(&all)).unwrap();
             writer
                 .write_stopped(&StoppedAt {
                     scanned: 12,
@@ -2878,7 +2223,6 @@ mod tests {
             writer.finish().unwrap();
             let mut reader = WireReader::new(buf.as_slice());
             let hello = reader.hello().unwrap();
-            assert_eq!(hello.version, WIRE_VERSION_V3);
             assert_eq!(hello.size_hint, Some(8));
             assert_eq!(hello.assignment, assignment);
             assert_eq!(reader.stopped_at(), None, "no trailer before the end");
@@ -2896,21 +2240,11 @@ mod tests {
 
     #[test]
     fn query_and_bound_frames_round_trip() {
-        let query = PushdownQuery { k: 5, p_tau: 1e-3 };
-        let mut buf = Vec::new();
-        write_query(&mut buf, &query).unwrap();
-        assert_eq!(read_query(&mut buf.as_slice()).unwrap(), query);
-
-        // k == 0 announces a full replay and skips the pτ range check.
-        let full = PushdownQuery { k: 0, p_tau: 0.0 };
-        let mut buf = Vec::new();
-        write_query(&mut buf, &full).unwrap();
-        assert_eq!(read_query(&mut buf.as_slice()).unwrap(), full);
-
-        // A gated query with pτ outside (0, 1) is rejected server-side.
+        // A gated announcement with pτ outside (0, 1) is rejected
+        // server-side.
         let mut bad = Vec::new();
-        write_query(&mut bad, &PushdownQuery { k: 3, p_tau: 1.5 }).unwrap();
-        assert!(read_query(&mut bad.as_slice()).is_err());
+        write_scan(&mut bad, &PushdownQuery { k: 3, p_tau: 1.5 }).unwrap();
+        assert!(read_client_request(&mut bad.as_slice()).is_err());
 
         // Bound updates decode through the incremental control parser, even
         // when they arrive split across reads or back to back.
@@ -2931,33 +2265,30 @@ mod tests {
         // Garbage in the control stream is an error, not a hang.
         let mut parser = ControlParser::new();
         parser.extend(&9u32.to_le_bytes());
-        parser.extend(&[FRAME_TUPLE; 9]);
+        parser.extend(&[FRAME_TUPLE_BLOCK; 9]);
         assert!(parser.next_frame().is_err());
     }
 
     #[test]
     fn scan_stats_accumulate_across_connections() {
         let stats = WireScanStats::default();
-        stats.record_connection(true);
-        stats.record_connection(false);
         stats.record_tuple();
         stats.record_tuple();
+        stats.record_block_frames(1, 2);
         stats.record_stopped(&StoppedAt {
             scanned: 10,
             shipped: 2,
             gate_limited: true,
         });
         assert_eq!(stats.tuples_received(), 2);
-        assert_eq!(stats.pushdown_connections(), 1);
-        assert_eq!(stats.plain_connections(), 1);
+        assert_eq!(stats.blocks_received(), 1);
+        assert_eq!(stats.block_rows_received(), 2);
         assert_eq!(stats.server_scanned(), 10);
         assert_eq!(stats.server_shipped(), 2);
-        assert_eq!(stats.trailers(), 1);
     }
 
     fn sample_request() -> QueryRequest {
         QueryRequest {
-            version: WIRE_VERSION_V5,
             dataset: "area-60".into(),
             k: 5,
             p_tau: 1e-3,
@@ -2975,7 +2306,7 @@ mod tests {
             probability: 0.25 + (seed % 7) as f64 / 100.0,
         };
         QueryResult {
-            version: WIRE_VERSION_V5,
+            version: WIRE_VERSION_V6,
             cache_hit: true,
             scan_depth: 69,
             distribution_time_ns: 1_234_567,
@@ -3007,9 +2338,9 @@ mod tests {
             }),
             epoch: 9,
             cache_generation: 4,
-            live: false,
-            live_segments: 0,
-            compacted_epoch: 0,
+            live: true,
+            live_segments: 12,
+            compacted_epoch: 31,
         }
     }
 
@@ -3018,7 +2349,10 @@ mod tests {
         let request = sample_request();
         let mut buf = Vec::new();
         write_query_request(&mut buf, &request).unwrap();
-        assert_eq!(read_query_request(&mut buf.as_slice()).unwrap(), request);
+        assert_eq!(
+            read_client_request(&mut buf.as_slice()).unwrap(),
+            ClientRequest::Query(request)
+        );
 
         // k == 0 and pτ outside (0, 1) are refused server-side.
         for (k, p_tau) in [(0, 1e-3), (5, 0.0), (5, 1.0), (5, -0.5)] {
@@ -3032,7 +2366,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let err = read_query_request(&mut bad.as_slice()).unwrap_err();
+            let err = read_client_request(&mut bad.as_slice()).unwrap_err();
             assert!(
                 matches!(&err, Error::Source(m) if m.contains("outside the accepted range")),
                 "{err}"
@@ -3042,12 +2376,12 @@ mod tests {
         // A version bump is named in the refusal, and truncation is an error.
         let mut future = buf.clone();
         future[5] = WIRE_VERSION_V6 + 1;
-        let err = read_query_request(&mut future.as_slice()).unwrap_err();
+        let err = read_client_request(&mut future.as_slice()).unwrap_err();
         assert!(
-            matches!(&err, Error::Source(m) if m.contains("needs v4")),
+            matches!(&err, Error::Source(m) if m.contains("peer speaks wire version 7")),
             "{err}"
         );
-        assert!(read_query_request(&mut buf[..buf.len() - 3].as_ref()).is_err());
+        assert!(read_client_request(&mut buf[..buf.len() - 3].as_ref()).is_err());
         // An over-long dataset name fails at write time, like every label.
         assert!(write_query_request(
             &mut Vec::new(),
@@ -3072,6 +2406,68 @@ mod tests {
             let decoded = read_query_result(&mut buf.as_slice()).unwrap();
             assert_eq!(decoded, result);
         }
+        // A result at any other version is refused at write time.
+        assert!(write_query_result(
+            &mut Vec::new(),
+            &QueryResult {
+                version: WIRE_VERSION_V6 - 1,
+                ..sample_result(1)
+            }
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn v6_result_tail_round_trips_and_pre_v6_layouts_are_byte_identical() {
+        // Every result carries the live-scan tail: 17 bytes (flag + segments
+        // + last compaction epoch) closing the header, live or not.
+        let live = sample_result(3);
+        let settled = QueryResult {
+            live: false,
+            live_segments: 0,
+            compacted_epoch: 0,
+            ..live.clone()
+        };
+        let (mut live_buf, mut settled_buf) = (Vec::new(), Vec::new());
+        write_query_result(&mut live_buf, &live).unwrap();
+        write_query_result(&mut settled_buf, &settled).unwrap();
+        let header = |buf: &[u8]| u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
+        assert_eq!(header(&live_buf), header(&settled_buf));
+        let tail = &live_buf[4 + header(&live_buf) - 17..4 + header(&live_buf)];
+        assert_eq!(tail[0], 1);
+        assert_eq!(u64::from_le_bytes(tail[1..9].try_into().unwrap()), 12);
+        assert_eq!(u64::from_le_bytes(tail[9..17].try_into().unwrap()), 31);
+        // The two encodings differ in the tail bytes only.
+        assert_eq!(live_buf.len(), settled_buf.len());
+        let differing: Vec<usize> = (0..live_buf.len())
+            .filter(|&i| live_buf[i] != settled_buf[i])
+            .collect();
+        assert!(differing
+            .iter()
+            .all(|&i| (4 + header(&live_buf) - 17..4 + header(&live_buf)).contains(&i)));
+
+        let decoded = read_query_result(&mut live_buf.as_slice()).unwrap();
+        assert_eq!(decoded, live);
+        assert_eq!(
+            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
+            (true, 12, 31)
+        );
+        let decoded = read_query_result(&mut settled_buf.as_slice()).unwrap();
+        assert_eq!(decoded, settled);
+        assert_eq!(
+            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
+            (false, 0, 0)
+        );
+
+        // Pre-v6 layouts are gone: a result framed under an older version
+        // byte is refused, naming both versions.
+        let mut old = live_buf.clone();
+        old[5] = WIRE_VERSION_V6 - 1;
+        let err = read_query_result(&mut old.as_slice()).unwrap_err();
+        assert!(
+            matches!(&err, Error::Source(m) if m.contains("wire version 5") && m.contains("speaks 6")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -3099,7 +2495,7 @@ mod tests {
 
         // An error frame in place of the header decodes as Error::Source.
         let mut refusal = Vec::new();
-        write_query_error(&mut refusal, "no such dataset `missing`").unwrap();
+        write_error(&mut refusal, "no such dataset `missing`").unwrap();
         let err = read_query_result(&mut refusal.as_slice()).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.contains("no such dataset")),
@@ -3116,85 +2512,6 @@ mod tests {
         assert!(
             matches!(&err, Error::Source(m) if m.contains("announced")),
             "{err}"
-        );
-    }
-
-    #[test]
-    fn v4_request_and_result_layouts_are_preserved_for_old_peers() {
-        // A v4 request round-trips with the v4 version byte on the wire.
-        let request = QueryRequest {
-            version: WIRE_VERSION_V4,
-            ..sample_request()
-        };
-        let mut buf = Vec::new();
-        write_query_request(&mut buf, &request).unwrap();
-        assert_eq!(buf[5], WIRE_VERSION_V4, "version byte on the wire");
-        assert_eq!(read_query_request(&mut buf.as_slice()).unwrap(), request);
-
-        // A result answered at v4 is byte-identical to the v4 release: the
-        // header is exactly 16 bytes shorter (no epoch / cache generation)
-        // and decodes with both fields zero.
-        let v5 = sample_result(3);
-        let v4 = QueryResult {
-            version: WIRE_VERSION_V4,
-            epoch: 0,
-            cache_generation: 0,
-            ..v5.clone()
-        };
-        let (mut buf4, mut buf5) = (Vec::new(), Vec::new());
-        write_query_result(&mut buf4, &v4).unwrap();
-        write_query_result(&mut buf5, &v5).unwrap();
-        let header = |buf: &[u8]| u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        assert_eq!(header(&buf5), header(&buf4) + 16);
-        let decoded = read_query_result(&mut buf4.as_slice()).unwrap();
-        assert_eq!(decoded, v4);
-        assert_eq!((decoded.epoch, decoded.cache_generation), (0, 0));
-        // And the v5 result carries its epoch metadata through.
-        let decoded = read_query_result(&mut buf5.as_slice()).unwrap();
-        assert_eq!((decoded.epoch, decoded.cache_generation), (9, 4));
-        // Versions outside v4-v6 are refused at write time.
-        assert!(write_query_result(
-            &mut Vec::new(),
-            &QueryResult {
-                version: WIRE_VERSION_V6 + 1,
-                ..v5
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn v6_result_tail_round_trips_and_pre_v6_layouts_are_byte_identical() {
-        // A v6 result carries the live-scan tail: 17 bytes (flag + segments
-        // + last compaction epoch) after the v5 header.
-        let v5 = sample_result(3);
-        let v6 = QueryResult {
-            version: WIRE_VERSION_V6,
-            live: true,
-            live_segments: 12,
-            compacted_epoch: 31,
-            ..v5.clone()
-        };
-        let (mut buf5, mut buf6) = (Vec::new(), Vec::new());
-        write_query_result(&mut buf5, &v5).unwrap();
-        write_query_result(&mut buf6, &v6).unwrap();
-        let header = |buf: &[u8]| u32::from_le_bytes(buf[0..4].try_into().unwrap());
-        assert_eq!(header(&buf6), header(&buf5) + 17);
-        let decoded = read_query_result(&mut buf6.as_slice()).unwrap();
-        assert_eq!(decoded, v6);
-        assert_eq!(
-            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
-            (true, 12, 31)
-        );
-
-        // A result answered at v5 by this build is byte-identical to the v5
-        // release — not a single v6 byte unless the client asked for one —
-        // and decodes with the live tail zeroed.
-        let decoded = read_query_result(&mut buf5.as_slice()).unwrap();
-        assert_eq!(decoded, v5);
-        assert_eq!(
-            (decoded.live, decoded.live_segments, decoded.compacted_epoch),
-            (false, 0, 0)
         );
     }
 
@@ -3271,7 +2588,7 @@ mod tests {
         // A server error frame decodes with the semantic (never-retried)
         // prefix, a busy frame with the retryable message.
         let mut refusal = Vec::new();
-        write_query_error(&mut refusal, "dataset `sensors` is already registered").unwrap();
+        write_error(&mut refusal, "dataset `sensors` is already registered").unwrap();
         let err = read_admin_response(&mut refusal.as_slice()).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.starts_with("remote admin failed: ")
@@ -3369,7 +2686,7 @@ mod tests {
         // A server error frame decodes with the semantic (never-retried)
         // prefix; a busy frame decodes as the retryable busy error.
         let mut refusal = Vec::new();
-        write_query_error(&mut refusal, "dataset `feed` is not live").unwrap();
+        write_error(&mut refusal, "dataset `feed` is not live").unwrap();
         let err = read_append_ack(&mut refusal.as_slice()).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.starts_with("remote append failed")),
@@ -3398,21 +2715,12 @@ mod tests {
             other => panic!("expected a subscribe request, got {other:?}"),
         }
 
-        // A v4 query shape cannot subscribe — refused at write time, and a
-        // doctored frame is refused at decode time.
-        let v4 = SubscribeRequest {
-            query: QueryRequest {
-                version: WIRE_VERSION_V4,
-                ..sample_request()
-            },
-            max_pushes: 0,
-        };
-        assert!(write_subscribe(&mut Vec::new(), &v4).is_err());
+        // A subscription at a foreign version is refused at decode time.
         let mut doctored = buf.clone();
-        doctored[5] = WIRE_VERSION_V4;
+        doctored[5] = WIRE_VERSION_V6 - 1;
         let err = read_client_request(&mut doctored.as_slice()).unwrap_err();
         assert!(
-            matches!(&err, Error::Source(m) if m.contains("needs protocol version 5")),
+            matches!(&err, Error::Source(m) if m.contains("peer speaks wire version 5")),
             "{err}"
         );
     }
@@ -3428,7 +2736,7 @@ mod tests {
             },
         )
         .unwrap();
-        write_frame_to(&mut buf, &[FRAME_END]).unwrap();
+        write_push_end(&mut buf).unwrap();
         let mut reader = buf.as_slice();
         assert_eq!(
             read_push(&mut reader).unwrap(),
@@ -3455,8 +2763,7 @@ mod tests {
         );
 
         // Dispatch refuses non-request frames by kind, naming the surprise.
-        let mut hello = Vec::new();
-        WireWriter::new(&mut hello, None).unwrap().finish().unwrap();
+        let hello = stream_of(&[], None, None);
         let err = read_client_request(&mut hello.as_slice()).unwrap_err();
         assert!(
             matches!(&err, Error::Source(m) if m.contains("unexpected wire frame kind")),

@@ -16,7 +16,7 @@ use ttk_integration_tests::small_area;
 use ttk_pdb::{
     shard_sources_from_csv_with, table_to_csv, CsvDataset, CsvOptions, ShardImportOptions,
 };
-use ttk_uncertain::{PrefetchPolicy, ShardAssignment, TupleSource, WireWriter};
+use ttk_uncertain::{PrefetchPolicy, ShardAssignment, TupleSource};
 
 /// Exports the small CarTel area as `shards` CSV texts (round-robin rows,
 /// shared schema and group-key strings), returning the texts.
@@ -53,18 +53,20 @@ fn shard_texts(shards: usize) -> Vec<String> {
 }
 
 /// Serves one shard text the way `ttk serve-shard` does: scored with hashed
-/// group keys and an explicit id base, streamed over the wire once per
-/// accepted connection, `conns` times. With an `assignment`, each stream
-/// opens with a v2 hello advertising it (the coordinator-leased daemon);
-/// without, the plain v1 hello (the operator-managed daemon).
+/// group keys and an explicit id base (or the `assignment`'s leased one),
+/// streamed through [`serve_stream`] once per accepted connection, `conns`
+/// times, behind a hello advertising the assignment when there is one.
+/// Every connection's [`ServeSummary`] is reported through the returned
+/// channel.
 fn serve_as(
     text: String,
     id_base: u64,
     conns: usize,
     assignment: Option<ShardAssignment>,
-) -> String {
+) -> (String, mpsc::Receiver<ServeSummary>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let (sender, receiver) = mpsc::channel();
     std::thread::spawn(move || {
         let expr = ttk_pdb::parse_expression("speed_limit / (length / delay)").unwrap();
         for _ in 0..conns {
@@ -85,23 +87,15 @@ fn serve_as(
             .unwrap()
             .pop()
             .unwrap();
-            let hint = source.size_hint();
-            let buffered = std::io::BufWriter::new(stream);
-            let writer = match &assignment {
-                Some(lease) => WireWriter::with_assignment(buffered, hint, lease),
-                None => WireWriter::new(buffered, hint),
+            let options = ServeOptions {
+                drain_every: 8,
+                ..ServeOptions::default()
             };
-            if let Ok(writer) = writer {
-                let _ = writer.serve(&mut source);
-            }
+            let summary = serve_stream(stream, &mut source, assignment.as_ref(), &options).unwrap();
+            let _ = sender.send(summary);
         }
     });
-    addr
-}
-
-/// [`serve_as`] without an assignment — the v1-hello serving path.
-fn serve(text: String, id_base: u64, conns: usize) -> String {
-    serve_as(text, id_base, conns, None)
+    (addr, receiver)
 }
 
 #[test]
@@ -127,7 +121,7 @@ fn remote_shard_scan_is_bit_identical_to_the_local_shard_scan() {
         .iter()
         .map(|text| {
             let rows = text.lines().filter(|l| !l.trim().is_empty()).count() as u64 - 1;
-            let addr = serve(text.clone(), id_base, 4);
+            let (addr, _) = serve_as(text.clone(), id_base, 4, None);
             id_base += rows;
             addr
         })
@@ -186,29 +180,6 @@ fn open_shard(text: &str, id_base: u64) -> impl TupleSource {
     .unwrap()
 }
 
-/// [`serve_as`], but through the version-negotiating [`serve_stream`] of the
-/// v3 daemon; every connection's [`ServeSummary`] is reported through the
-/// returned channel.
-fn serve_v3(text: String, id_base: u64, conns: usize) -> (String, mpsc::Receiver<ServeSummary>) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let (sender, receiver) = mpsc::channel();
-    std::thread::spawn(move || {
-        for _ in 0..conns {
-            let (stream, _) = listener.accept().unwrap();
-            let mut source = open_shard(&text, id_base);
-            let options = ServeOptions {
-                pushdown_wait: Duration::from_millis(10),
-                drain_every: 8,
-                ..ServeOptions::default()
-            };
-            let summary = serve_stream(stream, &mut source, None, &options).unwrap();
-            let _ = sender.send(summary);
-        }
-    });
-    (addr, receiver)
-}
-
 /// The deterministic local-only bound of one served shard: what its
 /// [`ShardScanGate`] admits with no remote updates — remote updates and
 /// early client hangups can only lower the shipped count below this.
@@ -225,7 +196,7 @@ fn shard_bound(text: &str, id_base: u64, k: usize, p_tau: f64) -> u64 {
     admitted
 }
 
-/// **The tentpole property at the database level.** Shard CSVs served by v3
+/// **The tentpole property at the database level.** Shard CSVs served by
 /// pushdown daemons produce bit-identical answers to the local `--shard`
 /// scan, while each server ships at most its conservative per-shard
 /// Theorem-2 bound for gated queries — and the full shard (exactly) when the
@@ -252,7 +223,7 @@ fn pushdown_serving_is_bit_identical_and_ships_within_the_shard_bound() {
     for text in &texts {
         let rows = text.lines().filter(|l| !l.trim().is_empty()).count() as u64 - 1;
         let bound = shard_bound(text, id_base, gated.k, gated.p_tau);
-        let (addr, summaries) = serve_v3(text.clone(), id_base, 2);
+        let (addr, summaries) = serve_as(text.clone(), id_base, 2, None);
         servers.push((addr, summaries, bound, rows));
         id_base += rows;
     }
@@ -290,14 +261,14 @@ fn pushdown_serving_is_bit_identical_and_ships_within_the_shard_bound() {
             .recv_timeout(Duration::from_secs(10))
             .expect("draining-connection summary");
         // U-Topk needs the whole stream: the client announces `k = 0` and
-        // every row crosses the wire, still on a v3 session.
-        assert!(summary.pushdown, "{summary:?}");
+        // every row crosses the wire.
+        assert!(!summary.pushdown, "{summary:?}");
         assert_eq!(summary.shipped, *rows, "{summary:?}");
     }
 }
 
 /// Shards imported under coordinator leases ([`ShardImportOptions::from`])
-/// and served with v2 hellos advertising those leases are bit-identical to
+/// and served with hellos advertising those leases are bit-identical to
 /// the local `--shard` scan — and the client accepts the consistent
 /// namespace assertions without complaint.
 #[test]
@@ -322,7 +293,7 @@ fn lease_driven_v2_serving_matches_the_local_shard_scan() {
         .map(|text| {
             let rows = text.lines().filter(|l| !l.trim().is_empty()).count() as u64 - 1;
             let lease = registry.register(rows);
-            serve_as(text.clone(), lease.id_base, 1, Some(lease))
+            serve_as(text.clone(), lease.id_base, 1, Some(lease)).0
         })
         .collect();
 
