@@ -15,8 +15,8 @@
 //! layer), three end-to-end main-algorithm queries, all distribution only
 //! (`query/main/k5` and `query/main/k10` on the smoke relation,
 //! `query/main-1971/k5` on the 1,971-row relation of the same seed), the
-//! U-Topk search at k = 10 on the smoke relation (`u_topk/k10`, the half of
-//! a default `ttk query` beside the distribution), a loopback `ttk serve`
+//! one-pass U-Topk at k = 10 on the smoke relation (`u_topk/k10`, which a
+//! default `ttk query` runs beside the distribution), a loopback `ttk serve`
 //! pair — cold execution vs result-cache hit for the identical query — and
 //! a loopback remote-shard pair — scan-gate pushdown vs forced full replay —
 //! whose `remote_pushdown` summary records the tuples actually shipped per
@@ -252,8 +252,9 @@ fn main() {
             .execute(&large, &TopkQuery::new(5).with_u_topk(false))
             .unwrap()
     }));
-    // U-Topk's best-first search on the same relation, as every default
-    // `ttk query` runs it next to the distribution: 180,008 states at k = 10.
+    // U-Topk's one pass on the same relation, as every default `ttk query`
+    // runs it next to the distribution: at k = 10 it evaluates 136 of the
+    // 199 positions before Theorem 2 stops it.
     samples.push(measure("u_topk/k10", 10, || {
         u_topk(table, 10, &UTopkConfig::default()).unwrap()
     }));

@@ -288,6 +288,23 @@ fn get_parse<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Res
     }
 }
 
+/// The most histogram buckets `--buckets` may ask for.
+const MAX_BUCKETS: usize = 1_000;
+
+/// `--buckets N` of `query` and `watch`: the histogram's bucket count, 16 by
+/// default. Zero would make the bucket width infinite, and the histogram
+/// allocates one value per bucket, so N must lie in 1..=[`MAX_BUCKETS`].
+fn parse_buckets(flags: &Flags) -> Result<usize, String> {
+    let buckets = get_parse(flags, "buckets", 16usize)?;
+    if (1..=MAX_BUCKETS).contains(&buckets) {
+        Ok(buckets)
+    } else {
+        Err(format!(
+            "--buckets must be between 1 and {MAX_BUCKETS}, got {buckets}"
+        ))
+    }
+}
+
 fn parse_range(raw: &str) -> Result<IntRange, String> {
     let (lo, hi) = raw
         .split_once(':')
@@ -1462,12 +1479,12 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if k == 0 && batch_ks.is_none() {
         return Err("--k (or --batch) is required and must be at least 1".to_string());
     }
+    let buckets = parse_buckets(&flags)?;
 
     if let Some(server) = get(&flags, "server") {
         reject_local_input_flags(&positional, &flags)?;
         let (client, dataset) = server_query_client(server, &flags)?;
         let topk = parse_topk_params(&flags, k.max(1))?;
-        let buckets = get_parse(&flags, "buckets", 16usize)?;
         if let Some(ks) = batch_ks {
             // The batch re-dials per k; repeated shapes land in the server's
             // result cache, so a re-run of the batch is answered cache-hot.
@@ -1500,7 +1517,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     }
 
     let spec = parse_query_spec(&flags, k.max(1))?;
-    let buckets = get_parse(&flags, "buckets", 16usize)?;
     let threads = get_parse(&flags, "threads", 0usize)?;
     let csv_options = parse_csv_options(&flags);
     let dataset = resolve_dataset(
@@ -1647,10 +1663,10 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     if k == 0 {
         return Err("--k is required and must be at least 1".to_string());
     }
+    let buckets = parse_buckets(&flags)?;
     let (client, dataset) = server_query_client(server, &flags)?;
     let topk = parse_topk_params(&flags, k)?;
     let pushes = get_parse(&flags, "pushes", 0u64)?;
-    let buckets = get_parse(&flags, "buckets", 16usize)?;
 
     let mut watch = client
         .watch(&dataset, &topk, pushes)
@@ -1847,7 +1863,7 @@ fn print_answer_summary(answer: &ttk_core::QueryAnswer) {
     }
     if let Some(u) = &answer.u_topk {
         println!(
-            "U-Topk: {} ({} states expanded, depth {})",
+            "U-Topk: {} ({} positions evaluated, depth {})",
             u.vector, u.expansions, u.deepest_position
         );
         if let Some(p) = answer.u_topk_percentile() {
@@ -1977,6 +1993,39 @@ mod tests {
             "query", "--file", &path, "--score", "delay", "--batch", "4:1",
         ]))
         .is_err());
+        std::fs::remove_file(&data).ok();
+    }
+
+    #[test]
+    fn buckets_outside_one_to_a_thousand_are_rejected() {
+        let data = std::env::temp_dir().join("ttk_cli_test_buckets.csv");
+        let path = data.to_string_lossy().to_string();
+        run(&s(&[
+            "generate",
+            "cartel",
+            "--segments",
+            "5",
+            "--seed",
+            "1",
+            "--out",
+            &path,
+        ]))
+        .unwrap();
+        let local = s(&["query", &path, "--score", "delay", "--k", "3"]);
+        // Nothing listens on port 1: the flag is checked before any dial.
+        let remote = s(&["--server", "127.0.0.1:1", "--dataset", "d", "--k", "3"]);
+        for buckets in ["0", "1001", "4000000000"] {
+            let flag = s(&["--buckets", buckets]);
+            for args in [
+                [local.clone(), flag.clone()].concat(),
+                [s(&["query"]), remote.clone(), flag.clone()].concat(),
+                [s(&["watch"]), remote.clone(), flag.clone()].concat(),
+            ] {
+                let err = run(&args).unwrap_err();
+                assert!(err.contains("--buckets"), "{args:?}: {err}");
+            }
+        }
+        run(&[local, s(&["--buckets", "1000"])].concat()).unwrap();
         std::fs::remove_file(&data).ok();
     }
 

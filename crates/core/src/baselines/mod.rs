@@ -1,7 +1,8 @@
 //! Comparator semantics and ground-truth baselines.
 //!
 //! * [`mod@u_topk`] — the category-(1) U-Topk semantics the paper argues against
-//!   (highest-probability vector, regardless of how typical its score is).
+//!   (highest-probability vector, regardless of how typical its score is),
+//!   found in one rank-order pass that Theorem 2 ends early.
 //! * [`ranks`] — the category-(2) semantics U-kRanks and PT-k, provided for
 //!   completeness of the comparison discussion in §1 and §6.
 //! * [`exhaustive`] — possible-world enumeration used as ground truth in the

@@ -1,246 +1,122 @@
-//! The U-Topk comparator semantics (Soliman, Ilyas, Chang — ICDE 2007).
+//! The U-Topk comparator semantics (Soliman, Ilyas & Chang, ICDE 2007).
 //!
 //! U-Topk returns the single k-tuple vector with the highest probability of
 //! being the top-k across all possible worlds. The paper under reproduction
-//! uses U-Topk as the comparison point for every evaluation figure: the
-//! U-Topk score is marked on each score distribution to show how *atypical*
-//! it can be.
+//! marks the U-Topk score on every score distribution to show how
+//! *atypical* it can be.
 //!
-//! The implementation is the classical best-first search over prefix states:
-//! tuples are processed in rank order, each state records which of the
-//! processed tuples appear, and states are expanded in order of decreasing
-//! probability. Because extending a state can only lower its probability,
-//! the first state that reaches `k` appearing tuples is the optimal answer
-//! (the "optimal number of accessed tuples" property of \[18\]).
+//! # One rank-order pass
 //!
-//! # State layout
+//! The answer comes from the scan of Yi, Li, Kollios & Srivastava
+//! ("Efficient Processing of Top-k Queries in Uncertain Databases", ICDE
+//! 2008), not from Soliman et al.'s best-first search over prefix states.
+//! Rank means table position; an independent tuple is an ME group of one.
 //!
-//! A frontier state is a `Copy` value of four words: its probability, the
-//! next rank position to decide, how many tuples it has selected, and the
-//! arena index of the last one. The selected tuples live once, in a
-//! search-owned arena of `(position, parent)` cells: an include step
-//! appends one cell pointing at the state's previous last cell, so a child
-//! shares its whole selection with its parent. Only the answer's chain is
-//! turned into tuple ids, and its score is summed then, from `0.0` in
-//! selection order, as a running per-state score would have been. The
-//! arena grows by at most one cell per expansion and is indexed by `usize`,
-//! so its indices cannot wrap for any [`UTopkConfig::max_expansions`].
+//! A vector whose lowest-ranked member sits at position `i`, in group `g`,
+//! is the top-k of a world exactly when its members appear and no other
+//! tuple ranked above `i` does. Groups are independent, so its probability
+//! is `pᵢ` times, per other group with members above `i`, the chosen
+//! member's `p`, or `1 − m` if the group contributes none (`m` is its mass
+//! above `i`). The best vector ending at `i` thus takes each group's best
+//! member, every *forced* group (one left no exclusion mass), and the
+//! unforced groups with the largest ratios `p_best / (1 − m)`:
 //!
-//! # Excluded mass
+//! ```text
+//! pᵢ · Π (1 − m) over the unforced · Π p_best over the forced
+//!    · the k − 1 − forced largest ratios
+//! ```
 //!
-//! Deciding the tuple at position `p` conditions on the probability mass its
-//! ME group has already excluded. No state stores that mass, because it is
-//! fixed by `p`: a state at `p` whose group has no included member has
-//! excluded exactly that group's members ranked above `p`. (Every earlier
-//! member was decided by an ancestor; including one would make the group
-//! included, and an exclusion that leaves the group no mass kills the
-//! state.) The mass is therefore a rank-order prefix sum within the group,
-//! filled lazily per position up to the deepest one the search reaches. It
-//! is summed member by member from `0.0`, in the order a per-state map of
-//! excluded mass would accumulate it, so every probability, the heap order
-//! (probability, then position) and the push order match that per-state
-//! search exactly: answers, `expansions`, `deepest_position` and the
-//! expansion-limit error are bit-identical to it. The per-state search is
-//! kept as the test oracle in `tests/support/u_topk_oracle.rs`.
+//! `i` is skipped when `g` has no exclusion mass left, when fewer than
+//! `k − 1` other groups have been seen, or when more than `k − 1` of them
+//! are forced. A group is forced once `1 − m` above a member is at most
+//! `1e-15`, or `1 − m − p` after it at most `0`: the search's guards, so
+//! the two agree on which vectors can exist.
+//!
+//! The unforced groups are kept ordered by (ratio, best member's rank), so
+//! the top `k − 1` outside `g` take O(k) to read; their exclusion product
+//! is a running sum of logs. The pass costs O(n·(k + log G)) for n rows and
+//! G groups.
+//!
+//! # Where it stops
+//!
+//! Theorem 2 with pτ set to the best probability so far: the pass stops
+//! before `i` once a vector has been found and `i`'s μ (its mass above
+//! outside `g`, as in [`ScanGate`](crate::scan_depth::ScanGate)) reaches
+//! [`stopping_threshold`]`(k, best)`. A vector ending at `j ≥ i` is the
+//! top-k only in worlds where at most `k − 1` tuples ranked above `i`
+//! appear. That count sums independent per-group indicators with a mean of
+//! at least μ, so the Chernoff bound behind Theorem 2 puts its chance under
+//! `best`: no vector ending at `i` or later can beat `best`. The threshold
+//! only falls as `best` rises.
+//!
+//! # Ties
+//!
+//! A group's best member is its earliest-ranked most probable one. Equal
+//! ratios go to the group whose best member ranks first. A later position
+//! wins only with a strictly higher probability, so the earliest last
+//! position wins. If every vector's probability underflows to 0, there is
+//! no answer.
 
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
-use ttk_uncertain::{Error, Result, TopkVector, TupleSource, UncertainTable};
+use ttk_uncertain::{Error, Result, TopkVector, UncertainTable};
 
-use crate::scan::RankScan;
-use crate::scan_depth::ScanGate;
+use crate::scan_depth::stopping_threshold;
 
-/// Safety limit and outcome statistics for the best-first search.
-#[derive(Debug, Clone, Copy)]
-pub struct UTopkConfig {
-    /// Maximum number of states popped from the frontier before giving up.
-    /// Protects against pathological inputs where the frontier grows
-    /// exponentially; the default is generous.
-    pub max_expansions: u64,
-}
+/// Options of [`u_topk`]: none to set; the type keeps the call's shape.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UTopkConfig {}
 
-impl Default for UTopkConfig {
-    fn default() -> Self {
-        UTopkConfig {
-            max_expansions: 20_000_000,
-        }
-    }
-}
-
-/// The U-Topk answer together with search statistics.
+/// The U-Topk answer together with pass statistics.
 #[derive(Debug, Clone)]
 pub struct UTopkAnswer {
     /// The most probable top-k vector.
     pub vector: TopkVector,
-    /// Number of states popped from the frontier.
+    /// Rank positions the pass evaluated: all of those before its stop.
     pub expansions: u64,
-    /// Deepest rank position examined (the "scan depth" of the search).
+    /// The last rank position the pass evaluated.
     pub deepest_position: usize,
 }
 
-/// One frontier state; its selected tuples are a chain of [`Selections`]
-/// cells ending at `last`.
+/// `best` of a group none of whose members has been passed.
+const UNSEEN: usize = usize::MAX;
+
+/// One ME group's members above the pass's current position.
 #[derive(Debug, Clone, Copy)]
-struct SearchState {
-    probability: f64,
-    /// Next rank position to decide.
-    next: usize,
-    /// Number of selected tuples.
-    selected: usize,
-    /// Arena cell of the last selected tuple ([`ROOT`] before the first).
-    last: usize,
+struct Group {
+    /// Their summed probability, added in rank order from `0.0`.
+    mass: f64,
+    /// The exclusion factor `1 − mass`, as `1 − m − p` at the last member.
+    left: f64,
+    /// The earliest-ranked most probable member, or [`UNSEEN`].
+    best: usize,
+    /// Whether the group has no exclusion mass left.
+    forced: bool,
 }
 
-impl PartialEq for SearchState {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
+impl Group {
+    /// The group's place among the unforced groups: ratio descending, then
+    /// the rank of its best member. Positive floats order as their bits.
+    fn key(&self, table: &UncertainTable) -> (Reverse<u64>, usize) {
+        let ratio = table.tuple(self.best).prob() / self.left;
+        (Reverse(ratio.to_bits()), self.best)
     }
-}
-impl Eq for SearchState {}
-impl PartialOrd for SearchState {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for SearchState {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap by probability; deeper states win ties so completed
-        // vectors surface promptly.
-        self.probability
-            .total_cmp(&other.probability)
-            .then(self.next.cmp(&other.next))
-    }
-}
-
-/// The arena's sentinel cell: the parent of every first selection.
-const ROOT: usize = 0;
-
-/// One selected tuple: its rank position and the cell selected before it.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    position: usize,
-    parent: usize,
-}
-
-/// The search-owned arena every state's selection chain lives in. Chains
-/// run from a state's last selection back to [`ROOT`] in strictly
-/// decreasing rank position.
-struct Selections {
-    cells: Vec<Cell>,
-}
-
-impl Selections {
-    fn new() -> Self {
-        Selections {
-            cells: vec![Cell {
-                position: usize::MAX,
-                parent: ROOT,
-            }],
-        }
-    }
-
-    /// Appends `position` after the chain ending at `parent`; returns the
-    /// new chain's last cell.
-    fn push(&mut self, position: usize, parent: usize) -> usize {
-        self.cells.push(Cell { position, parent });
-        self.cells.len() - 1
-    }
-
-    /// Whether the chain ending at `last` selects a member of `group`, whose
-    /// first member (in rank order) sits at `first_member`.
-    fn holds_group(
-        &self,
-        table: &UncertainTable,
-        mut last: usize,
-        group: usize,
-        first_member: usize,
-    ) -> bool {
-        while last != ROOT {
-            let cell = self.cells[last];
-            if cell.position < first_member {
-                return false;
-            }
-            if table.group_index(cell.position) == group {
-                return true;
-            }
-            last = cell.parent;
-        }
-        false
-    }
-
-    /// The vector the chain ending at `last` selects: its ids in selection
-    /// (rank) order and their scores summed in that order from `0.0`.
-    fn vector(&self, table: &UncertainTable, mut last: usize, probability: f64) -> TopkVector {
-        let mut positions = Vec::new();
-        while last != ROOT {
-            let cell = self.cells[last];
-            positions.push(cell.position);
-            last = cell.parent;
-        }
-        positions.reverse();
-        let score = positions
-            .iter()
-            .fold(0.0, |sum, &pos| sum + table.tuple(pos).score());
-        let ids = positions.iter().map(|&pos| table.tuple(pos).id()).collect();
-        TopkVector::new(ids, score, probability)
-    }
-}
-
-/// Rank-order prefix sums of ME-group mass, filled lazily: entry `p` is the
-/// summed probability of the members of `p`'s group ranked above `p`.
-struct MassAbove {
-    filled: Vec<f64>,
-}
-
-impl MassAbove {
-    fn at(&mut self, table: &UncertainTable, pos: usize) -> f64 {
-        while self.filled.len() <= pos {
-            let p = self.filled.len();
-            let members = table.group_members(p);
-            let mass = match members.partition_point(|&m| m < p).checked_sub(1) {
-                None => 0.0,
-                Some(i) => self.filled[members[i]] + table.tuple(members[i]).prob(),
-            };
-            self.filled.push(mass);
-        }
-        self.filled[pos]
-    }
-}
-
-/// Computes the U-Topk answer from a rank-ordered [`TupleSource`].
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] when `k == 0` or the search exceeds
-/// [`UTopkConfig::max_expansions`]; propagates source errors.
-pub fn u_topk_streamed(
-    source: &mut dyn TupleSource,
-    k: usize,
-    config: &UTopkConfig,
-) -> Result<Option<UTopkAnswer>> {
-    // U-Topk has no probability threshold, so Theorem 2 provides no bound for
-    // it; the stream is drained through an open gate (the best-first search
-    // itself then stops at its optimal depth).
-    let mut gate = ScanGate::open();
-    let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
-    u_topk(&prefix.table, k, config)
 }
 
 /// Computes the U-Topk answer: the k-tuple vector with the highest
-/// probability of being the top-k vector of the table (see
-/// [`u_topk_streamed`] for the source-based variant).
+/// probability of being the top-k vector of the table.
 ///
-/// Returns `None` when the table cannot produce `k` co-existing tuples (for
-/// example when it has fewer than `k` ME groups).
+/// Returns `None` when no k tuples can co-exist (for example when the table
+/// has fewer than `k` ME groups) or every vector's probability underflows.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidParameter`] when `k == 0` or the search exceeds
-/// [`UTopkConfig::max_expansions`].
+/// Returns [`Error::InvalidParameter`] when `k == 0`.
 pub fn u_topk(
     table: &UncertainTable,
     k: usize,
-    config: &UTopkConfig,
+    _config: &UTopkConfig,
 ) -> Result<Option<UTopkAnswer>> {
     if k == 0 {
         return Err(Error::InvalidParameter("k must be at least 1".into()));
@@ -249,87 +125,96 @@ pub fn u_topk(
         // A world holds at most one tuple per ME group.
         return Ok(None);
     }
-    let mut selections = Selections::new();
-    let mut mass_above = MassAbove { filled: Vec::new() };
-    let mut heap = BinaryHeap::new();
-    heap.push(SearchState {
-        probability: 1.0,
-        next: 0,
-        selected: 0,
-        last: ROOT,
-    });
-    let mut expansions: u64 = 0;
-    let mut deepest = 0usize;
+    let unseen = Group {
+        mass: 0.0,
+        left: 1.0,
+        best: UNSEEN,
+        forced: false,
+    };
+    let mut groups = vec![unseen; table.group_count()];
+    let mut open = BTreeSet::new();
+    let mut forced: Vec<usize> = Vec::new();
+    // Σ ln(left) over `open`, and the mass of every position passed.
+    let mut log_left = 0.0;
+    let mut total_mass = 0.0;
+    let mut best = (0.0, Vec::new());
+    let mut threshold = f64::INFINITY;
+    let mut chosen = Vec::with_capacity(k);
+    let mut evaluated = 0;
 
-    while let Some(state) = heap.pop() {
-        expansions += 1;
-        if expansions > config.max_expansions {
-            return Err(Error::InvalidParameter(format!(
-                "U-Topk search exceeded {} expansions",
-                config.max_expansions
-            )));
+    for i in 0..table.len() {
+        let g = table.group_index(i);
+        let own = groups[g];
+        if total_mass - own.mass >= threshold {
+            break;
         }
-        deepest = deepest.max(state.next);
-        if state.selected == k {
-            return Ok(Some(UTopkAnswer {
-                vector: selections.vector(table, state.last, state.probability),
-                expansions,
-                deepest_position: deepest,
-            }));
+        evaluated = i + 1;
+        let p = table.tuple(i).prob();
+        // False for a forced group, so `open` holds `g` once it is seen.
+        let includable = 1.0 - own.mass > 1e-15;
+
+        if includable && forced.len() < k {
+            chosen.clear();
+            chosen.extend(forced.iter().map(|&h| groups[h].best));
+            let mut log_rest = log_left - own.left.ln();
+            let free = open
+                .iter()
+                .filter(|&&(_, pos)| pos != own.best)
+                .take(k - 1 - forced.len());
+            for &(_, pos) in free {
+                chosen.push(pos);
+                log_rest -= groups[table.group_index(pos)].left.ln();
+            }
+            if chosen.len() == k - 1 {
+                let probability = chosen
+                    .iter()
+                    .fold(p, |product, &pos| product * table.tuple(pos).prob())
+                    * log_rest.exp();
+                if probability > best.0 {
+                    chosen.push(i);
+                    chosen.sort_unstable();
+                    best = (probability, chosen.clone());
+                    threshold = stopping_threshold(k, probability);
+                }
+            }
         }
-        if state.next >= table.len() {
-            continue; // Dead end: ran out of tuples before reaching k.
-        }
-        let pos = state.next;
-        let tuple = table.tuple(pos);
-        let group = table.group_index(pos);
-        let members = table.group_members(pos);
-        let singleton = members.len() == 1;
-        let has_included =
-            members[0] < pos && selections.holds_group(table, state.last, group, members[0]);
-        if has_included {
-            // The group's member is already in: this tuple is certainly out.
-            heap.push(SearchState {
-                next: pos + 1,
-                ..state
-            });
+
+        total_mass += p;
+        let group = &mut groups[g];
+        group.mass += p;
+        if own.forced {
             continue;
         }
-        let excluded_mass = mass_above.at(table, pos);
-
-        // Include branch.
-        let denom = 1.0 - excluded_mass;
-        if denom > 1e-15 {
-            let probability = state.probability / denom * tuple.prob();
-            if probability > 0.0 {
-                heap.push(SearchState {
-                    probability,
-                    next: pos + 1,
-                    selected: state.selected + 1,
-                    last: selections.push(pos, state.last),
-                });
-            }
+        if own.best != UNSEEN {
+            open.remove(&own.key(table));
+            log_left -= own.left.ln();
         }
-        // Exclude branch.
-        let probability = if singleton {
-            state.probability * tuple.probability().complement()
+        if includable && (own.best == UNSEEN || p > table.tuple(own.best).prob()) {
+            group.best = i;
+        }
+        group.left = 1.0 - own.mass - p;
+        if includable && group.left > 0.0 {
+            open.insert(group.key(table));
+            log_left += group.left.ln();
         } else {
-            let numer = 1.0 - excluded_mass - tuple.prob();
-            if denom <= 1e-15 || numer <= 0.0 {
-                0.0
-            } else {
-                state.probability / denom * numer
-            }
-        };
-        if probability > 0.0 {
-            heap.push(SearchState {
-                probability,
-                next: pos + 1,
-                ..state
-            });
+            group.forced = true;
+            forced.push(g);
         }
     }
-    Ok(None)
+
+    let (probability, positions) = best;
+    if positions.is_empty() {
+        return Ok(None);
+    }
+    let score = positions
+        .iter()
+        .fold(0.0, |sum, &pos| sum + table.tuple(pos).score());
+    let ids = positions.iter().map(|&pos| table.tuple(pos).id()).collect();
+    Ok(Some(UTopkAnswer {
+        vector: TopkVector::new(ids, score, probability),
+        expansions: evaluated as u64,
+        deepest_position: evaluated - 1,
+    }))
 }
 
 #[cfg(test)]
@@ -369,13 +254,15 @@ mod tests {
         assert_eq!(answer.vector.ids(), &[TupleId(2), TupleId(6)]);
         assert!((answer.vector.probability() - 0.2).abs() < 1e-9);
         assert!((answer.vector.total_score() - 118.0).abs() < 1e-9);
+        // The threshold is never reached on seven rows: the pass reads all.
+        assert_eq!((answer.expansions, answer.deepest_position), (7, 6));
     }
 
     #[test]
     fn u_top1_is_the_certain_tuple() {
         // T5 has probability 1 but score 56; the top-1 is T5 only when every
-        // higher-scored tuple is absent: 0.7 * 0.6 * ... let's check that the
-        // search agrees with brute force via the exhaustive baseline.
+        // higher-scored tuple is absent. Check the pass against brute force
+        // via the exhaustive baseline.
         let table = soldier_table();
         let answer = u_topk(&table, 1, &UTopkConfig::default()).unwrap().unwrap();
         let exact = crate::baselines::exhaustive::exhaustive_u_topk(&table, 1, 1 << 20).unwrap();
@@ -418,9 +305,7 @@ mod tests {
             .unwrap()
             .is_some());
 
-        // 40 tuples in 20 two-member groups: no world holds 21 tuples. The
-        // answer must come without a search, which would walk all 2^20
-        // equally likely selections before giving up.
+        // 40 tuples in 20 two-member groups: no world holds 21 tuples.
         let mut builder = UncertainTable::builder();
         for id in 0..40u64 {
             builder = builder.tuple(id, id as f64, 0.5).unwrap();
@@ -430,23 +315,20 @@ mod tests {
         }
         let table = builder.build().unwrap();
         assert_eq!(table.group_count(), 20);
-        assert!(u_topk(&table, 21, &UTopkConfig { max_expansions: 1 })
+        assert!(u_topk(&table, 21, &UTopkConfig::default())
             .unwrap()
             .is_none());
     }
 
     #[test]
-    fn rejects_k_zero_and_expansion_limit() {
-        let table = soldier_table();
-        assert!(u_topk(&table, 0, &UTopkConfig::default()).is_err());
-        let err = u_topk(&table, 2, &UTopkConfig { max_expansions: 1 });
-        assert!(err.is_err());
+    fn rejects_k_zero() {
+        assert!(u_topk(&soldier_table(), 0, &UTopkConfig::default()).is_err());
     }
 
     #[test]
     fn search_does_not_scan_past_what_it_needs() {
-        // With certain tuples at the top, the search must terminate after
-        // roughly k positions.
+        // With certain tuples at the top, the pass must stop after roughly
+        // k positions.
         let table = UncertainTable::new(
             (0..100u64)
                 .map(|i| ttk_uncertain::UncertainTuple::new(i, 1000.0 - i as f64, 1.0).unwrap())
@@ -457,5 +339,36 @@ mod tests {
         let answer = u_topk(&table, 5, &UTopkConfig::default()).unwrap().unwrap();
         assert!((answer.vector.probability() - 1.0).abs() < 1e-12);
         assert!(answer.deepest_position <= 6);
+    }
+
+    /// The U-Top2 ids of `(id, score, probability)` rows with the given ME
+    /// rules.
+    fn u_top2_ids(rows: &[(u64, f64, f64)], rules: &[&[u64]]) -> Vec<u64> {
+        let mut builder = UncertainTable::builder();
+        for &(id, score, prob) in rows {
+            builder = builder.tuple(id, score, prob).unwrap();
+        }
+        for rule in rules {
+            builder = builder.me_rule(rule.iter().copied());
+        }
+        let answer = u_topk(&builder.build().unwrap(), 2, &UTopkConfig::default())
+            .unwrap()
+            .unwrap();
+        answer.vector.ids().iter().map(|id| id.raw()).collect()
+    }
+
+    #[test]
+    fn ties_go_to_the_earliest_ranked_tuples() {
+        // <1, 2> and <1, 3> both have probability 0.5: the earliest last
+        // position wins.
+        let rows = [(1, 3.0, 1.0), (2, 2.0, 0.5), (3, 1.0, 0.5)];
+        assert_eq!(u_top2_ids(&rows, &[&[2, 3]]), [1, 2]);
+        // Ending at 3, tuples 1 and 2 have equal ratios 0.4 / 0.6: <1, 3>
+        // is chosen over <2, 3> (both 0.24, above <1, 2>'s 0.16).
+        let rows = [(1, 3.0, 0.4), (2, 2.0, 0.4), (3, 1.0, 1.0)];
+        assert_eq!(u_top2_ids(&rows, &[]), [1, 3]);
+        // Members 1 and 2 of one group are equally probable: the earlier
+        // one is the group's best.
+        assert_eq!(u_top2_ids(&rows, &[&[1, 2]]), [1, 3]);
     }
 }

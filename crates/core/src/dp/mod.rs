@@ -439,7 +439,12 @@ impl SegmentResults {
 /// it; with one worker the same loop runs alone on the calling thread.
 /// The results are looked up by segment, so which worker ran a segment,
 /// and when, cannot reach the caller's merge.
-fn run_forward_pass(plan: &Plan, k: usize, config: &EngineConfig, workers: usize) -> SegmentResults {
+fn run_forward_pass(
+    plan: &Plan,
+    k: usize,
+    config: &EngineConfig,
+    workers: usize,
+) -> SegmentResults {
     let cursor = AtomicUsize::new(0);
     let work = || {
         let mut forward = Forward::new(k, *config);

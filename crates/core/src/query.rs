@@ -244,8 +244,8 @@ impl Executor {
 
     /// Kernel of the streaming execution path: pulls `source`
     /// through the Theorem-2 gate and runs the selected algorithm on the
-    /// admitted prefix. `full_table` enables the direct U-Topk search when
-    /// the caller holds the materialized table.
+    /// admitted prefix. `full_table` lets U-Topk run on the table directly
+    /// when the caller holds the materialized table.
     pub(crate) fn run_source(
         &mut self,
         source: &mut dyn TupleSource,
@@ -333,11 +333,9 @@ impl Executor {
             match full_table {
                 Some(table) => u_topk(table, query.k, &UTopkConfig::default())?,
                 None => {
-                    // Theorem 2 does not bound U-Topk (it has no probability
-                    // threshold), so honour the classical semantics by
-                    // draining the rest of the stream — mirroring
-                    // `u_topk_streamed` rather than silently searching only
-                    // the pτ prefix.
+                    // U-Topk is defined over the whole relation: drain the
+                    // rest of the stream rather than answer from the pτ
+                    // prefix alone.
                     let full = prefix.into_full_table(source)?;
                     u_topk(&full, query.k, &UTopkConfig::default())?
                 }

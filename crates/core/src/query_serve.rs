@@ -376,7 +376,7 @@ fn no_such_dataset(registry: &DatasetRegistry, name: &str) -> Error {
 /// vector when present.
 ///
 /// Scan bookkeeping (scan depth, timings, per-line witnesses, U-Top-k
-/// search counters) is deliberately excluded: an append that does not
+/// pass counters) is deliberately excluded: an append that does not
 /// change the top-k distribution may still change how deep the scan ran,
 /// and a standing subscription must stay silent for it.
 pub fn answer_hash(answer: &QueryAnswer) -> u64 {

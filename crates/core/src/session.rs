@@ -1,9 +1,6 @@
 //! The unified execution API: [`Dataset`] + [`Session`].
 //!
-//! Earlier revisions of this workspace exposed the Theorem-2 scan through
-//! five parallel entry points (`execute`, `execute_source`, `execute_shards`,
-//! `execute_batch`, `execute_batch_sources`), one per physical input shape.
-//! This module replaces them with a single composable pair:
+//! One composable pair runs every query, whatever the physical input:
 //!
 //! * a [`Dataset`] abstracts **what is scanned** — an in-memory
 //!   [`UncertainTable`], an owned rank-ordered stream, a set of shard
@@ -17,10 +14,6 @@
 //!   optionally with a bounded-result-memory sink) and [`Session::explain`],
 //!   which reports the chosen scan path as a [`PlanDescription`] without
 //!   running anything.
-//!
-//! The legacy entry points remain as thin deprecated wrappers for one
-//! release; property tests assert the new path is bit-identical to each of
-//! them.
 //!
 //! ```
 //! use ttk_core::{Dataset, Session, TopkQuery};
@@ -56,7 +49,7 @@ use crate::scan_depth::GateMeter;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanPath {
     /// An in-memory [`UncertainTable`] streamed in rank order (U-Topk, when
-    /// requested, searches the table directly).
+    /// requested, runs over the table directly).
     InMemory,
     /// A single rank-ordered stream.
     Stream,
@@ -363,8 +356,7 @@ impl Dataset {
     /// Wraps an owned in-memory table.
     ///
     /// The table is shared behind an [`Arc`]; every open streams it in rank
-    /// order, and U-Topk (when requested) searches the table directly —
-    /// bit-identical to the legacy `execute` entry point.
+    /// order, and U-Topk (when requested) runs over the table directly.
     ///
     /// ```
     /// use ttk_core::{Dataset, Session, TopkQuery};
@@ -427,7 +419,7 @@ impl Dataset {
 
     /// Wraps the shard streams of **one partitioned relation** (shared
     /// group-key namespace); opening fuses them under the loser-tree k-way
-    /// merge, bit-identical to the legacy `execute_shards` entry point.
+    /// merge.
     /// Single-pass, like [`Dataset::stream`].
     ///
     /// ```
@@ -631,7 +623,7 @@ impl Dataset {
     }
 
     /// The in-memory table behind this dataset, when it wraps one (used for
-    /// the direct U-Topk search path).
+    /// the direct U-Topk path).
     fn as_table(&self) -> Option<&UncertainTable> {
         match &self.inner {
             Inner::Table(table) => Some(table),
@@ -980,10 +972,9 @@ impl Session {
 
     /// Executes one query against a dataset.
     ///
-    /// Table datasets run the direct path (U-Topk, when requested, searches
+    /// Table datasets run the direct path (U-Topk, when requested, runs over
     /// the table); every other kind opens into a [`ScanHandle`] and streams
-    /// through the Theorem-2 gate. Both are bit-identical to the legacy
-    /// per-shape entry points.
+    /// through the Theorem-2 gate, and U-Topk drains the rest of the stream.
     ///
     /// The observed scan depth is recorded per `(dataset, k, pτ)`, so a
     /// later [`Session::explain`] can report the cost model's drift
@@ -1154,9 +1145,7 @@ fn execute_on(
 ///
 /// Sequential when `threads <= 1` or there is at most one job — that path
 /// runs on `seq_executor` so a long-lived caller (the [`Session`]) keeps its
-/// warm scratch buffers. Used by [`Session::execute_batch`] and by the
-/// deprecated legacy batch wrappers, so all batch paths share one scheduling
-/// and delivery implementation.
+/// warm scratch buffers.
 pub(crate) fn fan_out<A, W, S>(
     total: usize,
     threads: usize,

@@ -230,11 +230,11 @@ proptest! {
         assert_close(&kc.distribution, &exact, &format!("k-combo k={k}"));
     }
 
-    /// The best-first U-Topk search finds a vector whose probability equals
-    /// the maximum probability over all vectors found by enumeration.
+    /// The one-pass U-Topk finds a vector whose probability equals the
+    /// maximum probability over all vectors found by enumeration.
     ///
     /// (Under score ties the two approaches may pick different but equally
-    /// probable vectors; under the prefix semantics the search probability
+    /// probable vectors; under the prefix semantics the pass's probability
     /// never exceeds the enumeration optimum.)
     #[test]
     fn u_topk_probability_is_maximal(table in small_table(), k in 1usize..4) {

@@ -1,18 +1,17 @@
-//! The per-state U-Topk search, kept as the reference the library's
-//! arena-based `baselines::u_topk` must match bit for bit.
+//! The per-state U-Topk search of Soliman, Ilyas & Chang (ICDE 2007), kept
+//! as the reference the library's one-pass `baselines::u_topk` is checked
+//! against.
 //!
 //! Every state owns its selected ids, the groups it has included and a map
 //! of the probability mass it has excluded per still-open ME group, and an
-//! include step clones all three. The heap order, the push order and the
-//! float expressions are the ones the library search keeps, so the two give
-//! the same answers, probabilities, scores, `expansions`, `deepest_position`
-//! and expansion-limit errors. The one deliberate difference: for
-//! `k > group_count()` this search runs until the frontier empties or the
-//! expansion limit trips, where the library answers `Ok(None)` up front.
+//! include step clones all three. States are expanded best first; the first
+//! one to select `k` tuples is the answer. For `k > group_count()` this
+//! search runs until the frontier empties, where the library answers
+//! `Ok(None)` up front.
 
 use std::collections::{BinaryHeap, HashMap};
 
-use ttk_core::baselines::{UTopkAnswer, UTopkConfig};
+use ttk_core::baselines::UTopkAnswer;
 use ttk_uncertain::{Error, Result, TopkVector, TupleId, UncertainTable};
 
 #[derive(Debug, Clone)]
@@ -50,12 +49,8 @@ impl Ord for SearchState {
 }
 
 /// The reference U-Topk search: same contract as `baselines::u_topk` for
-/// `1 <= k <= table.group_count()`.
-pub fn u_topk(
-    table: &UncertainTable,
-    k: usize,
-    config: &UTopkConfig,
-) -> Result<Option<UTopkAnswer>> {
+/// `1 <= k <= table.group_count()`; `expansions` counts popped states.
+pub fn u_topk(table: &UncertainTable, k: usize) -> Result<Option<UTopkAnswer>> {
     if k == 0 {
         return Err(Error::InvalidParameter("k must be at least 1".into()));
     }
@@ -73,12 +68,6 @@ pub fn u_topk(
 
     while let Some(state) = heap.pop() {
         expansions += 1;
-        if expansions > config.max_expansions {
-            return Err(Error::InvalidParameter(format!(
-                "U-Topk search exceeded {} expansions",
-                config.max_expansions
-            )));
-        }
         deepest = deepest.max(state.next);
         if state.selected.len() == k {
             return Ok(Some(UTopkAnswer {

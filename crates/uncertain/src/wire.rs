@@ -694,9 +694,9 @@ pub struct WireTypical {
 pub struct WireUTopk {
     /// The most probable top-k vector.
     pub vector: TopkVector,
-    /// State expansions the baseline spent finding it.
+    /// Rank positions the baseline's one pass evaluated.
     pub expansions: u64,
-    /// Deepest scan position the baseline touched (1-based).
+    /// The last rank position that pass evaluated (0-based).
     pub deepest_position: u64,
 }
 
