@@ -8,15 +8,28 @@
 //! [`scale_in_place`](ScoreColumns::scale_in_place) is
 //! `shifted_scaled(0.0, factor, None)`,
 //! [`merge_shifted_scaled`](ScoreColumns::merge_shifted_scaled) is
-//! `merge_from(&below.shifted_scaled(delta, factor, Some(id)))`, and
+//! `merge_from(&below.shifted_scaled(delta, factor, prepend))`, and
 //! [`coalesce`](ScoreColumns::coalesce) is
 //! [`ScoreDistribution::coalesce`].
-
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+//!
+//! # Coalescing
+//!
+//! Cells, the answer cell and the segment-order merge
+//! ([`merge_segments`]) all coalesce through the worker's one
+//! [`Coalescer`], which [`ScoreDistribution::coalesce`] also runs, so the
+//! two layouts agree bit for bit. It merges the closest pair of lines until
+//! `max_lines` remain, as the paper's rule does, in a few linear sweeps: a
+//! round selects the m-th smallest gap T of the m merges left, and one
+//! nearest-neighbour-chain sweep merges every reciprocal-nearest pair whose
+//! gap is ≤ T, cascading. A merge only widens the gaps beside it, so each
+//! pair merged that way is one the greedy merges within its next m merges,
+//! and merging it first changes none of the greedy's other choices. A round
+//! makes at least m/3 merges, so at most ⌈log₃⁄₂ m⌉ + 1 rounds run. The
+//! [`Coalescer`] docs give the rule and the proof in full.
 
 use ttk_uncertain::{
-    scores_equal, CoalescePolicy, DistributionPoint, ScoreDistribution, TupleId, VectorWitness,
+    scores_equal, CoalescePolicy, Coalescer, DistributionPoint, ScoreDistribution, TupleId,
+    VectorWitness,
 };
 
 /// The end of every witness chain: the unit cell's empty vector.
@@ -39,7 +52,7 @@ struct Witness {
 
 /// The buffers one worker's kernels reuse: the witness arena and what its
 /// compaction copies through, the spare columns a merge swaps in, and the
-/// heap coalescer's line links, stamps and heap.
+/// coalescer's buffers.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     arena: Vec<Cell>,
@@ -53,10 +66,7 @@ pub(crate) struct Workspace {
     /// The not-yet-copied cells of the chain being copied, head first.
     path: Vec<usize>,
     spare: ScoreColumns,
-    next: Vec<u32>,
-    prev: Vec<u32>,
-    stamp: Vec<u32>,
-    heap: BinaryHeap<Reverse<GapEntry>>,
+    coalescer: Coalescer,
 }
 
 /// Arena cells (16 bytes each) a worker may hold before its first compaction.
@@ -124,6 +134,18 @@ impl Workspace {
             cell: self.arena.len() - 1,
         }
     }
+
+    /// The witness `w` scaled by `factor`, with `prepend` put in front of
+    /// its vector when given.
+    fn carry(&mut self, prepend: Option<TupleId>, w: Witness, factor: f64) -> Witness {
+        match prepend {
+            Some(id) => self.prepend(id, w, factor),
+            None => Witness {
+                probability: w.probability * factor,
+                cell: w.cell,
+            },
+        }
+    }
 }
 
 /// A score distribution in columns: scores ascending, the probability of
@@ -138,43 +160,6 @@ pub(crate) struct ScoreColumns {
     probs: Vec<f64>,
     witnesses: Vec<Witness>,
 }
-
-/// One candidate pair in the coalescing heap: the gap between line `left`
-/// and its right neighbour at the time the entry was pushed. Ordered by
-/// `(gap, left)` so the heap pops exactly the pair the scan-for-minimum loop
-/// would pick (leftmost on equal gaps); `stamp` detects stale entries.
-#[derive(Debug, PartialEq)]
-struct GapEntry {
-    gap: f64,
-    left: u32,
-    stamp: u32,
-}
-
-impl Eq for GapEntry {}
-
-impl PartialOrd for GapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.gap
-            .total_cmp(&other.gap)
-            .then(self.left.cmp(&other.left))
-            .then(self.stamp.cmp(&other.stamp))
-    }
-}
-
-/// Excess × lines from which [`ScoreColumns::coalesce`] switches from the
-/// scan to the heap.
-///
-/// Measured with both coalescers on warm workspace buffers (release build,
-/// 2 vCPUs): at `max_lines` 100, 200 and 400 the heap overtakes the scan
-/// at 10–16 excess lines, a product of 1,900–4,100; at `max_lines` 25–50
-/// the two stay within ~20 % of each other up to ~14,000.
-const COALESCE_HEAP_FROM: usize = 4096;
 
 impl ScoreColumns {
     /// The empty distribution: the engine's initial cell value and the
@@ -249,12 +234,14 @@ impl ScoreColumns {
         }
     }
 
-    /// Merges `below`, shifted by `delta` and scaled by `factor` with `id`
-    /// prepended to every witness, into `self`: the include branch of the
-    /// recurrence, steps (2) and (3) of §3.2 in one sorted-union pass.
+    /// Merges `below`, shifted by `delta` and scaled by `factor` with
+    /// `prepend` (when given) put in front of every witness, into `self`:
+    /// the include branch of the recurrence, steps (2) and (3) of §3.2 in
+    /// one sorted-union pass. With `(0.0, 1.0, None)` it is the plain union
+    /// of the segment-order merge.
     ///
     /// Bit-identical to `merge_from(&below.shifted_scaled(delta, factor,
-    /// Some(id)))` on the equivalent [`ScoreDistribution`]s: equal lines
+    /// prepend))` on the equivalent [`ScoreDistribution`]s: equal lines
     /// (under [`scores_equal`]) sum as `self + below` and keep the strictly
     /// more probable witness. The union is written into the workspace's
     /// spare columns, which then swap with `self`, and a `below` witness
@@ -264,7 +251,7 @@ impl ScoreColumns {
         below: &ScoreColumns,
         delta: f64,
         factor: f64,
-        id: TupleId,
+        prepend: Option<TupleId>,
         workspace: &mut Workspace,
     ) {
         if factor <= 0.0 || below.is_empty() {
@@ -279,7 +266,7 @@ impl ScoreColumns {
             self.scores.extend(below.scores.iter().map(|s| s + delta));
             self.probs.extend(below.probs.iter().map(|p| p * factor));
             for &w in &below.witnesses {
-                self.witnesses.push(workspace.prepend(id, w, factor));
+                self.witnesses.push(workspace.carry(prepend, w, factor));
             }
             return;
         }
@@ -297,7 +284,7 @@ impl ScoreColumns {
                     let mut w = self.witnesses[ia];
                     let bw = below.witnesses[ib];
                     if bw.probability * factor > w.probability {
-                        w = workspace.prepend(id, bw, factor);
+                        w = workspace.carry(prepend, bw, factor);
                     }
                     out.witnesses.push(w);
                 }
@@ -315,7 +302,7 @@ impl ScoreColumns {
                 out.probs.push(below.probs[ib] * factor);
                 if tracked {
                     out.witnesses
-                        .push(workspace.prepend(id, below.witnesses[ib], factor));
+                        .push(workspace.carry(prepend, below.witnesses[ib], factor));
                 }
                 ib += 1;
             }
@@ -331,7 +318,7 @@ impl ScoreColumns {
             .extend(below.probs[ib..].iter().map(|p| p * factor));
         if tracked {
             for &w in &below.witnesses[ib..] {
-                out.witnesses.push(workspace.prepend(id, w, factor));
+                out.witnesses.push(workspace.carry(prepend, w, factor));
             }
         }
         std::mem::swap(self, &mut out);
@@ -339,14 +326,8 @@ impl ScoreColumns {
     }
 
     /// Coalesces lines until at most `max_lines` remain: the columnar
-    /// [`ScoreDistribution::coalesce`], merging the same pairs in the same
-    /// order with the same arithmetic (bit-identical results).
-    ///
-    /// Two implementations with identical output are dispatched on size. For
-    /// a handful of merges the rescan-after-every-merge loop wins: the scan
-    /// is a branch-light pass over the contiguous score column. Past the
-    /// crossover the lazy min-heap version takes over, dropping the cost
-    /// from O((n − max)·n) to O(n log n).
+    /// [`ScoreDistribution::coalesce`], through the same [`Coalescer`]
+    /// (bit-identical results), on the workspace's buffers.
     pub(crate) fn coalesce(
         &mut self,
         max_lines: usize,
@@ -356,162 +337,28 @@ impl ScoreColumns {
         if max_lines == 0 || self.len() <= max_lines {
             return;
         }
-        // Scan cost ~ excess·n, heap cost ~ (n + excess)·log n on reused
-        // buffers; the constant puts the crossover where the two measure
-        // about even for the line budgets in use.
-        if (self.len() - max_lines) * self.len() < COALESCE_HEAP_FROM {
-            self.coalesce_scan(max_lines, policy);
-        } else {
-            self.coalesce_heap(max_lines, policy, workspace);
-        }
-    }
-
-    /// The scan-for-minimum coalescing loop: optimal for a small number of
-    /// merges over a short score column.
-    fn coalesce_scan(&mut self, max_lines: usize, policy: CoalescePolicy) {
-        while self.len() > max_lines {
-            let mut best = 0;
-            let mut best_gap = f64::INFINITY;
-            for i in 0..self.scores.len() - 1 {
-                let gap = self.scores[i + 1] - self.scores[i];
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = i;
-                }
-            }
-            let right_score = self.scores.remove(best + 1);
-            let right_prob = self.probs.remove(best + 1);
-            let merged_prob = self.probs[best] + right_prob;
-            self.scores[best] = match policy {
-                CoalescePolicy::PaperMean => (self.scores[best] + right_score) / 2.0,
-                CoalescePolicy::WeightedMean => {
-                    (self.scores[best] * self.probs[best] + right_score * right_prob) / merged_prob
-                }
-            };
-            self.probs[best] = merged_prob;
+        let witnesses = &self.witnesses;
+        let lines = workspace.coalescer.coalesce(
+            self.scores
+                .iter()
+                .zip(&self.probs)
+                .enumerate()
+                .map(|(i, (&s, &p))| (s, p, witnesses.get(i).map_or(0.0, |w| w.probability))),
+            max_lines,
+            policy,
+        );
+        // A line's witness comes from its own run of input lines, which
+        // starts at or after its output slot, so moving left is safe.
+        for (slot, line) in lines.iter().enumerate() {
+            self.scores[slot] = line.score();
+            self.probs[slot] = line.probability();
             if !self.witnesses.is_empty() {
-                let right_witness = self.witnesses.remove(best + 1);
-                if right_witness.probability > self.witnesses[best].probability {
-                    self.witnesses[best] = right_witness;
-                }
+                self.witnesses[slot] = self.witnesses[line.witness()];
             }
         }
-    }
-
-    /// Heap-based coalescing: the closest pair is tracked in a lazy min-heap
-    /// over the neighbour gaps, with a doubly-linked list threading the
-    /// surviving lines. A merge invalidates at most the two gaps adjacent to
-    /// the merged pair; fresh entries are pushed and stale ones discarded on
-    /// pop via per-line stamps. The selection order is identical to the
-    /// scan — the heap orders by `(gap, position)` and the scan keeps the
-    /// leftmost line on equal gaps (scores are ascending, so gaps are never
-    /// negative zero and `f64::total_cmp` agrees with `<` on them) — and the
-    /// merge arithmetic is untouched, so results stay bit-exact.
-    fn coalesce_heap(
-        &mut self,
-        max_lines: usize,
-        policy: CoalescePolicy,
-        workspace: &mut Workspace,
-    ) {
-        let n = self.len();
-        let tracked = !self.witnesses.is_empty();
-        // Line `i` is alive while `next[i] != DEAD`; `next`/`prev` thread the
-        // surviving lines in ascending-score order (original indices never
-        // reorder, so index order == scan order). `stamp[i]` versions the gap
-        // between line `i` and its current right neighbour.
-        const TAIL: u32 = u32::MAX;
-        const DEAD: u32 = u32::MAX - 1;
-        let Workspace {
-            next,
-            prev,
-            stamp,
-            heap,
-            ..
-        } = workspace;
-        next.clear();
-        next.extend(1..n as u32);
-        next.push(TAIL);
-        prev.clear();
-        prev.push(TAIL);
-        prev.extend(0..n as u32 - 1);
-        stamp.clear();
-        stamp.resize(n, 0);
-        let mut entries = std::mem::take(heap).into_vec();
-        entries.clear();
-        entries.extend((0..n - 1).map(|i| {
-            Reverse(GapEntry {
-                gap: self.scores[i + 1] - self.scores[i],
-                left: i as u32,
-                stamp: 0,
-            })
-        }));
-        *heap = BinaryHeap::from(entries);
-        let mut remaining = n;
-        while remaining > max_lines {
-            let entry = heap.pop().expect("a gap per excess line").0;
-            let left = entry.left as usize;
-            // Stale: the left line died, or its right-neighbour gap changed
-            // since the entry was pushed.
-            if next[left] == DEAD || entry.stamp != stamp[left] {
-                continue;
-            }
-            let right = next[left] as usize;
-            debug_assert_ne!(next[right], DEAD);
-            let right_score = self.scores[right];
-            let right_prob = self.probs[right];
-            let merged_prob = self.probs[left] + right_prob;
-            self.scores[left] = match policy {
-                CoalescePolicy::PaperMean => (self.scores[left] + right_score) / 2.0,
-                CoalescePolicy::WeightedMean => {
-                    (self.scores[left] * self.probs[left] + right_score * right_prob) / merged_prob
-                }
-            };
-            self.probs[left] = merged_prob;
-            if tracked && self.witnesses[right].probability > self.witnesses[left].probability {
-                self.witnesses[left] = self.witnesses[right];
-            }
-            // Unlink `right` and refresh the two affected gaps.
-            let after = next[right];
-            next[left] = after;
-            next[right] = DEAD;
-            if after != TAIL {
-                prev[after as usize] = left as u32;
-            }
-            remaining -= 1;
-            stamp[left] = stamp[left].wrapping_add(1);
-            if after != TAIL {
-                heap.push(Reverse(GapEntry {
-                    gap: self.scores[after as usize] - self.scores[left],
-                    left: left as u32,
-                    stamp: stamp[left],
-                }));
-            }
-            let before = prev[left];
-            if before != TAIL {
-                let before = before as usize;
-                stamp[before] = stamp[before].wrapping_add(1);
-                heap.push(Reverse(GapEntry {
-                    gap: self.scores[left] - self.scores[before],
-                    left: before as u32,
-                    stamp: stamp[before],
-                }));
-            }
-        }
-        // Compact the survivors in place, preserving order.
-        let mut keep = 0;
-        for (i, &slot) in next.iter().enumerate() {
-            if slot != DEAD {
-                self.scores[keep] = self.scores[i];
-                self.probs[keep] = self.probs[i];
-                if tracked {
-                    self.witnesses[keep] = self.witnesses[i];
-                }
-                keep += 1;
-            }
-        }
-        self.scores.truncate(keep);
-        self.probs.truncate(keep);
-        self.witnesses.truncate(keep);
+        self.scores.truncate(lines.len());
+        self.probs.truncate(lines.len());
+        self.witnesses.truncate(lines.len());
     }
 
     /// Appends every line to `store`, with each witness's ids walked out of
@@ -563,6 +410,12 @@ pub(crate) struct Span {
 }
 
 impl Finished {
+    /// The ids of witness `w`.
+    fn ids(&self, w: usize) -> &[TupleId] {
+        let start = w.checked_sub(1).map_or(0, |prev| self.witnesses[prev].1);
+        &self.ids[start..self.witnesses[w].1]
+    }
+
     /// The distribution stored at `span`.
     pub(crate) fn distribution(&self, span: Span) -> ScoreDistribution {
         let points = (span.start..span.end)
@@ -570,19 +423,66 @@ impl Finished {
             .map(|(offset, line)| DistributionPoint {
                 score: self.scores[line],
                 probability: self.probs[line],
-                witness: span.witnesses.map(|first| {
-                    let w = first + offset;
-                    let (probability, end) = self.witnesses[w];
-                    let start = w.checked_sub(1).map_or(0, |prev| self.witnesses[prev].1);
-                    VectorWitness {
-                        ids: self.ids[start..end].to_vec(),
-                        probability,
-                    }
+                witness: span.witnesses.map(|first| VectorWitness {
+                    ids: self.ids(first + offset).to_vec(),
+                    probability: self.witnesses[first + offset].0,
                 }),
             })
             .collect();
         ScoreDistribution::from_points(points)
     }
+}
+
+/// The segment-order merge of a query: the distributions at `spans`, each in
+/// the store of the worker named beside it, merged in that order (the plain
+/// union, then coalescing when `max_lines > 0`). Bit-identical to
+/// `merge_from` then [`ScoreDistribution::coalesce`] on the stored
+/// distributions: scores are never −0.0 here, so the union's `+ 0.0` and
+/// `* 1.0` change no bits.
+///
+/// It runs on columns whose witness cells name a stored witness (its index
+/// × the number of stores + its worker), so ids are walked out only for
+/// the lines that remain.
+pub(crate) fn merge_segments(
+    stores: &[Finished],
+    spans: &[(usize, Span)],
+    max_lines: usize,
+    policy: CoalescePolicy,
+) -> ScoreDistribution {
+    let workers = stores.len();
+    let mut workspace = Workspace::default();
+    let mut merged = ScoreColumns::empty();
+    let mut segment = ScoreColumns::empty();
+    for &(worker, span) in spans {
+        let store = &stores[worker];
+        segment.clear();
+        segment
+            .scores
+            .extend_from_slice(&store.scores[span.start..span.end]);
+        segment
+            .probs
+            .extend_from_slice(&store.probs[span.start..span.end]);
+        if let Some(first) = span.witnesses {
+            let witnesses = first..first + span.end - span.start;
+            segment.witnesses.extend(witnesses.map(|w| Witness {
+                probability: store.witnesses[w].0,
+                cell: w * workers + worker,
+            }));
+        }
+        merged.merge_shifted_scaled(&segment, 0.0, 1.0, None, &mut workspace);
+        merged.coalesce(max_lines, policy, &mut workspace);
+    }
+    let points = (0..merged.len())
+        .map(|line| DistributionPoint {
+            score: merged.scores[line],
+            probability: merged.probs[line],
+            witness: merged.witnesses.get(line).map(|w| VectorWitness {
+                ids: stores[w.cell % workers].ids(w.cell / workers).to_vec(),
+                probability: w.probability,
+            }),
+        })
+        .collect();
+    ScoreDistribution::from_points(points)
 }
 
 #[cfg(test)]
@@ -651,7 +551,7 @@ mod tests {
         let unit = ScoreColumns::unit(false);
         let mut d = unit.clone();
         d.scale_in_place(0.3);
-        d.merge_shifted_scaled(&unit, 5.0, 0.7, TupleId(1), &mut workspace);
+        d.merge_shifted_scaled(&unit, 5.0, 0.7, Some(TupleId(1)), &mut workspace);
         let dist = d.to_distribution(&workspace);
         assert_eq!(
             dist.pairs().collect::<Vec<_>>(),
@@ -699,7 +599,7 @@ mod tests {
             scalar.merge_from(&below.shifted_scaled(delta, factor, Some(id)));
             let mut cols = columns_of(&acc, &mut workspace);
             let below_cols = columns_of(&below, &mut workspace);
-            cols.merge_shifted_scaled(&below_cols, delta, factor, id, &mut workspace);
+            cols.merge_shifted_scaled(&below_cols, delta, factor, Some(id), &mut workspace);
             assert_eq!(cols.to_distribution(&workspace), scalar, "delta {delta}");
         }
         // Merging into an empty accumulator reproduces the clone path.
@@ -707,11 +607,11 @@ mod tests {
         scalar.merge_from(&below.shifted_scaled(1.0, 0.5, Some(TupleId(3))));
         let below_cols = columns_of(&below, &mut workspace);
         let mut cols = ScoreColumns::empty();
-        cols.merge_shifted_scaled(&below_cols, 1.0, 0.5, TupleId(3), &mut workspace);
+        cols.merge_shifted_scaled(&below_cols, 1.0, 0.5, Some(TupleId(3)), &mut workspace);
         assert_eq!(cols.to_distribution(&workspace), scalar);
         // A non-positive factor is a no-op, like merging an emptied shift.
         let mut cols = columns_of(&acc, &mut workspace);
-        cols.merge_shifted_scaled(&below_cols, 1.0, 0.0, TupleId(3), &mut workspace);
+        cols.merge_shifted_scaled(&below_cols, 1.0, 0.0, Some(TupleId(3)), &mut workspace);
         assert_eq!(cols.to_distribution(&workspace), acc);
     }
 
@@ -724,7 +624,7 @@ mod tests {
         let mut workspace = Workspace::default();
         let mut cols = columns_of(&acc, &mut workspace);
         let below_cols = columns_of(&below, &mut workspace);
-        cols.merge_shifted_scaled(&below_cols, 0.0, 0.5, TupleId(1), &mut workspace);
+        cols.merge_shifted_scaled(&below_cols, 0.0, 0.5, Some(TupleId(1)), &mut workspace);
         assert_eq!(cols.to_distribution(&workspace), scalar);
     }
 
@@ -758,10 +658,10 @@ mod tests {
     }
 
     #[test]
-    fn columns_coalesce_heap_matches_scan_on_many_lines() {
+    fn columns_coalesce_matches_distribution_coalesce_on_many_lines() {
         // A few hundred lines with deliberately repeated gap values, so the
-        // heap's (gap, position) tie-break is exercised against the scalar
-        // scan's leftmost-strictly-smaller rule at every merge.
+        // sweep's (gap, position) keys tie at every round, run through one
+        // workspace on columns and on a distribution.
         let mut x = 0u64;
         let mut score = 0.0;
         let pairs: Vec<(f64, f64)> = (0..300)
@@ -777,8 +677,8 @@ mod tests {
             })
             .collect();
         let base = witnessed(&pairs, 1000);
-        // One workspace throughout, so the heap coalescer also runs on
-        // buffers left over from a larger call.
+        // One workspace throughout, so the coalescer also runs on buffers
+        // left over from a larger call.
         let mut workspace = Workspace::default();
         for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
             for max_lines in [200, 64, 7] {
@@ -796,6 +696,43 @@ mod tests {
     }
 
     #[test]
+    fn segment_merge_matches_merge_then_coalesce() {
+        // Three stores (workers), segments spread over them out of order,
+        // one of them empty: the columnar segment merge against
+        // `merge_from` + `coalesce` on the stored distributions.
+        let mut workspace = Workspace::default();
+        let mut stores = vec![
+            Finished::default(),
+            Finished::default(),
+            Finished::default(),
+        ];
+        let mut spans = Vec::new();
+        for (segment, worker) in [1, 0, 2, 1, 0].into_iter().enumerate() {
+            let pairs: Vec<(f64, f64)> = (0..40 * (segment % 4))
+                .map(|i| {
+                    (
+                        segment as f64 * 0.3 + i as f64 * 1.25,
+                        0.002 * (1 + i % 7) as f64,
+                    )
+                })
+                .collect();
+            let cols = columns_of(&witnessed(&pairs, 100 * segment as u64), &mut workspace);
+            spans.push((worker, cols.store_in(&workspace, &mut stores[worker])));
+        }
+        for policy in [CoalescePolicy::PaperMean, CoalescePolicy::WeightedMean] {
+            for max_lines in [0, 50, 7] {
+                let mut scalar = ScoreDistribution::empty();
+                for &(worker, span) in &spans {
+                    scalar.merge_from(&stores[worker].distribution(span));
+                    scalar.coalesce(max_lines, policy);
+                }
+                let merged = merge_segments(&stores, &spans, max_lines, policy);
+                assert_eq!(merged, scalar, "policy {policy:?} max_lines {max_lines}");
+            }
+        }
+    }
+
+    #[test]
     fn compaction_keeps_live_chains_once_and_drops_dead_cells() {
         let mut workspace = Workspace::default();
         let a = witnessed(&[(1.0, 0.2), (4.0, 0.4)], 1);
@@ -806,7 +743,7 @@ mod tests {
         // `b`'s witnesses carried down one more branch share their tails
         // with `b`'s own.
         let mut merged = live[0].clone();
-        merged.merge_shifted_scaled(&live[1], 1.0, 0.5, TupleId(7), &mut workspace);
+        merged.merge_shifted_scaled(&live[1], 1.0, 0.5, Some(TupleId(7)), &mut workspace);
         live.push(merged);
         let before: Vec<ScoreDistribution> =
             live.iter().map(|c| c.to_distribution(&workspace)).collect();

@@ -59,10 +59,11 @@
 //! Everything else a worker needs also belongs to it: the compaction's
 //! second arena and forwarding table, a spare set of columns that every
 //! merge writes its sorted union into and then swaps with its target, and
-//! the heap coalescer's `next`/`prev`/`stamp` vectors and binary heap.
+//! the [`Coalescer`](ttk_uncertain::Coalescer)'s line and gap buffers.
 //! Copying the base into the working cells reuses their capacity, so a
 //! worker that runs many segments stops allocating once its buffers have
-//! grown to its largest cell.
+//! grown to its largest cell. Nothing in them carries over from one call
+//! to the next: every kernel clears what it reads before filling it.
 //!
 //! # Kernels
 //!
@@ -268,7 +269,7 @@ impl Forward {
             return;
         }
         for &(id, score, prob) in branches {
-            answer.merge_shifted_scaled(top, score, prob, id, workspace);
+            answer.merge_shifted_scaled(top, score, prob, Some(id), workspace);
         }
         if config.max_lines > 0 {
             answer.coalesce(config.max_lines, config.coalesce_policy, workspace);
@@ -325,7 +326,7 @@ fn apply_row(
         // from the rows before it.
         if !below.is_empty() {
             for &(id, score, prob) in branches {
-                cell.merge_shifted_scaled(below, score, prob, id, workspace);
+                cell.merge_shifted_scaled(below, score, prob, Some(id), workspace);
             }
         }
         if config.max_lines > 0 {

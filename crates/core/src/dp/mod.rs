@@ -53,31 +53,39 @@
 //! the same order whichever worker runs it.
 //!
 //! *Merge order.* Each worker appends its segments' results to a flat
-//! store of its own; the driver looks them up by segment index and merges
-//! them — `merge_from`, then `coalesce` when lines are bounded — in
-//! segment order. Which worker ran a segment, and when, never reaches the
-//! arithmetic, so the output is bit-identical for every worker count. One
-//! worker runs the same loop on the calling thread.
+//! store of its own, and they are merged in segment order — the plain
+//! union, then coalescing when lines are bounded — on columns whose
+//! witnesses point into those stores, with the kernels and the coalescer
+//! the cells use, and walks ids out only for the final lines. That is
+//! `merge_from` then [`ScoreDistribution::coalesce`] on each segment's
+//! distribution, bit for bit, without building one. Which worker ran a
+//! segment, and when, never reaches the arithmetic, so the output is
+//! bit-identical for every worker count. One worker runs the same loop on
+//! the calling thread.
 //!
 //! *When helpers start.* Only when the work one worker would do, rows
 //! applied × k, reaches 2,000 cells, and never for a query a batch worker
 //! runs (the batch already occupies the cores). Rows applied count the
 //! closed groups once plus every segment's open rows and tuples. Measured
-//! with release builds on 2 vCPUs (best of 9), one worker against two, on
-//! the CarTel relations:
+//! on the linear-sweep coalescer with release builds on 2 vCPUs, one worker
+//! against two, as the best of 9 in each of 3 alternated runs, on the
+//! CarTel relations:
 //!
 //! - Below the cutoff sit the serving workloads' DPs, which stay on the
 //!   calling thread. A helper loses on the 199- and 103-row relations at
-//!   k = 3 (1,464 cells 0.45 → 0.51 ms, 1,851 cells 0.42 → 0.49 ms). It
-//!   saves ~30 % on the 1,971-row relation at k = 3 (1,200 cells 3.1 →
-//!   2.2 ms), but it brings its own state and thread into a daemon's or a
-//!   shard client's process for a millisecond.
-//! - Above it two workers save 30–45 %: 2,540 cells (1,971 rows, k = 5)
-//!   22 → 16 ms, 4,365 cells (199 rows, k = 5) 12.6 → 8.8 ms, 14,180 cells
-//!   (199 rows, k = 10) 337 → 183 ms.
+//!   k = 3 (1,464 cells 0.24–0.40 → 0.36–0.44 ms, 1,851 cells 0.17–0.30 →
+//!   0.30–0.32 ms). On the 1,971-row relation at k = 3 (1,200 cells) it is
+//!   about even (1.28–1.84 → 1.06–1.42 ms), and it would bring its own
+//!   state and thread into a daemon's or a shard client's process.
+//! - Above it two workers save 25–45 %: 2,540 cells (1,971 rows, k = 5)
+//!   9.3–10.4 → 6.9–9.0 ms, 4,365 cells (199 rows, k = 5) 6.2–10.1 →
+//!   4.4–5.9 ms, 14,180 cells (199 rows, k = 10) 148–187 → 85–98 ms.
 //! - Work in rows × k ignores how many lines the cells hold, so the cutoff
-//!   is a compromise: 3,132 cells (103 rows, k = 4) runs 1.7 ms either way,
-//!   while 1,868 cells (1,971 rows, k = 4) would gain a third.
+//!   is a compromise that no other value improves: on the 103-row relation
+//!   a helper loses a little at 3,132 and 4,385 cells (k = 4 and 5:
+//!   0.58–0.87 → 0.83–0.88 ms, 1.28–1.69 → 1.62–1.71 ms), while 4,365
+//!   cells (199 rows, k = 5) gain and 1,868 cells (1,971 rows, k = 4) would
+//!   gain a fifth (4.1–5.6 → 3.1–3.7 ms).
 
 mod columns;
 pub mod engine;
@@ -92,7 +100,7 @@ use ttk_uncertain::{
 use crate::query::resolve_threads;
 use crate::scan::{RankScan, ScanPrefix};
 use crate::scan_depth::{scan_depth, ScanGate};
-use columns::{Finished, Span};
+use columns::{merge_segments, Finished, Span};
 use engine::{Branch, EngineConfig, Forward};
 
 /// Engine work — rows one worker applies × k — from which
@@ -268,17 +276,16 @@ fn run_on_prefix_table(
         resolve_threads(max_workers, plan.segments.len())
     };
     let results = run_forward_pass(&plan, k, &engine_config, workers);
-    let mut distribution = ScoreDistribution::empty();
-    for segment in 0..plan.segments.len() {
-        distribution.merge_from(&results.get(segment));
-        if config.max_lines > 0 {
-            distribution.coalesce(config.max_lines, config.coalesce_policy);
-        }
-    }
+    let distribution = merge_segments(
+        &results.stores,
+        &results.spans,
+        config.max_lines,
+        config.coalesce_policy,
+    );
 
     // Witness vectors are assembled in row order, which may interleave rule
     // members out of rank order; restore rank order for presentation.
-    distribution = restore_witness_rank_order(distribution, working);
+    let distribution = restore_witness_rank_order(distribution, working);
 
     Ok(MainOutput {
         distribution,
@@ -419,14 +426,6 @@ impl Plan {
 struct SegmentResults {
     stores: Vec<Finished>,
     spans: Vec<(usize, Span)>,
-}
-
-impl SegmentResults {
-    /// The distribution of `segment`.
-    fn get(&self, segment: usize) -> ScoreDistribution {
-        let (worker, span) = self.spans[segment];
-        self.stores[worker].distribution(span)
-    }
 }
 
 /// Runs the forward pass over the plan's segments on `workers` workers.
@@ -865,10 +864,20 @@ mod tests {
             assert!(plan.segments.last().unwrap().closed > 0 && !plan.open.is_empty());
             let run = |plan: &Plan, workers| {
                 let results = run_forward_pass(plan, k, &engine_config, workers);
-                (0..plan.segments.len())
-                    .map(|segment| results.get(segment))
-                    .collect::<Vec<_>>()
+                let mut out: Vec<ScoreDistribution> = results
+                    .spans
+                    .iter()
+                    .map(|&(worker, span)| results.stores[worker].distribution(span))
+                    .collect();
+                out.push(merge_segments(
+                    &results.stores,
+                    &results.spans,
+                    engine_config.max_lines,
+                    engine_config.coalesce_policy,
+                ));
+                out
             };
+            // Each segment's distribution, then their merge.
             let serial = run(&plan, 1);
             assert!(serial.iter().any(|partial| !partial.is_empty()));
             for workers in [2, 3, 8] {
@@ -877,7 +886,11 @@ mod tests {
             }
             plan.segments.truncate(3);
             let few = run(&plan, 8);
-            assert_eq!(few, serial[..3], "{strategy:?}, 8 workers on 3 segments");
+            assert_eq!(
+                few[..3],
+                serial[..3],
+                "{strategy:?}, 8 workers on 3 segments"
+            );
         }
     }
 

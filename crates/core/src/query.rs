@@ -433,7 +433,7 @@ pub(crate) fn resolve_threads(threads: usize, jobs: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ttk_uncertain::TupleId;
+    use ttk_uncertain::{TupleId, UncertainTuple};
 
     fn soldier_table() -> UncertainTable {
         UncertainTable::builder()
@@ -622,6 +622,72 @@ mod tests {
         let hi = answer.distribution.max_score().unwrap();
         for score in answer.typical.scores() {
             assert!(score >= lo && score <= hi);
+        }
+    }
+
+    /// Independent tuples ids 1.. with the given probabilities, scores
+    /// falling by 1.37 per rank from 100.
+    fn vanishing_table(probabilities: &[f64]) -> UncertainTable {
+        let tuples = probabilities
+            .iter()
+            .enumerate()
+            .map(|(rank, &p)| {
+                UncertainTuple::new(rank as u64 + 1, 100.0 - 1.37 * rank as f64, p).unwrap()
+            })
+            .collect();
+        UncertainTable::new(tuples, Vec::new()).unwrap()
+    }
+
+    #[test]
+    fn weighted_coalescing_of_massless_lines_stays_finite() {
+        // Products of 1e-200 underflow to 0, and two massless lines used to
+        // merge to the weighted mean 0·s/0 = NaN.
+        let mut probabilities = vec![0.9, 0.9];
+        probabilities.extend([1e-200; 6]);
+        let dataset = Dataset::table(vanishing_table(&probabilities));
+        for max_lines in [2, 3, 4] {
+            let query = TopkQuery::new(2)
+                .with_u_topk(false)
+                .with_p_tau(1e-9)
+                .with_coalesce_policy(CoalescePolicy::WeightedMean)
+                .with_max_lines(max_lines);
+            let answer = Session::new().execute(&dataset, &query).unwrap();
+            assert_eq!(answer_violation(&answer, 2), None, "max_lines {max_lines}");
+            let scores: Vec<f64> = answer.distribution.pairs().map(|(s, _)| s).collect();
+            assert!(scores.iter().all(|s| s.is_finite()), "{scores:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Coalescing under either policy keeps every answer valid when
+        /// masses vanish: probabilities of 1e-200, whose products underflow
+        /// to 0, beside ordinary ones, at line budgets of 1 to 4.
+        #[test]
+        fn vanishing_masses_keep_coalesced_answers_valid(
+            raw in proptest::collection::vec(0usize..4, 3..10),
+            k in 1usize..4,
+            max_lines in 1usize..5,
+            weighted in proptest::prelude::any::<bool>(),
+        ) {
+            let probabilities: Vec<f64> =
+                raw.iter().map(|&code| [0.9, 1e-200, 0.5, 1e-200][code]).collect();
+            let table = vanishing_table(&probabilities);
+            let policy = if weighted {
+                CoalescePolicy::WeightedMean
+            } else {
+                CoalescePolicy::PaperMean
+            };
+            let query = TopkQuery::new(k.min(probabilities.len()))
+                .with_u_topk(false)
+                .with_p_tau(1e-9)
+                .with_coalesce_policy(policy)
+                .with_max_lines(max_lines);
+            if let Ok(answer) = Executor::new().execute(&table, &query) {
+                let violation = answer_violation(&answer, query.k);
+                proptest::prop_assert!(violation.is_none(), "{probabilities:?} {query:?}: {violation:?}");
+            }
         }
     }
 }

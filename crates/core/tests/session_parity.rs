@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use ttk_core::{
-    cost_descending_order, estimated_cost, BatchOptions, BatchOrdering, Dataset, Executor,
-    QueryAnswer, QueryJob, Session, TopkQuery,
+    answer_hash, cost_descending_order, estimated_cost, BatchOptions, BatchOrdering, Dataset,
+    Executor, QueryAnswer, QueryJob, Session, TopkQuery,
 };
 use ttk_uncertain::{partition_round_robin, Result, UncertainTable, UncertainTuple, VecSource};
 
@@ -224,6 +224,69 @@ fn bounded_memory_batch_matches_sequential_for_many_jobs() {
         let batched = delivered[i].as_ref().expect("every job delivered");
         assert_eq!(sequential.distribution, batched.distribution, "job {i}");
         assert_eq!(sequential.scan_depth, batched.scan_depth, "job {i}");
+    }
+}
+
+/// Answers depend neither on what a session ran before nor on how many
+/// workers ran the DP. The `local-query` benchmark's shapes (k = 3 and 5 on
+/// the 199- and 1,971-row CarTel relations, U-Topk on and off) go through
+/// a fresh session each, through one long-lived session in two shuffled
+/// orders, and through a batch, whose workers run each DP on one worker;
+/// every [`answer_hash`] must agree.
+#[test]
+fn answers_do_not_depend_on_history_or_worker_count() {
+    let datasets: Vec<Dataset> = [60, 600]
+        .map(|segments| Dataset::table(ttk_datagen::cartel::area_table(segments, 9).unwrap()))
+        .into();
+    let mut shapes = Vec::new();
+    for relation in 0..2 {
+        for k in [3, 5] {
+            for u_topk in [false, true] {
+                shapes.push((relation, TopkQuery::new(k).with_u_topk(u_topk)));
+            }
+        }
+    }
+    let fresh: Vec<u64> = shapes
+        .iter()
+        .map(|(relation, query)| {
+            answer_hash(&Session::new().execute(&datasets[*relation], query).unwrap())
+        })
+        .collect();
+
+    let mut session = Session::new();
+    for seed in [11u64, 12] {
+        // Each shape three times, Fisher–Yates shuffled by a xorshift.
+        let mut order: Vec<usize> = (0..shapes.len()).flat_map(|s| [s; 3]).collect();
+        let mut x = seed;
+        for i in (1..order.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            order.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        for shape in order {
+            let (relation, query) = &shapes[shape];
+            let answer = session.execute(&datasets[*relation], query).unwrap();
+            assert_eq!(
+                answer_hash(&answer),
+                fresh[shape],
+                "relation {relation}, {query:?}, shuffle {seed}"
+            );
+        }
+    }
+
+    let jobs: Vec<QueryJob> = shapes
+        .iter()
+        .map(|(relation, query)| QueryJob::new(&datasets[*relation], *query))
+        .collect();
+    let batched = Session::new().execute_batch(&jobs, &BatchOptions::new().with_threads(2));
+    for (((relation, query), answer), want) in shapes.iter().zip(batched).zip(&fresh) {
+        let answer = answer.unwrap();
+        assert_eq!(
+            answer_hash(&answer),
+            *want,
+            "relation {relation}, {query:?} in a batch"
+        );
     }
 }
 

@@ -84,7 +84,8 @@ pub use feed::{FeedSender, PrefetchPolicy, TupleFeed};
 pub use handle::ScanHandle;
 pub use merge::{partition_round_robin, MergeSource};
 pub use pmf::{
-    scores_equal, CoalescePolicy, DistributionPoint, Histogram, ScoreDistribution, VectorWitness,
+    scores_equal, CoalescePolicy, CoalescedLine, Coalescer, DistributionPoint, Histogram,
+    ScoreDistribution, VectorWitness,
 };
 pub use probability::{Probability, PROBABILITY_EPSILON};
 pub use source::{

@@ -5,7 +5,8 @@
 //! induced distribution over *total scores* (a one-dimensional PMF), plus one
 //! witness vector per score. [`ScoreDistribution`] is that object. It also
 //! implements the *line coalescing* approximation of §3.2.1 that keeps
-//! intermediate and final distributions at a bounded number of points.
+//! intermediate and final distributions at a bounded number of points; the
+//! [`Coalescer`] computes it for every layout that holds lines.
 
 use crate::tuple::TupleId;
 use crate::vector::TopkVector;
@@ -486,36 +487,37 @@ impl ScoreDistribution {
     /// the two (the paper's rule); under
     /// [`CoalescePolicy::WeightedMean`] it is the probability-weighted
     /// average. In both cases probabilities add and the more probable witness
-    /// is kept.
+    /// is kept. The [`Coalescer`] docs give the exact rule and how it runs.
+    ///
+    /// Each call sets up a fresh [`Coalescer`]; a caller coalescing in a
+    /// loop can keep one and call it directly.
     pub fn coalesce(&mut self, max_lines: usize, policy: CoalescePolicy) {
         if max_lines == 0 || self.points.len() <= max_lines {
             return;
         }
-        // The number of merges needed is small in steady state (the DP calls
-        // this after every merge step), so a scan-for-minimum loop is
-        // adequate and allocation free.
-        while self.points.len() > max_lines {
-            let mut best = 0;
-            let mut best_gap = f64::INFINITY;
-            for i in 0..self.points.len() - 1 {
-                let gap = self.points[i + 1].score - self.points[i].score;
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = i;
-                }
-            }
-            let right = self.points.remove(best + 1);
-            let left = &mut self.points[best];
-            let merged_prob = left.probability + right.probability;
-            left.score = match policy {
-                CoalescePolicy::PaperMean => (left.score + right.score) / 2.0,
-                CoalescePolicy::WeightedMean => {
-                    (left.score * left.probability + right.score * right.probability) / merged_prob
-                }
+        let mut coalescer = Coalescer::new();
+        let lines = coalescer.coalesce(
+            self.points.iter().map(|point| {
+                let witness = point
+                    .witness
+                    .as_ref()
+                    .map_or(f64::NEG_INFINITY, |w| w.probability);
+                (point.score, point.probability, witness)
+            }),
+            max_lines,
+            policy,
+        );
+        // A line's witness comes from its own run of input lines, which
+        // starts at or after its output slot, so moving left is safe.
+        for (slot, line) in lines.iter().enumerate() {
+            let witness = self.points[line.witness()].witness.take();
+            self.points[slot] = DistributionPoint {
+                score: line.score(),
+                probability: line.probability(),
+                witness,
             };
-            left.probability = merged_prob;
-            Self::keep_better_witness(&mut left.witness, right.witness);
         }
+        self.points.truncate(lines.len());
     }
 
     /// Returns the witness vectors as full [`TopkVector`]s, one per line that
@@ -532,6 +534,246 @@ impl ScoreDistribution {
         self.points
             .iter()
             .min_by(|a, b| (a.score - score).abs().total_cmp(&(b.score - score).abs()))
+    }
+}
+
+/// One line inside a [`Coalescer`]: a score, its mass, and the input line
+/// whose witness it keeps.
+#[derive(Debug, Clone, Copy)]
+pub struct CoalescedLine {
+    score: f64,
+    probability: f64,
+    /// Probability of the kept witness; −∞ stands for no witness.
+    witness_probability: f64,
+    /// Input index of the line whose witness this line keeps.
+    witness: u32,
+    /// The line's first position in the current round, which is also the
+    /// id of the gap to its left.
+    start: u32,
+}
+
+impl CoalescedLine {
+    /// The line's score.
+    pub fn score(&self) -> f64 {
+        self.score
+    }
+
+    /// The line's probability mass.
+    pub fn probability(&self) -> f64 {
+        self.probability
+    }
+
+    /// The index, among the lines given to [`Coalescer::coalesce`], of the
+    /// line whose witness this line keeps. It lies in the run of input
+    /// lines merged into this one.
+    pub fn witness(&self) -> usize {
+        self.witness as usize
+    }
+
+    /// `self` and its right neighbour as one line. Masses add; the score is
+    /// the policy's mean (the plain mean when the mass is 0, where the
+    /// weighted one is 0/0), clamped to `[self, right]`, which rounding can
+    /// leave by an ulp; the right witness wins only when strictly more
+    /// probable.
+    fn merge(&self, right: &Self, policy: CoalescePolicy) -> Self {
+        let probability = self.probability + right.probability;
+        let mean = match policy {
+            CoalescePolicy::WeightedMean if probability != 0.0 => {
+                (self.score * self.probability + right.score * right.probability) / probability
+            }
+            _ => (self.score + right.score) / 2.0,
+        };
+        let winner = if right.witness_probability > self.witness_probability {
+            right
+        } else {
+            self
+        };
+        CoalescedLine {
+            score: mean.max(self.score).min(right.score),
+            probability,
+            witness_probability: winner.witness_probability,
+            witness: winner.witness,
+            start: self.start,
+        }
+    }
+}
+
+/// The key of the gap between neighbouring lines: its width, then its id,
+/// the right line's start. `+ 0.0` turns the −0.0 of `-0.0 - 0.0` into 0.0,
+/// so keys order widths as `<` does.
+#[inline]
+fn gap_key(left: &CoalescedLine, right: &CoalescedLine) -> (f64, u32) {
+    (right.score - left.score + 0.0, right.start)
+}
+
+#[inline]
+fn key_order(a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+}
+
+/// Line coalescing (§3.2.1) with buffers reused across calls: the one
+/// coalescer behind [`ScoreDistribution::coalesce`] and the main DP's
+/// columnar cells.
+///
+/// # The rule
+///
+/// The key of the gap between neighbouring lines is its width, ordered by
+/// `f64::total_cmp`, then its position. The greedy rule merges the
+/// smallest key until at most `max_lines` lines remain. A merge adds the
+/// two masses and keeps the right witness only when it is strictly more
+/// probable. Its score is `(a + b) / 2` under
+/// [`PaperMean`](CoalescePolicy::PaperMean) and `(a·p + b·q) / (p + q)`
+/// under [`WeightedMean`](CoalescePolicy::WeightedMean) (the plain mean
+/// when p + q = 0), clamped to `[a, b]`.
+///
+/// # The sweep
+///
+/// [`coalesce`](Self::coalesce) computes that rule's output in rounds.
+/// With m = n − c merges left, T is the m-th smallest key
+/// (`select_nth_unstable`, O(n)). Then one left-to-right
+/// nearest-neighbour-chain sweep (Benzécri 1982; Murtagh 1983) runs: lines
+/// go on a stack whose gap keys fall toward the top. When the next gap's
+/// key exceeds the top gap's, the top pair is reciprocal-nearest, a local
+/// minimum of the keys. If its key is ≤ T it is merged, and the merged line
+/// is placed against the stack again, so merges cascade. Otherwise every
+/// line on the stack is final for this round. Rounds repeat until c lines
+/// remain.
+///
+/// # Why it is exact
+///
+/// Give each gap the position of the boundary it spans as its id: the same
+/// order as positions, and a gap keeps its id until a merge consumes it.
+///
+/// 1. A merged score lies in `[left, right]` (the clamp makes that hold
+///    after rounding too), so a merge never narrows a neighbouring gap and
+///    no key ever falls.
+/// 2. A round starts with exactly m keys ≤ T, and each of its merges
+///    consumes one. Say a local-minimum pair P with key ≤ T is found after
+///    j merges. At most m − j keys are ≤ T, P's among them, so fewer than
+///    m − j lie below P's. The greedy consumes one of those with every
+///    merge it makes before P and creates none, so it merges P within its
+///    next m − j merges.
+/// 3. P's neighbouring keys only grow, so P stays reciprocal and its lines
+///    untouched until the greedy merges it. Merging P first leaves every
+///    other key the same except P's two neighbours', which stay above every
+///    key the greedy picks before P. So the greedy makes the same choices
+///    and reaches the same lines, with the same arithmetic.
+///
+/// # Rounds
+///
+/// After a round no key ≤ T is left, unless its m merges are done. Each
+/// merge consumes one gap and widens at most two, so a round makes at
+/// least m/3 merges and at most ⌈log₃⁄₂ m⌉ + 1 rounds run: O(n log(n − c))
+/// in the worst case. [`rounds`](Self::rounds) reports the last call's
+/// count.
+#[derive(Debug, Clone, Default)]
+pub struct Coalescer {
+    lines: Vec<CoalescedLine>,
+    keys: Vec<(f64, u32)>,
+    rounds: usize,
+}
+
+impl Coalescer {
+    /// A coalescer with empty buffers.
+    pub fn new() -> Self {
+        Coalescer::default()
+    }
+
+    /// Coalesces the lines `(score, probability, witness probability)`,
+    /// given in ascending score order, until at most `max_lines` remain
+    /// (`max_lines == 0` keeps them all), and returns the survivors in
+    /// score order. Use −∞ as the witness probability of a line without a
+    /// witness.
+    ///
+    /// # Panics
+    ///
+    /// When given more than `u32::MAX` lines.
+    pub fn coalesce(
+        &mut self,
+        lines: impl IntoIterator<Item = (f64, f64, f64)>,
+        max_lines: usize,
+        policy: CoalescePolicy,
+    ) -> &[CoalescedLine] {
+        self.lines.clear();
+        self.lines.extend(lines.into_iter().enumerate().map(
+            |(index, (score, probability, witness_probability))| CoalescedLine {
+                score,
+                probability,
+                witness_probability,
+                witness: u32::try_from(index).expect("at most u32::MAX lines"),
+                start: 0,
+            },
+        ));
+        self.rounds = 0;
+        if max_lines > 0 {
+            while self.lines.len() > max_lines {
+                self.round(max_lines, policy);
+                self.rounds += 1;
+            }
+        }
+        &self.lines
+    }
+
+    /// How many rounds the last [`coalesce`](Self::coalesce) call ran.
+    pub fn rounds(&self) -> usize {
+        self.rounds
+    }
+
+    /// One round toward `target` lines (fewer than there are).
+    fn round(&mut self, target: usize, policy: CoalescePolicy) {
+        let Coalescer { lines, keys, .. } = self;
+        let n = lines.len();
+        let excess = n - target;
+        for (start, line) in lines.iter_mut().enumerate() {
+            line.start = start as u32;
+        }
+        keys.clear();
+        keys.extend(lines.windows(2).map(|pair| gap_key(&pair[0], &pair[1])));
+        let threshold = *keys.select_nth_unstable_by(excess - 1, key_order).1;
+        // The live lines in order: final ones in [0, base), the stack in
+        // [base, base + len), merged lines waiting to be placed in
+        // [pending, read), then the lines not read yet. Each merge frees
+        // one slot between the stack and the waiting lines.
+        let (mut base, mut len, mut pending, mut read, mut merges) = (0, 0, 0, 0, 0);
+        while merges < excess {
+            let next = if pending < read {
+                Some(pending)
+            } else {
+                (read < n).then_some(read)
+            };
+            if len >= 2 {
+                let top = base + len - 1;
+                let key = gap_key(&lines[top - 1], &lines[top]);
+                let reciprocal = next.is_none_or(|next| {
+                    key_order(&key, &gap_key(&lines[top], &lines[next])).is_lt()
+                });
+                if reciprocal {
+                    if key_order(&key, &threshold).is_le() {
+                        let merged = lines[top - 1].merge(&lines[top], policy);
+                        len -= 2;
+                        pending -= 1;
+                        lines[pending] = merged;
+                        merges += 1;
+                        continue;
+                    }
+                    // Every gap on the stack and the one to `next` exceed T.
+                    base += len;
+                    len = 0;
+                }
+            }
+            let Some(next) = next else { break };
+            lines[base + len] = lines[next];
+            len += 1;
+            if next == read {
+                read += 1;
+                pending = read;
+            } else {
+                pending += 1;
+            }
+        }
+        // Once the round's merges are done the rest is final as it stands.
+        lines.copy_within(pending.., base + len);
+        lines.truncate(n - merges);
     }
 }
 
