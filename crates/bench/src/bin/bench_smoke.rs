@@ -17,7 +17,9 @@
 //! `query/main-1971/k5` on the 1,971-row relation of the same seed), the
 //! one-pass U-Topk at k = 10 on the smoke relation (`u_topk/k10`, which a
 //! default `ttk query` runs beside the distribution; one iteration times
-//! 200 passes, so the sample clears `bench_compare`'s noise floor), a
+//! 200 passes, so the sample clears `bench_compare`'s noise floor),
+//! typical selection at c = 3 on the smoke relation's k = 5 distribution
+//! (`typical/c3`, 200 calls per iteration for the same reason), a
 //! loopback `ttk serve`
 //! pair — cold execution vs result-cache hit for the identical query — and
 //! a loopback remote-shard pair — scan-gate pushdown vs forced full replay —
@@ -39,9 +41,10 @@ use std::time::{Duration, Instant};
 
 use ttk_bench::{evaluation_area, P_TAU};
 use ttk_core::{
-    scan_depth, serve_client, serve_stream, u_topk, AppendLog, Dataset, DatasetRegistry,
-    LiveDataset, QueryServeOptions, RankScan, RemoteQueryClient, RemoteShardDataset, ResultCache,
-    ScanGate, ServeOptions, Session, ShardScanGate, TopkQuery, UTopkConfig,
+    scan_depth, serve_client, serve_stream, typical_topk, u_topk, AppendLog, Dataset,
+    DatasetRegistry, LiveDataset, QueryServeOptions, RankScan, RemoteQueryClient,
+    RemoteShardDataset, ResultCache, ScanGate, ServeOptions, Session, ShardScanGate, TopkQuery,
+    UTopkConfig,
 };
 use ttk_pdb::{CsvOptions, SpillIndex, SpillOptions};
 use ttk_uncertain::{
@@ -263,6 +266,19 @@ fn main() {
     samples.push(measure("u_topk/k10", 10, || {
         for _ in 0..U_TOPK_PASSES {
             std::hint::black_box(u_topk(table, 10, &UTopkConfig::default()).unwrap());
+        }
+    }));
+    // Typical selection as every query runs it: c = 3 on the smoke
+    // relation's k = 5 distribution. One call takes tens of microseconds,
+    // so one iteration times 200 calls, as `u_topk/k10` does.
+    const TYPICAL_CALLS: usize = 200;
+    let distribution = session
+        .execute(&dataset, &TopkQuery::new(5).with_u_topk(false))
+        .unwrap()
+        .distribution;
+    samples.push(measure("typical/c3", 10, || {
+        for _ in 0..TYPICAL_CALLS {
+            std::hint::black_box(typical_topk(&distribution, 3).unwrap());
         }
     }));
 

@@ -382,6 +382,33 @@ impl ScoreColumns {
         }
         span
     }
+
+    /// Makes `self` the distribution stored at `span`, pushing each
+    /// witness's ids into the workspace arena as a chain of its own: the
+    /// inverse of [`store_in`](Self::store_in), bit for bit.
+    pub(crate) fn load(&mut self, store: &Finished, span: Span, workspace: &mut Workspace) {
+        self.clear();
+        self.scores
+            .extend_from_slice(&store.scores[span.start..span.end]);
+        self.probs
+            .extend_from_slice(&store.probs[span.start..span.end]);
+        let Some(first) = span.witnesses else {
+            return;
+        };
+        for w in first..first + span.end - span.start {
+            // The stored ids list the chain's head first; rebuild it from
+            // the root.
+            let mut cell = ROOT;
+            for &id in store.ids(w).iter().rev() {
+                workspace.arena.push(Cell { id, parent: cell });
+                cell = workspace.arena.len() - 1;
+            }
+            self.witnesses.push(Witness {
+                probability: store.witnesses[w].0,
+                cell,
+            });
+        }
+    }
 }
 
 /// Finished distributions stored flat, one after another: the lines'
@@ -442,12 +469,16 @@ impl Finished {
 ///
 /// It runs on columns whose witness cells name a stored witness (its index
 /// × the number of stores + its worker), so ids are walked out only for
-/// the lines that remain.
+/// the lines that remain. Those are the answer as callers see it: a line
+/// of mass 0 (a product that underflowed) is dropped, with or without
+/// witnesses, and each witness's ids are sorted by `rank` (the engine
+/// lists them in row order).
 pub(crate) fn merge_segments(
     stores: &[Finished],
     spans: &[(usize, Span)],
     max_lines: usize,
     policy: CoalescePolicy,
+    rank: impl Fn(TupleId) -> usize,
 ) -> ScoreDistribution {
     let workers = stores.len();
     let mut workspace = Workspace::default();
@@ -473,12 +504,17 @@ pub(crate) fn merge_segments(
         merged.coalesce(max_lines, policy, &mut workspace);
     }
     let points = (0..merged.len())
+        .filter(|&line| merged.probs[line] > 0.0)
         .map(|line| DistributionPoint {
             score: merged.scores[line],
             probability: merged.probs[line],
-            witness: merged.witnesses.get(line).map(|w| VectorWitness {
-                ids: stores[w.cell % workers].ids(w.cell / workers).to_vec(),
-                probability: w.probability,
+            witness: merged.witnesses.get(line).map(|w| {
+                let mut ids = stores[w.cell % workers].ids(w.cell / workers).to_vec();
+                ids.sort_by_key(|&id| rank(id));
+                VectorWitness {
+                    ids,
+                    probability: w.probability,
+                }
             }),
         })
         .collect();
@@ -726,9 +762,41 @@ mod tests {
                     scalar.merge_from(&stores[worker].distribution(span));
                     scalar.coalesce(max_lines, policy);
                 }
-                let merged = merge_segments(&stores, &spans, max_lines, policy);
+                // A constant rank keeps every witness's ids in stored order.
+                let merged = merge_segments(&stores, &spans, max_lines, policy, |_| 0);
                 assert_eq!(merged, scalar, "policy {policy:?} max_lines {max_lines}");
             }
+        }
+    }
+
+    #[test]
+    fn load_inverts_store_in_across_workspaces() {
+        // Columns stored from one workspace's arena and loaded into another
+        // one's are the same distribution, witnesses included, and carry
+        // on the same: the handoff of cells between workers.
+        let mut from = Workspace::default();
+        let mut to = Workspace::default();
+        let mut store = Finished::default();
+        let mut spans = Vec::new();
+        for d in [
+            witnessed(&[(1.0, 0.2), (4.0, 0.4), (9.5, 0.1)], 3),
+            dist(&[(0.5, 0.3), (2.0, 0.9)]),
+            ScoreDistribution::empty(),
+        ] {
+            let columns = columns_of(&d, &mut from);
+            spans.push(columns.store_in(&from, &mut store));
+            let mut loaded = ScoreColumns::empty();
+            loaded.merge_shifted_scaled(&columns_of(&d, &mut to), 0.0, 1.0, None, &mut to);
+            loaded.load(&store, spans[spans.len() - 1], &mut to);
+            assert_eq!(loaded.to_distribution(&to), d);
+            let mut carried = loaded.clone();
+            carried.merge_shifted_scaled(&loaded, 2.0, 0.5, Some(TupleId(77)), &mut to);
+            let mut original = columns.clone();
+            original.merge_shifted_scaled(&columns, 2.0, 0.5, Some(TupleId(77)), &mut from);
+            assert_eq!(
+                carried.to_distribution(&to),
+                original.to_distribution(&from)
+            );
         }
     }
 

@@ -28,9 +28,15 @@
 //! rows above an exit changes only the float order of the sums, never the
 //! distribution.
 //!
-//! Running forward lets the driver share work between ending segments: it
-//! folds the rows every segment shares into a base state once and copies
-//! that base per segment (`Forward`).
+//! Running forward lets the driver share work between ending segments.
+//! `Forward` holds one worker's state and has no base: the driver walks a
+//! tree of segments, applying each row once to the cells every segment
+//! below a node shares, and `Forward::push` / `Forward::pop` save and
+//! restore the cells around a node's left child. `Forward::export` copies
+//! the cells for another worker — each line's score, probability and
+//! witness, ids walked out of the arena — and `Forward::import` starts from
+//! such a copy with the witness chains re-rooted in its own arena, so the
+//! copy changes no bit.
 //!
 //! # Cells and the witness arena
 //!
@@ -49,10 +55,10 @@
 //!
 //! Cells that no surviving line reaches any more are dead. After a row,
 //! once the arena has grown to twice what its last compaction kept (and
-//! to at least 16,384 cells), the chains the live cells — the base, the
-//! working cells and the answer — reach are copied into a fresh arena,
-//! shared tails once. The arena therefore stays proportional to the live
-//! lines instead of growing with every row.
+//! to at least 16,384 cells), the chains the live cells — the working
+//! cells, every saved state and the answer — reach are copied into a
+//! fresh arena, shared tails once. The arena therefore stays proportional
+//! to the live lines instead of growing with every row.
 //!
 //! # Per-worker scratch
 //!
@@ -60,10 +66,11 @@
 //! second arena and forwarding table, a spare set of columns that every
 //! merge writes its sorted union into and then swaps with its target, and
 //! the [`Coalescer`](ttk_uncertain::Coalescer)'s line and gap buffers.
-//! Copying the base into the working cells reuses their capacity, so a
-//! worker that runs many segments stops allocating once its buffers have
-//! grown to its largest cell. Nothing in them carries over from one call
-//! to the next: every kernel clears what it reads before filling it.
+//! Saving the cells copies them into saved states that keep their
+//! capacity from one save to the next, so a worker that runs many segments
+//! stops allocating once its buffers have grown to its largest cell.
+//! Nothing in them carries over from one call to the next: every kernel
+//! clears what it reads before filling it.
 //!
 //! # Kernels
 //!
@@ -169,14 +176,13 @@ impl Default for EngineConfig {
 /// The returned distribution is bit-identical to the point-at-a-time forward
 /// recurrence on [`ScoreDistribution`]. This entry point runs on fresh
 /// scratch, starting from the unit; the driver keeps one `Forward` per
-/// worker and reuses it across the segments the worker claims.
+/// worker and reuses it across the subtrees the worker walks.
 pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> ScoreDistribution {
     assert_eq!(rows.len(), exits.len(), "one exit flag per row");
     if k == 0 || rows.is_empty() {
         return ScoreDistribution::empty();
     }
     let mut forward = Forward::new(k, *config);
-    forward.start();
     for (i, (row, &exit)) in rows.iter().zip(exits).enumerate() {
         let branches = row.branches();
         if exit {
@@ -196,58 +202,68 @@ pub fn run(rows: &[DpRow], exits: &[bool], k: usize, config: &EngineConfig) -> S
     ScoreDistribution::from_points(points)
 }
 
-/// The forward recurrence on one worker: a base state of folded rows, the
-/// working cells of the current segment, its answer cell, and the kernels'
-/// [`Workspace`] (witness arena, spare columns, coalescing buffers).
+/// The forward recurrence on one worker: the working cells `G[0..k)`, the
+/// states saved from them, the answer cell of the segment in progress,
+/// and the kernels' [`Workspace`] (witness arena, spare columns,
+/// coalescing buffers).
 ///
-/// A segment runs as [`start`](Self::start) (the working cells become a
-/// copy of the base), then [`apply`](Self::apply) and
-/// [`exit`](Self::exit) per row, then [`finish`](Self::finish). Between
-/// segments [`fold`](Self::fold) extends the base. The base, the working
-/// cells and the answer share the worker's witness arena, and every
-/// compaction keeps the chains all three reach.
+/// The cells start as the unit in `G[0]`, or as a state another worker
+/// [`export`](Self::export)ed and this one [`import`](Self::import)s.
+/// [`apply`](Self::apply) adds a row to them. [`push`](Self::push) saves
+/// them and [`pop`](Self::pop) restores the last saved state, so a walk
+/// can return to a node after visiting its left child. A segment adds its
+/// tuples with [`exit`](Self::exit) then [`apply`](Self::apply) and hands
+/// its answer over with [`finish`](Self::finish). The cells, the saved
+/// states and the answer share the worker's witness arena, and every
+/// compaction keeps the chains all of them reach.
 #[derive(Debug)]
 pub(crate) struct Forward {
     config: EngineConfig,
     workspace: Workspace,
-    /// `G[0..k)` after every folded row.
-    base: Vec<ScoreColumns>,
-    /// `G[0..k)` of the segment in progress; empty between segments.
+    /// `G[0..k)` after every applied row.
     cells: Vec<ScoreColumns>,
+    /// The saved states, innermost last: `saved[..depth]` are in use and
+    /// the rest keep their capacity for the next push.
+    saved: Vec<Vec<ScoreColumns>>,
+    depth: usize,
     /// The segment's distribution so far; empty between segments.
     answer: ScoreColumns,
 }
 
+/// A copy of a worker's cells that another worker can start from: each
+/// cell's lines with their witness ids walked out of the exporter's arena.
+#[derive(Debug, Default)]
+pub(crate) struct Exported {
+    store: Finished,
+    cells: Vec<Span>,
+}
+
 impl Forward {
-    /// A worker's state for top-`k` selections (`k ≥ 1`): the base is the
-    /// unit in `G[0]`, no row folded yet.
+    /// A worker's state for top-`k` selections (`k ≥ 1`): the unit in
+    /// `G[0]`, no row applied yet.
     pub(crate) fn new(k: usize, config: EngineConfig) -> Self {
         assert!(k > 0, "top-0 selections have no rows");
-        let mut base = vec![ScoreColumns::empty(); k];
-        base[0] = ScoreColumns::unit(config.track_witnesses);
-        Forward {
+        let mut forward = Forward {
             config,
             workspace: Workspace::default(),
-            base,
             cells: vec![ScoreColumns::empty(); k],
+            saved: Vec::new(),
+            depth: 0,
             answer: ScoreColumns::empty(),
-        }
+        };
+        forward.reset();
+        forward
     }
 
-    /// Applies a row to the base.
-    pub(crate) fn fold(&mut self, branches: &[Branch]) {
-        apply_row(&mut self.base, branches, &self.config, &mut self.workspace);
-        self.compact();
+    /// Returns to the unit in `G[0]`, with nothing saved.
+    pub(crate) fn reset(&mut self) {
+        self.cells.iter_mut().for_each(ScoreColumns::clear);
+        self.cells[0].copy_from(&ScoreColumns::unit(self.config.track_witnesses));
+        self.depth = 0;
+        self.answer.clear();
     }
 
-    /// Starts a segment: the working cells become a copy of the base.
-    pub(crate) fn start(&mut self) {
-        for (cell, base) in self.cells.iter_mut().zip(&self.base) {
-            cell.copy_from(base);
-        }
-    }
-
-    /// Applies a row to the working cells.
+    /// Applies a row to the cells.
     pub(crate) fn apply(&mut self, branches: &[Branch]) {
         apply_row(&mut self.cells, branches, &self.config, &mut self.workspace);
         self.compact();
@@ -279,26 +295,68 @@ impl Forward {
 
     /// Ends the segment: appends the answer to `store`, with each witness
     /// listing the last applied row first, and returns where it sits there.
+    /// The cells are left as they are.
     pub(crate) fn finish(&mut self, store: &mut Finished) -> Span {
         let span = self.answer.store_in(&self.workspace, store);
         self.answer.clear();
-        self.cells.iter_mut().for_each(ScoreColumns::clear);
         span
     }
 
-    /// Compacts the witness arena to the chains the base, the working cells
+    /// Saves a copy of the cells.
+    pub(crate) fn push(&mut self) {
+        if self.saved.len() == self.depth {
+            self.saved
+                .push(vec![ScoreColumns::empty(); self.cells.len()]);
+        }
+        for (saved, cell) in self.saved[self.depth].iter_mut().zip(&self.cells) {
+            saved.copy_from(cell);
+        }
+        self.depth += 1;
+    }
+
+    /// Restores the cells saved by the last unmatched [`push`](Self::push).
+    pub(crate) fn pop(&mut self) {
+        self.depth -= 1;
+        std::mem::swap(&mut self.cells, &mut self.saved[self.depth]);
+    }
+
+    /// An exact copy of the cells for another worker: every line's score,
+    /// probability and witness (its probability and ids).
+    pub(crate) fn export(&self) -> Exported {
+        let mut exported = Exported::default();
+        for cell in &self.cells {
+            let span = cell.store_in(&self.workspace, &mut exported.store);
+            exported.cells.push(span);
+        }
+        exported
+    }
+
+    /// Makes the cells the exported ones, their witness chains re-rooted in
+    /// this worker's arena, with nothing saved and no answer.
+    pub(crate) fn import(&mut self, exported: &Exported) {
+        for (cell, &span) in self.cells.iter_mut().zip(&exported.cells) {
+            cell.load(&exported.store, span, &mut self.workspace);
+        }
+        self.depth = 0;
+        self.answer.clear();
+        self.compact();
+    }
+
+    /// Compacts the witness arena to the chains the cells, the saved states
     /// and the answer reach.
     fn compact(&mut self) {
         let Forward {
             workspace,
-            base,
             cells,
+            saved,
+            depth,
             answer,
             ..
         } = self;
         workspace.compact(
-            base.iter_mut()
-                .chain(cells.iter_mut())
+            cells
+                .iter_mut()
+                .chain(saved[..*depth].iter_mut().flatten())
                 .chain(std::iter::once(answer)),
         );
     }

@@ -11,10 +11,37 @@
 //! algorithms of this crate.
 //!
 //! The solver is the two-function dynamic program of Figure 7 (after Hassin &
-//! Tamir): `F_a(j)` is the optimal cost of covering the suffix `{s_j, …}`
-//! with at most `a` typical scores, and `G_a(j)` the same under the
-//! constraint that `s_j` itself is typical. With prefix sums `P`/`PS` every
-//! candidate split is evaluated in O(1).
+//! Tamir, "Improved complexity bounds for location problems on the real
+//! line", 1991): `F_a(j)` is the optimal cost of covering the suffix
+//! `{s_j, …}` with at most `a` typical scores, and `G_a(j)` the same under
+//! the constraint that `s_j` itself is typical. With prefix sums `P`/`PS`
+//! every candidate split is evaluated in O(1).
+//!
+//! # Monotone argmins
+//!
+//! Both inner minimisations have monotone argmins, which is what brings
+//! Hassin & Tamir's bound within reach. Write `F_a(j) = min_k [L(j, k) +
+//! G_a(k)]` over `j ≤ k < n`, where `L(j, k)` assigns `s_j..=s_k` to `s_k`.
+//! For `j₁ < j₂ ≤ k₁ < k₂` the quadrangle inequality
+//! `L(j₁, k₁) + L(j₂, k₂) ≤ L(j₁, k₂) + L(j₂, k₁)` holds: the two sides
+//! differ by `(P[j₂] − P[j₁])·(s_k₁ − s_k₂) ≤ 0`, since the mass between
+//! `j₁` and `j₂` pays the smaller of the two scores on the left side. The
+//! term `G_a(k)` depends on `k` alone and cancels, and a split with
+//! `k < j` is infinite, which only helps the inequality. So the leftmost
+//! minimising `k` never decreases as `j` grows. The same holds for `G_a(j)
+//! = min_k [R(j, k − 1) + F_{a−1}(k)]` over `j < k ≤ n`, where `R(j, k)`
+//! assigns `s_j..=s_k` to `s_j`: the difference is `(P[k₂ + 1] − P[k₁ +
+//! 1])·(s_j₁ − s_j₂) ≤ 0`.
+//!
+//! So each layer solves the middle `j` by a scan, then the `j` below it
+//! only over splits up to its argmin and the `j` above only from it on:
+//! O(n log n) per layer and O(c·n·log n) in all, against O(c·n²) for the
+//! plain scans. (SMAWK would make a layer O(n), Hassin & Tamir's O(c·n).)
+//! Every candidate is the same expression the plain scan evaluates, and a
+//! scan keeps the leftmost minimum, so the two agree bit for bit wherever
+//! rounding keeps the argmins monotone. `tests/typical_parity.rs` holds the
+//! selection to the plain scans (kept in `tests/support/typical_oracle.rs`)
+//! and to the brute force.
 
 use ttk_uncertain::{Error, Result, ScoreDistribution, TopkVector};
 
@@ -55,16 +82,14 @@ impl TypicalSelection {
     }
 }
 
-/// Selects the c-Typical-Topk answers from a score distribution using the
-/// O(c·n²) dynamic program of Figure 7 (the paper reports O(cn) after the
-/// prefix-sum preprocessing; the quadratic inner minimisation is kept simple
-/// here because `n` is already bounded by the line-coalescing limit).
+/// Selects the c-Typical-Topk answers from a score distribution with the
+/// dynamic program of Figure 7, its inner minimisations solved over
+/// monotone argmins in O(c·n·log n) (see the module doc).
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidParameter`] when `c == 0` or the distribution is
 /// empty.
-#[allow(clippy::needless_range_loop)] // index arithmetic mirrors the paper's recurrences
 pub fn typical_topk(distribution: &ScoreDistribution, c: usize) -> Result<TypicalSelection> {
     if c == 0 {
         return Err(Error::InvalidParameter(
@@ -78,21 +103,18 @@ pub fn typical_topk(distribution: &ScoreDistribution, c: usize) -> Result<Typica
     }
     let n = distribution.len();
     let points = distribution.points();
-    let scores: Vec<f64> = points.iter().map(|p| p.score).collect();
-    let probs: Vec<f64> = points.iter().map(|p| p.probability).collect();
-
+    let answer = |i: usize| TypicalAnswer {
+        score: points[i].score,
+        probability: points[i].probability,
+        vector: points[i]
+            .witness
+            .as_ref()
+            .map(|w| w.to_vector(points[i].score)),
+    };
     if c >= n {
         // Every support point becomes typical; the objective is zero.
-        let answers = points
-            .iter()
-            .map(|p| TypicalAnswer {
-                score: p.score,
-                probability: p.probability,
-                vector: p.witness.as_ref().map(|w| w.to_vector(p.score)),
-            })
-            .collect();
         return Ok(TypicalSelection {
-            answers,
+            answers: (0..n).map(answer).collect(),
             expected_distance: 0.0,
         });
     }
@@ -101,75 +123,58 @@ pub fn typical_topk(distribution: &ScoreDistribution, c: usize) -> Result<Typica
     // exclusive upper bound, so P[0] = 0 and P[n] is the total mass).
     let mut prefix_p = vec![0.0; n + 1];
     let mut prefix_ps = vec![0.0; n + 1];
-    for j in 0..n {
-        prefix_p[j + 1] = prefix_p[j] + probs[j];
-        prefix_ps[j + 1] = prefix_ps[j] + probs[j] * scores[j];
+    for (j, point) in points.iter().enumerate() {
+        prefix_p[j + 1] = prefix_p[j] + point.probability;
+        prefix_ps[j + 1] = prefix_ps[j] + point.probability * point.score;
     }
-    // Cost of assigning points j..k (inclusive) to the typical score s_k
-    // (all of them lie at or below s_k).
+    let score = |j: usize| points[j].score;
+    // Cost of assigning points j..=k to the typical score s_k (all of them
+    // lie at or below s_k).
     let left_cost = |j: usize, k: usize| -> f64 {
-        (prefix_p[k + 1] - prefix_p[j]) * scores[k] - (prefix_ps[k + 1] - prefix_ps[j])
+        (prefix_p[k + 1] - prefix_p[j]) * score(k) - (prefix_ps[k + 1] - prefix_ps[j])
     };
-    // Cost of assigning points j..k (inclusive) to the typical score s_j
-    // (all of them lie at or above s_j).
+    // Cost of assigning points j..=k to the typical score s_j (all of them
+    // lie at or above s_j).
     let right_cost = |j: usize, k: usize| -> f64 {
-        (prefix_ps[k + 1] - prefix_ps[j]) - (prefix_p[k + 1] - prefix_p[j]) * scores[j]
+        (prefix_ps[k + 1] - prefix_ps[j]) - (prefix_p[k + 1] - prefix_p[j]) * score(j)
     };
 
-    // f[a][j]: optimal cost for suffix starting at j with at most a typical
-    // scores; g[a][j]: same with s_j forced typical. `f_arg`/`g_arg` record
-    // the minimising split for traceback. Index a from 1..=c.
-    let mut f = vec![vec![f64::INFINITY; n + 2]; c + 1];
-    let mut g = vec![vec![f64::INFINITY; n + 2]; c + 1];
-    let mut f_arg = vec![vec![0usize; n + 2]; c + 1];
-    let mut g_arg = vec![vec![0usize; n + 2]; c + 1];
-
-    // Boundary: G_1(j) = cost of assigning the whole suffix to s_j;
-    // F_a(n) = 0 (empty suffix).
+    // Layer a of F and G, and the minimising splits for the traceback, in
+    // flat tables of c + 1 rows of n + 1 entries: F_a(j) is f[a·(n+1) + j].
+    // Entry n of a row is the empty suffix, which costs nothing.
+    let width = n + 1;
+    let mut f = vec![0.0; (c + 1) * width];
+    let mut g = vec![0.0; (c + 1) * width];
+    let mut f_arg = vec![0usize; (c + 1) * width];
+    let mut g_arg = vec![0usize; (c + 1) * width];
+    // G_1(j): the whole suffix assigned to s_j; the next subproblem starts
+    // past the end.
     for j in 0..n {
-        g[1][j] = right_cost(j, n - 1);
-        g_arg[1][j] = n; // the next subproblem starts past the end
+        g[width + j] = right_cost(j, n - 1);
+        g_arg[width + j] = n;
     }
     for a in 1..=c {
-        f[a][n] = 0.0;
-        g[a][n] = 0.0;
-    }
-
-    // F_a(j) = min_{j ≤ k < n} [ left_cost(j, k) + G_a(k) ].
-    let fill_f =
-        |f: &mut Vec<Vec<f64>>, f_arg: &mut Vec<Vec<usize>>, g: &Vec<Vec<f64>>, a: usize| {
-            for j in (0..n).rev() {
-                let mut best = f64::INFINITY;
-                let mut best_k = j;
-                for k in j..n {
-                    let candidate = left_cost(j, k) + g[a][k];
-                    if candidate < best {
-                        best = candidate;
-                        best_k = k;
-                    }
-                }
-                f[a][j] = best;
-                f_arg[a][j] = best_k;
-            }
-        };
-
-    fill_f(&mut f, &mut f_arg, &g, 1);
-    for a in 2..=c {
-        // G_a(j) = min_{j < k ≤ n} [ right_cost(j, k-1) + F_{a-1}(k) ].
-        for j in (0..n).rev() {
-            let mut best = f64::INFINITY;
-            let mut best_k = j + 1;
-            for k in (j + 1)..=n {
-                let candidate = right_cost(j, k - 1) + f[a - 1][k];
-                if candidate < best {
-                    best = candidate;
-                    best_k = k;
-                }
-            }
-            g[a][j] = best;
-            g_arg[a][j] = best_k;
+        let row = a * width..a * width + n;
+        if a >= 2 {
+            // G_a(j) = min_{j < k ≤ n} [ right_cost(j, k-1) + F_{a-1}(k) ].
+            let f_below = &f[(a - 1) * width..a * width];
+            monotone_minima(
+                n,
+                |j| j + 1..n + 1,
+                |j, k| right_cost(j, k - 1) + f_below[k],
+                &mut g[row.clone()],
+                &mut g_arg[row.clone()],
+            );
         }
-        fill_f(&mut f, &mut f_arg, &g, a);
+        // F_a(j) = min_{j ≤ k < n} [ left_cost(j, k) + G_a(k) ].
+        let (g_row, f_row) = (&g[row.clone()], &mut f[row.clone()]);
+        monotone_minima(
+            n,
+            |j| j..n,
+            |j, k| left_cost(j, k) + g_row[k],
+            f_row,
+            &mut f_arg[row],
+        );
     }
 
     // Traceback (lines 36–41 of Figure 7).
@@ -179,29 +184,61 @@ pub fn typical_topk(distribution: &ScoreDistribution, c: usize) -> Result<Typica
         if start >= n {
             break;
         }
-        let typical = f_arg[a][start];
+        let typical = f_arg[a * width + start];
         chosen.push(typical);
-        start = if a >= 2 { g_arg[a][typical] } else { n };
+        start = if a >= 2 {
+            g_arg[a * width + typical]
+        } else {
+            n
+        };
     }
     chosen.sort_unstable();
     chosen.dedup();
-
-    let answers: Vec<TypicalAnswer> = chosen
-        .iter()
-        .map(|&i| TypicalAnswer {
-            score: points[i].score,
-            probability: points[i].probability,
-            vector: points[i]
-                .witness
-                .as_ref()
-                .map(|w| w.to_vector(points[i].score)),
-        })
-        .collect();
-    let expected_distance = f[c][0];
     Ok(TypicalSelection {
-        answers,
-        expected_distance,
+        answers: chosen.into_iter().map(answer).collect(),
+        expected_distance: f[c * width],
     })
+}
+
+/// For every `j < n`, the minimum of `cost(j, k)` over `k` in
+/// `splits(j)` and the leftmost `k` attaining it, written to `value[j]`
+/// and `arg[j]`, when those leftmost argmins never decrease in `j` and
+/// `splits(j)`'s bounds do not either.
+///
+/// Solves the middle `j` by a scan, then the lower half over splits up to
+/// its argmin and the upper half from its argmin on: each level of the
+/// recursion scans O(n) splits in all.
+fn monotone_minima(
+    n: usize,
+    splits: impl Fn(usize) -> std::ops::Range<usize>,
+    cost: impl Fn(usize, usize) -> f64,
+    value: &mut [f64],
+    arg: &mut [usize],
+) {
+    // Pending halves: rows lo..hi, whose argmins lie in k_lo..=k_hi.
+    let mut pending = vec![(0, n, 0, usize::MAX)];
+    while let Some((lo, hi, k_lo, k_hi)) = pending.pop() {
+        if lo >= hi {
+            continue;
+        }
+        let j = lo + (hi - lo) / 2;
+        let range = splits(j);
+        let first = range.start.max(k_lo);
+        let last = range.end.min(k_hi.saturating_add(1));
+        let mut best = f64::INFINITY;
+        let mut best_k = first;
+        for k in first..last {
+            let candidate = cost(j, k);
+            if candidate < best {
+                best = candidate;
+                best_k = k;
+            }
+        }
+        value[j] = best;
+        arg[j] = best_k;
+        pending.push((lo, j, k_lo, best_k));
+        pending.push((j + 1, hi, best_k, k_hi));
+    }
 }
 
 /// Brute-force reference implementation: tries every subset of `c` support

@@ -14,7 +14,7 @@
 //! gap/size policy, rescaling member probabilities when a group would exceed
 //! total probability one.
 
-use ttk_uncertain::{Result, TupleId, UncertainTable, UncertainTuple, VecSource};
+use ttk_uncertain::{Result, UncertainTable, UncertainTuple, VecSource};
 
 use crate::rng::DataRng;
 
@@ -149,31 +149,25 @@ pub fn generate(config: &SyntheticConfig) -> Result<UncertainTable> {
     }
     // Lay ME groups over the rank order.
     tuples.sort_by_key(|t| t.rank_key());
-    let rules = assign_groups(&tuples, &config.me_policy, &mut rng);
+    let groups = assign_groups(&tuples, &config.me_policy, &mut rng);
 
-    // Rescale probabilities inside groups whose mass exceeds one.
-    let mut adjusted: Vec<UncertainTuple> = tuples.clone();
-    for rule in &rules {
-        let sum: f64 = rule
-            .iter()
-            .map(|id| {
-                adjusted
-                    .iter()
-                    .find(|t| t.id() == *id)
-                    .map(|t| t.prob())
-                    .unwrap_or(0.0)
-            })
-            .sum();
+    // Rescale probabilities inside groups whose mass exceeds one. Groups are
+    // disjoint, so each member is rescaled at most once.
+    for members in &groups {
+        let sum: f64 = members.iter().map(|&pos| tuples[pos].prob()).sum();
         if sum > 0.99 {
             let scale = 0.99 / sum;
-            for t in adjusted.iter_mut() {
-                if rule.contains(&t.id()) {
-                    *t = UncertainTuple::new(t.id(), t.score(), (t.prob() * scale).max(1e-6))?;
-                }
+            for &pos in members {
+                let t = &tuples[pos];
+                tuples[pos] = UncertainTuple::new(t.id(), t.score(), (t.prob() * scale).max(1e-6))?;
             }
         }
     }
-    UncertainTable::new(adjusted, rules)
+    let rules = groups
+        .iter()
+        .map(|members| members.iter().map(|&pos| tuples[pos].id()).collect())
+        .collect();
+    UncertainTable::new(tuples, rules)
 }
 
 /// Generates a synthetic workload directly as a rank-ordered
@@ -200,12 +194,13 @@ pub fn generate_shard_sources(config: &SyntheticConfig, shards: usize) -> Result
     ttk_uncertain::partition_round_robin(generate(config)?.to_source(), shards)
 }
 
-/// Builds ME rules over rank-ordered tuples according to the policy.
+/// Lays ME groups over rank-ordered tuples according to the policy: each
+/// group's members as positions in `tuples`, in rank order.
 fn assign_groups(
     tuples: &[UncertainTuple],
     policy: &MePolicy,
     rng: &mut DataRng,
-) -> Vec<Vec<TupleId>> {
+) -> Vec<Vec<usize>> {
     if policy.portion <= 0.0 || policy.group_size.max < 2 {
         return Vec::new();
     }
@@ -242,7 +237,7 @@ fn assign_groups(
             cursor = next;
         }
         if members.len() > 1 {
-            rules.push(members.iter().map(|&p| tuples[p].id()).collect());
+            rules.push(members);
         }
         pos += 1;
     }
@@ -270,6 +265,60 @@ mod tests {
             .iter()
             .zip(c.tuples())
             .any(|(x, y)| x.score() != y.score()));
+    }
+
+    /// FNV-1a over a table: per tuple in rank order its id, score bits,
+    /// probability bits and group index.
+    fn digest(table: &UncertainTable) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(table.len() as u64);
+        for (pos, t) in table.tuples().iter().enumerate() {
+            eat(t.id().raw());
+            eat(t.score().to_bits());
+            eat(t.prob().to_bits());
+            eat(table.group_index(pos) as u64);
+        }
+        hash
+    }
+
+    #[test]
+    fn generated_tables_are_pinned() {
+        // Recorded before the rescaling looked members up by position; wide
+        // groups with small gaps make many of them exceed mass one.
+        let wide = MePolicy {
+            group_size: IntRange::new(2, 6),
+            gap: IntRange::new(1, 3),
+            portion: 0.8,
+        };
+        for (config, pin) in [
+            (
+                SyntheticConfig {
+                    tuples: 5_000,
+                    seed: 7,
+                    ..SyntheticConfig::default()
+                },
+                0x0b00df86f19d7cad,
+            ),
+            (
+                SyntheticConfig {
+                    tuples: 3_000,
+                    confidence_mean: 0.8,
+                    me_policy: wide,
+                    seed: 11,
+                    ..SyntheticConfig::default()
+                },
+                0x3f529cddd1a002d2,
+            ),
+        ] {
+            let table = generate(&config).unwrap();
+            assert_eq!(digest(&table), pin, "{config:?}");
+        }
     }
 
     #[test]
