@@ -10,9 +10,9 @@
 //!
 //! Without `--out` the JSON goes to stdout. The measurements cover the three
 //! scan variants of `fig09_scan_depth` (depth only, streamed single-source
-//! prefix, sharded merge prefix), a sharded **spill** scan with per-run
-//! prefetching on and off (tracking the I/O-overlap win of the transport
-//! layer), three end-to-end main-algorithm queries, all distribution only
+//! prefix, sharded merge prefix), a full drain of a sharded **spill** scan
+//! (`fig09/spill-drain`: run-file decoding under the loser-tree merge),
+//! three end-to-end main-algorithm queries, all distribution only
 //! (`query/main/k5` and `query/main/k10` on the smoke relation,
 //! `query/main-1971/k5` on the 1,971-row relation of the same seed), the
 //! one-pass U-Topk at k = 10 on the smoke relation (`u_topk/k10`, which a
@@ -46,10 +46,10 @@ use ttk_core::{
     RemoteShardDataset, ResultCache, ScanGate, ServeOptions, Session, ShardScanGate, TopkQuery,
     UTopkConfig,
 };
-use ttk_pdb::{CsvOptions, SpillIndex, SpillOptions};
+use ttk_pdb::{CsvOptions, ShardImportOptions, SpillIndex, SpillOptions};
 use ttk_uncertain::{
-    MergeSource, PrefetchPolicy, SourceTuple, TableSource, TupleSource, UncertainTuple, VecSource,
-    WireReader, WireWriter,
+    MergeSource, SourceTuple, TableSource, TupleSource, UncertainTuple, VecSource, WireReader,
+    WireWriter,
 };
 
 /// Segments of the smoke dataset — an order of magnitude below the paper's
@@ -151,15 +151,10 @@ fn main() {
                 .unwrap()
         }));
     }
-    // The sharded spill scan, prefetch off vs on: the external sort runs
-    // once over a relation big enough that run-file decoding is real work;
-    // each timed iteration replays the run files under the loser-tree merge
-    // and drains the stream. With `PrefetchPolicy::per_shard`, decoding and
-    // disk reads happen on one producer thread per run and overlap with the
-    // merge (and each other) — the artifact tracks that overlap win per
-    // commit. (On a single-core machine the two variants collapse to parity
-    // — there is nothing to overlap with — so the pair also serves as a
-    // regression guard on the feed's channel overhead.)
+    // The sharded spill scan: the external sort runs once over a relation
+    // big enough that run-file decoding is real work; each timed iteration
+    // replays the run files under the loser-tree merge and drains the
+    // stream.
     const SPILL_ROWS: usize = 60_000;
     const SPILL_RUNS: usize = 10;
     let mut csv = String::with_capacity(SPILL_ROWS * 24);
@@ -180,29 +175,22 @@ fn main() {
             &CsvOptions::default(),
             &expr,
             &SpillOptions::with_run_buffer(SPILL_ROWS / SPILL_RUNS),
+            &ShardImportOptions::default(),
         )
         .expect("spill import succeeds"),
     );
-    for (name, prefetch) in [
-        ("fig09/spill-drain/prefetch-off", PrefetchPolicy::Off),
-        (
-            "fig09/spill-drain/prefetch-8192",
-            PrefetchPolicy::per_shard(8192),
-        ),
-    ] {
-        samples.push(
-            measure(name, 10, || {
-                let mut replay = index.replay_with(prefetch).expect("replay succeeds");
-                let mut drained = 0usize;
-                while replay.next_tuple().expect("replay streams").is_some() {
-                    drained += 1;
-                }
-                assert_eq!(drained, SPILL_ROWS);
-                drained
-            })
-            .with_tuples(SPILL_ROWS as u64),
-        );
-    }
+    samples.push(
+        measure("fig09/spill-drain", 10, || {
+            let mut replay = index.replay().expect("replay succeeds");
+            let mut drained = 0usize;
+            while replay.next_tuple().expect("replay streams").is_some() {
+                drained += 1;
+            }
+            assert_eq!(drained, SPILL_ROWS);
+            drained
+        })
+        .with_tuples(SPILL_ROWS as u64),
+    );
 
     // Columnar drain across the wire codec: a relation encoded as block
     // frames, then decoded back through the `TupleSource` trait object

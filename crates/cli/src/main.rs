@@ -65,8 +65,8 @@ use ttk_pdb::{
     DataType, Expr, PTable, Schema, ShardImportOptions, SpillOptions,
 };
 use ttk_uncertain::{
-    wire, LeaseRegistry, PrefetchPolicy, ScoreDistribution, ShardAssignment, SourceTuple,
-    TupleSource, UncertainTuple,
+    wire, LeaseRegistry, ScoreDistribution, ShardAssignment, SourceTuple, TupleSource,
+    UncertainTuple,
 };
 
 fn main() -> ExitCode {
@@ -93,15 +93,16 @@ fn usage() -> &'static str {
               --score EXPR --k K
               [--c C] [--p-tau P] [--max-lines N] [--algorithm main|per-ending|state-expansion|k-combo]
               [--prob-column NAME] [--group-column NAME] [--buckets N]
-              [--batch KS] [--threads N] [--spill-buffer TUPLES]
-              [--prefetch TUPLES] [--id-base N]
+              [--batch KS] [--threads N] [--spill-buffer TUPLES] [--id-base N]
               [--remote-timeout SECS] [--remote-retries N]
               [--no-pushdown] [--bound-update-every TUPLES]
   ttk explain (DATA.csv | --file DATA.csv | --shard ... | --remote-shard ...
                | --server HOST:PORT --dataset NAME --after)
-              --score EXPR [--k K] [--p-tau P] [--algorithm ...]
-              [--spill-buffer TUPLES] [--prefetch TUPLES] [--after]
+              --score EXPR [--k K] [--c C] [--p-tau P] [--max-lines N]
+              [--algorithm ...] [--prob-column NAME] [--group-column NAME]
+              [--spill-buffer TUPLES] [--id-base N] [--after]
               [--remote-timeout SECS] [--remote-retries N]
+              [--no-pushdown] [--bound-update-every TUPLES]
   ttk serve   [NAME=FILE.csv ...] [--live NAME ...] [--score EXPR]
               --listen HOST:PORT
               [--seal-every ROWS] [--compact-at SEGMENTS]
@@ -131,16 +132,19 @@ fn usage() -> &'static str {
                | reload NAME | compact NAME)
               [--remote-timeout SECS] [--remote-retries N]
 
+  Each command accepts exactly the flags listed for it above; any other
+  flag is an error naming the flag and the command.
+
   Every input form resolves to one dataset: a single CSV file (positional or
   --file), the shard files of one partitioned relation (--shard, repeatable;
   scanned under a k-way merge), an out-of-core scan (--spill-buffer T
   external-sorts a single file through runs of at most T tuples spilled to
   temp files), or remote shard servers (--remote-shard, repeatable, mixable
-  with local --shard files). --prefetch B reads every shard of a merged scan
-  ahead through a B-tuple channel on its own thread. Remote dials connect
-  and read under --remote-timeout seconds (default 10/none) and retry
-  --remote-retries times (default 3) with exponential backoff, so a server
-  still starting up is retried instead of failing the query.
+  with local --shard files). A merged scan pulls every shard on the
+  querying thread. Remote dials connect and read under --remote-timeout
+  seconds (default 10/none) and retry --remote-retries times (default 3)
+  with exponential backoff, so a server still starting up is retried
+  instead of failing the query.
 
   Remote scans push the Theorem-2 scan gate down to the servers by default:
   the query's (k, p-tau) is announced on connect, servers stop at a
@@ -239,10 +243,111 @@ fn usage() -> &'static str {
 /// Parsed `--key value` flags; repeated flags accumulate in order.
 type Flags = HashMap<String, Vec<String>>;
 
-/// Flags that take no value (their presence means `true`).
-const BOOLEAN_FLAGS: &[&str] = &["after", "no-pushdown", "seal"];
+/// The flags one verb accepts, as space-separated names. Each takes one
+/// value, except the switches, whose presence means `true`.
+struct VerbFlags {
+    verb: &'static str,
+    values: &'static str,
+    switches: &'static str,
+}
+
+impl VerbFlags {
+    fn is_switch(&self, name: &str) -> bool {
+        self.switches
+            .split_whitespace()
+            .any(|switch| switch == name)
+    }
+
+    fn accepts(&self, name: &str) -> bool {
+        self.is_switch(name) || self.values.split_whitespace().any(|value| value == name)
+    }
+}
+
+/// Every verb's flag table.
+const VERBS: [VerbFlags; 10] = [
+    SOLDIER,
+    GENERATE,
+    QUERY,
+    EXPLAIN,
+    SERVE,
+    APPEND,
+    WATCH,
+    SERVE_SHARD,
+    COORDINATOR,
+    ADMIN,
+];
+
+const SOLDIER: VerbFlags = VerbFlags {
+    verb: "soldier",
+    values: "",
+    switches: "",
+};
+
+const GENERATE: VerbFlags = VerbFlags {
+    verb: "generate",
+    values: "segments tuples rho sigma me-size me-gap seed out shards",
+    switches: "",
+};
+
+const QUERY: VerbFlags = VerbFlags {
+    verb: "query",
+    values: "file shard remote-shard server dataset score k c p-tau max-lines algorithm \
+             prob-column group-column buckets batch threads spill-buffer id-base \
+             remote-timeout remote-retries bound-update-every",
+    switches: "no-pushdown",
+};
+
+const EXPLAIN: VerbFlags = VerbFlags {
+    verb: "explain",
+    values: "file shard remote-shard server dataset score k c p-tau max-lines algorithm \
+             prob-column group-column spill-buffer id-base remote-timeout remote-retries \
+             bound-update-every",
+    switches: "after no-pushdown",
+};
+
+const SERVE: VerbFlags = VerbFlags {
+    verb: "serve",
+    values: "live score listen seal-every compact-at max-conns max-parallel cache-entries \
+             cache-ttl-ms write-timeout-ms request-wait-ms port-file prob-column group-column",
+    switches: "",
+};
+
+const APPEND: VerbFlags = VerbFlags {
+    verb: "append",
+    values: "server dataset row file score prob-column group-column remote-timeout \
+             remote-retries",
+    switches: "seal",
+};
+
+const WATCH: VerbFlags = VerbFlags {
+    verb: "watch",
+    values: "server dataset k c p-tau max-lines algorithm pushes buckets remote-timeout \
+             remote-retries",
+    switches: "",
+};
+
+const SERVE_SHARD: VerbFlags = VerbFlags {
+    verb: "serve-shard",
+    values: "file shard score listen id-base namespace coordinator spill-buffer max-conns \
+             max-parallel port-file write-timeout-ms prob-column group-column",
+    switches: "",
+};
+
+const COORDINATOR: VerbFlags = VerbFlags {
+    verb: "coordinator",
+    values: "listen namespace max-leases port-file write-timeout-ms",
+    switches: "",
+};
+
+const ADMIN: VerbFlags = VerbFlags {
+    verb: "admin",
+    values: "server remote-timeout remote-retries",
+    switches: "",
+};
 
 /// Parses `--key value` style flags into a map; bare words are positional.
+/// A flag is a switch when the verbs' tables list it as one; a flag no verb
+/// accepts is an error.
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
     let mut flags: Flags = HashMap::new();
@@ -250,7 +355,10 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     while i < args.len() {
         let arg = &args[i];
         if let Some(name) = arg.strip_prefix("--") {
-            if BOOLEAN_FLAGS.contains(&name) {
+            if !VERBS.iter().any(|verb| verb.accepts(name)) {
+                return Err(format!("unknown flag --{name}"));
+            }
+            if VERBS.iter().any(|verb| verb.is_switch(name)) {
                 flags
                     .entry(name.to_string())
                     .or_default()
@@ -272,6 +380,17 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
         }
     }
     Ok((positional, flags))
+}
+
+/// Parses the arguments of `verb`, rejecting every flag outside its table.
+fn parse_args(verb: &VerbFlags, args: &[String]) -> Result<(Vec<String>, Flags), String> {
+    let (positional, flags) = parse_flags(args).map_err(|e| format!("ttk {}: {e}", verb.verb))?;
+    let mut unknown: Vec<&String> = flags.keys().filter(|name| !verb.accepts(name)).collect();
+    unknown.sort();
+    match unknown.first() {
+        Some(name) => Err(format!("ttk {}: unknown flag --{name}", verb.verb)),
+        None => Ok((positional, flags)),
+    }
 }
 
 /// The value of a single-valued flag (the last occurrence wins).
@@ -323,7 +442,7 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let rest = &args[1..];
     match command.as_str() {
-        "soldier" => cmd_soldier(),
+        "soldier" => cmd_soldier(rest),
         "generate" => cmd_generate(rest),
         "query" => cmd_query(rest),
         "explain" => cmd_explain(rest),
@@ -341,7 +460,8 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_soldier() -> Result<(), String> {
+fn cmd_soldier(args: &[String]) -> Result<(), String> {
+    parse_args(&SOLDIER, args)?;
     let table = soldier::table().map_err(|e| e.to_string())?;
     let dataset = Dataset::table(table).with_label("soldier (Figure 1)");
     let query = TopkQuery::new(2).with_p_tau(1e-9).with_max_lines(0);
@@ -355,7 +475,7 @@ fn cmd_soldier() -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&GENERATE, args)?;
     let kind = positional
         .first()
         .ok_or("generate needs a dataset kind: cartel or synthetic")?;
@@ -629,9 +749,9 @@ fn parse_csv_options(flags: &Flags) -> CsvOptions {
 /// (`--spill-buffer`) and remote shard servers (repeatable `--remote-shard`,
 /// mixable with `--shard`) — are mutually constrained; any conflicting
 /// combination is rejected with one error naming the dataset kind each flag
-/// resolves to. `serving` marks the serve-shard mode: remote inputs are
-/// rejected and group keys are hashed so independently-served shards agree
-/// on ME groups without coordination.
+/// resolves to. `serving` marks the serve-shard mode, whose flag table has
+/// no `--remote-shard`: group keys are hashed so independently-served
+/// shards agree on ME groups without coordination.
 fn resolve_dataset(
     positional: &[String],
     flags: &Flags,
@@ -652,12 +772,6 @@ fn resolve_dataset(
     }
     let positional_file = positional.first().map(String::as_str);
     let spill_buffer = get_parse(flags, "spill-buffer", 0usize)?;
-    let prefetch_buffer = get_parse(flags, "prefetch", 0usize)?;
-    let prefetch = if prefetch_buffer > 0 {
-        PrefetchPolicy::per_shard(prefetch_buffer)
-    } else {
-        PrefetchPolicy::Off
-    };
     let id_base = get_parse(flags, "id-base", 0u64)?;
     let expression = parse_expression(score).map_err(|e| e.to_string())?;
 
@@ -670,12 +784,6 @@ fn resolve_dataset(
     let file = flag_file.or(positional_file);
 
     if !remote_shards.is_empty() {
-        if serving {
-            return Err(
-                "serve-shard serves local data; --remote-shard only applies to query/explain"
-                    .to_string(),
-            );
-        }
         if let Some(file) = file {
             return Err(format!(
                 "conflicting input flags: `{file}` resolves to a single-file CSV dataset, \
@@ -693,7 +801,6 @@ fn resolve_dataset(
             );
         }
         let mut dataset = RemoteShardDataset::new(remote_shards)
-            .with_prefetch(prefetch)
             .with_connect_options(parse_connect_options(flags)?)
             .with_pushdown(!flags.contains_key("no-pushdown"))
             .with_bound_update_every(get_parse(flags, "bound-update-every", 64u64)?.max(1));
@@ -733,9 +840,8 @@ fn resolve_dataset(
                 .to_string(),
         ),
         (Some(file), true) => {
-            let dataset = CsvDataset::from_path(file, csv_options.clone(), expression)
-                .with_prefetch(prefetch)
-                .with_import(import);
+            let dataset =
+                CsvDataset::from_path(file, csv_options.clone(), expression).with_import(import);
             Ok(if spill_buffer > 0 {
                 dataset
                     .with_spill(SpillOptions::with_run_buffer(spill_buffer))
@@ -757,7 +863,6 @@ fn resolve_dataset(
             }
             Ok(
                 CsvDataset::from_shard_paths(shard_files, csv_options.clone(), expression)
-                    .with_prefetch(prefetch)
                     .with_import(import)
                     .into_dataset(),
             )
@@ -911,7 +1016,7 @@ impl ConnectionHandler for ShardHandler {
 /// SIGINT/SIGTERM, joining in-flight connections first; a slow or dead
 /// client only ever costs its own worker thread.
 fn cmd_serve_shard(args: &[String]) -> Result<(), String> {
-    let (positional, mut flags) = parse_flags(args)?;
+    let (positional, mut flags) = parse_args(&SERVE_SHARD, args)?;
     let score = get(&flags, "score")
         .ok_or("--score is required")?
         .to_string();
@@ -1074,7 +1179,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     const BUSY_GRACE_POLLS: usize = 10;
     /// The retry-after hint stamped into shed busy frames.
     const BUSY_RETRY_AFTER_MS: u64 = 100;
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&SERVE, args)?;
     let live_names: Vec<String> = flags.get("live").cloned().unwrap_or_default();
     let listen = get(&flags, "listen")
         .ok_or("--listen HOST:PORT is required")?
@@ -1280,7 +1385,7 @@ impl ConnectionHandler for CoordinatorHandler {
 /// ranges of the registered shards are contiguous and non-overlapping —
 /// exactly the arithmetic operators previously did by hand with --id-base.
 fn cmd_coordinator(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&COORDINATOR, args)?;
     if !positional.is_empty() {
         return Err(format!(
             "unexpected positional arguments {positional:?}: the coordinator serves leases, \
@@ -1314,7 +1419,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), String> {
 /// `ttk admin`: ships one management verb to a running `ttk serve` daemon
 /// over the admin plane and prints the server's report.
 fn cmd_admin(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&ADMIN, args)?;
     let server = get(&flags, "server").ok_or("--server HOST:PORT is required")?;
     let mut words = positional.iter().map(String::as_str);
     let verb = words.next().ok_or(
@@ -1436,11 +1541,6 @@ fn describe_scan(plan: &PlanDescription) -> String {
                 )
             }
         }
-        ScanPath::Prefetched { shards, buffer } => format!(
-            "{rows} rows loaded from {} ({shards} shard streams, each prefetched through a \
-             {buffer}-tuple channel)",
-            plan.dataset
-        ),
         ScanPath::Live {
             segments,
             epoch,
@@ -1470,7 +1570,7 @@ fn describe_scan(plan: &PlanDescription) -> String {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&QUERY, args)?;
     let k = get_parse(&flags, "k", 0usize)?;
     let batch_ks = match get(&flags, "batch") {
         Some(raw) => Some(parse_k_list(raw)?),
@@ -1581,7 +1681,7 @@ fn parse_row_spec(raw: &str) -> Result<SourceTuple, String> {
 /// `ttk serve` itself would run. `--seal` publishes the staged rows as a new
 /// snapshot epoch in the same request.
 fn cmd_append(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&APPEND, args)?;
     if !positional.is_empty() {
         return Err(format!(
             "unexpected positional arguments {positional:?}: appends name their input with \
@@ -1655,7 +1755,7 @@ fn cmd_append(args: &[String]) -> Result<(), String> {
 /// the server to close the subscription after N pushes (0 = until either
 /// side disconnects).
 fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&WATCH, args)?;
     reject_local_input_flags(&positional, &flags)?;
     let server = get(&flags, "server")
         .ok_or("--server HOST:PORT is required (watch subscribes to a ttk serve daemon)")?;
@@ -1695,7 +1795,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_flags(args)?;
+    let (positional, flags) = parse_args(&EXPLAIN, args)?;
     let k = get_parse(&flags, "k", 1usize)?;
     if k == 0 {
         return Err("--k must be at least 1".to_string());
@@ -1948,6 +2048,89 @@ mod tests {
         assert!(run(&s(&["frobnicate"])).is_err());
         assert!(run(&[]).is_err());
         assert!(run(&s(&["soldier"])).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_naming_the_flag_and_the_verb() {
+        // Each case fails while parsing, before any file is read, any
+        // address bound or any server dialled.
+        let cases: [(&str, &[&str]); 11] = [
+            ("--k", &["soldier", "--k", "3"]),
+            (
+                "--bogus",
+                &["generate", "cartel", "--segments", "2", "--bogus", "1"],
+            ),
+            (
+                "--prefetch",
+                &["query", "--file", "x", "--score", "d", "--prefetch", "8"],
+            ),
+            (
+                "--prefetch",
+                &["query", "--file", "x", "--score", "d", "--prefetch"],
+            ),
+            (
+                "--threads",
+                &["explain", "--file", "x", "--score", "d", "--threads", "2"],
+            ),
+            (
+                "--cache-entires",
+                &["serve", "--live", "feed", "--cache-entires", "8"],
+            ),
+            (
+                "--no-pushdown",
+                &["serve-shard", "x", "--score", "d", "--no-pushdown"],
+            ),
+            (
+                "--max-conns",
+                &["coordinator", "--listen", "127.0.0.1:0", "--max-conns", "1"],
+            ),
+            (
+                "--k",
+                &["admin", "--server", "127.0.0.1:1", "--k", "1", "stats"],
+            ),
+            (
+                "--after",
+                &[
+                    "append",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--dataset",
+                    "d",
+                    "--after",
+                ],
+            ),
+            (
+                "--file",
+                &[
+                    "watch",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--dataset",
+                    "d",
+                    "--file",
+                    "x",
+                ],
+            ),
+        ];
+        for (flag, args) in cases {
+            let err = run(&s(args)).unwrap_err();
+            assert!(err.contains(flag), "{args:?}: {err}");
+            assert!(
+                err.contains(&format!("ttk {}:", args[0])),
+                "{args:?}: {err}"
+            );
+        }
+        // A name is a switch for every verb that takes it, or for none.
+        for verb in &VERBS {
+            for switch in verb.switches.split_whitespace() {
+                assert!(
+                    VERBS
+                        .iter()
+                        .all(|other| other.is_switch(switch) || !other.accepts(switch)),
+                    "--{switch}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2216,8 +2399,6 @@ mod tests {
             expr,
             "--k",
             "3",
-            "--prefetch",
-            "64",
         ]))
         .unwrap();
         run(&s(&[

@@ -283,8 +283,7 @@ pub fn materialized_topk_score_distribution(
 
 /// Runs the main algorithm over an already-collected scan prefix on at
 /// most `max_workers` workers (0 = one per available core).
-/// Shared by the streaming entry points and the batch
-/// [`crate::query::Executor`].
+/// Shared by the streaming entry points and the query executor.
 pub(crate) fn topk_from_prefix(
     prefix: &ScanPrefix,
     k: usize,

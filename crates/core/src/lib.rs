@@ -25,9 +25,9 @@
 //!   `explain` (now with observed-vs-estimated scan-depth drift).
 //! * [`remote`] — [`RemoteShardDataset`]: shard streams decoded from other
 //!   processes over the wire protocol of `ttk-uncertain`, merged (optionally
-//!   prefetched, optionally together with local shards) into one scan; each
-//!   connection announces the query so servers ship only the Theorem-2
-//!   prefix.
+//!   together with local shards) into one scan pulled on the scanning
+//!   thread; each connection announces the query so servers ship only the
+//!   Theorem-2 prefix.
 //! * [`serve`] — the server side of scan-gate pushdown: [`serve_stream`]
 //!   reads a connection's scan announcement and replays a shard through the
 //!   conservative [`ShardScanGate`] bound.
@@ -49,7 +49,7 @@
 //!   epoch-numbered watermarked snapshots; [`LiveDataset`] opens any
 //!   snapshot as a plain merged scan, so every other layer works unchanged.
 //! * [`query`] — the query model ([`TopkQuery`], [`QueryAnswer`]) and the
-//!   reusable [`Executor`] engine the session drives.
+//!   execution engine each session and batch worker owns.
 //!
 //! ## Quick start
 //!
@@ -110,7 +110,7 @@ pub use dp::{
 };
 pub use k_combo::{k_combo, k_combo_streamed};
 pub use live::{AppendLog, AppendOutcome, LiveDataset, LiveSnapshot, SubscriberGuard};
-pub use query::{Algorithm, Executor, QueryAnswer, TopkQuery};
+pub use query::{Algorithm, QueryAnswer, TopkQuery};
 pub use query_serve::{
     answer_from_wire, answer_hash, answer_to_wire, query_from_request, request_for, serve_client,
     AppendServeSummary, QueryServeOptions, QueryServeSummary, RemoteAnswer, RemoteQueryClient,

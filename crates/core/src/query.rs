@@ -3,7 +3,7 @@
 //! [`TopkQuery`] bundles every knob of the paper's proposal — the query size
 //! `k`, the number of typical answers `c`, the probability threshold pτ, the
 //! line-coalescing budget and the algorithm choice — and a [`Session`]
-//! (driving the [`Executor`] engine defined here) runs the whole pipeline:
+//! (driving the crate-private executor defined here) runs the whole pipeline:
 //! score distribution → c-Typical-Topk selection → U-Topk comparison point.
 //! This is the API the examples, the CLI and the probabilistic-database
 //! layer (`ttk-pdb`) build on.
@@ -11,8 +11,9 @@
 //! Every algorithm choice runs through the same streaming front end: the
 //! input — an in-memory table or any [`TupleSource`] — is pulled through a
 //! Theorem-2 [`ScanGate`] by the rank-scan executor, and only the admitted
-//! prefix reaches the algorithm. The [`Executor`] owns the scan's scratch
-//! buffers so serving many queries does not reallocate per query.
+//! prefix reaches the algorithm. The executor owns the scan's scratch
+//! buffers, and each [`Session`] (and each batch worker) owns one executor,
+//! so serving many queries does not reallocate per query.
 //!
 //! **Use the unified API.** The per-shape entry points of earlier releases
 //! (`execute`, `execute_source`, `execute_shards`, `execute_batch`,
@@ -24,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use ttk_uncertain::{
-    CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable,
+    CoalescePolicy, Error, Result, ScoreDistribution, TupleSource, UncertainTable,
 };
 
 use crate::baselines::exhaustive::exhaustive_topk_distribution;
@@ -179,7 +180,8 @@ impl QueryAnswer {
     }
 }
 
-/// A reusable query executor.
+/// The reusable scratch of query execution, owned by a [`Session`] and by
+/// each of its batch workers.
 ///
 /// An `Executor` owns the streaming rank scan and one [`ScanGate`] that is
 /// re-armed per query, so a long-lived serving process (or a batch worker
@@ -192,7 +194,7 @@ impl QueryAnswer {
 /// [`crate::dp`]), except in a batch's worker threads, which already
 /// occupy the cores.
 #[derive(Debug)]
-pub struct Executor {
+pub(crate) struct Executor {
     scan: RankScan,
     gate: ScanGate,
     /// Most workers a main-algorithm DP may run its segments on (0 = one
@@ -211,11 +213,6 @@ impl Default for Executor {
 }
 
 impl Executor {
-    /// Creates an executor with empty scratch buffers.
-    pub fn new() -> Self {
-        Executor::default()
-    }
-
     /// An executor for a batch worker thread, whose main-algorithm DPs run
     /// every segment on that thread: the batch's workers already occupy the
     /// cores.
@@ -226,40 +223,20 @@ impl Executor {
         }
     }
 
-    /// Executes a query against an in-memory table.
-    ///
-    /// The score distribution is computed through the streaming scan; the
-    /// U-Topk comparison answer (when requested) searches the full table,
-    /// matching the classical semantics.
+    /// Pulls `source` through the Theorem-2 gate and runs the selected
+    /// algorithm on the admitted prefix. `full_table` lets U-Topk run on the
+    /// table directly when the caller holds the materialized table;
+    /// otherwise U-Topk drains the rest of the stream. `meter`, when given,
+    /// is attached to the gate for the duration of the scan, so a concurrent
+    /// observer (the remote pushdown plumbing) can watch the accumulated
+    /// probability mass tighten as tuples are admitted.
     ///
     /// # Errors
     ///
-    /// Propagates parameter validation errors from the underlying algorithms
-    /// (`k == 0`, pτ out of range, `typical_count == 0`, too many possible
-    /// worlds for the exhaustive algorithm, …).
-    pub fn execute(&mut self, table: &UncertainTable, query: &TopkQuery) -> Result<QueryAnswer> {
-        let mut source = TableSource::new(table);
-        self.run_source(&mut source, query, Some(table))
-    }
-
-    /// Kernel of the streaming execution path: pulls `source`
-    /// through the Theorem-2 gate and runs the selected algorithm on the
-    /// admitted prefix. `full_table` lets U-Topk run on the table directly
-    /// when the caller holds the materialized table.
-    pub(crate) fn run_source(
-        &mut self,
-        source: &mut dyn TupleSource,
-        query: &TopkQuery,
-        full_table: Option<&UncertainTable>,
-    ) -> Result<QueryAnswer> {
-        self.run_source_metered(source, query, full_table, None)
-    }
-
-    /// [`Executor::run_source`] with an optional [`GateMeter`] attached to
-    /// the Theorem-2 gate for the duration of the scan, so a concurrent
-    /// observer (the remote pushdown plumbing) can watch the accumulated
-    /// probability mass tighten as tuples are admitted.
-    pub(crate) fn run_source_metered(
+    /// Parameter validation errors of the underlying algorithms (`k == 0`,
+    /// pτ out of range, `typical_count == 0`, too many possible worlds for
+    /// the exhaustive algorithm, …) and stream errors.
+    pub(crate) fn run(
         &mut self,
         source: &mut dyn TupleSource,
         query: &TopkQuery,
@@ -371,7 +348,7 @@ impl Executor {
 ///   at most its line's mass × (1 + 1e-12);
 /// - every typical score is a support point of the distribution.
 ///
-/// The [`Executor`] checks every answer it returns in debug builds.
+/// The executor checks every answer it returns in debug builds.
 pub(crate) fn answer_violation(answer: &QueryAnswer, k: usize) -> Option<String> {
     let points = answer.distribution.points();
     let mass = answer.distribution.total_probability();
@@ -435,6 +412,11 @@ mod tests {
     use super::*;
     use ttk_uncertain::{TupleId, UncertainTuple};
 
+    /// Runs one query against a table through a fresh [`Session`].
+    fn execute(table: &UncertainTable, query: &TopkQuery) -> Result<QueryAnswer> {
+        Session::new().execute(&Dataset::table(table.clone()), query)
+    }
+
     fn soldier_table() -> UncertainTable {
         UncertainTable::builder()
             .tuple(1u64, 49.0, 0.4)
@@ -461,7 +443,7 @@ mod tests {
     fn end_to_end_soldier_query() {
         let table = soldier_table();
         let query = TopkQuery::new(2).with_p_tau(1e-9).with_max_lines(0);
-        let answer = Executor::new().execute(&table, &query).unwrap();
+        let answer = execute(&table, &query).unwrap();
         assert!((answer.expected_score() - 164.1).abs() < 0.05);
         assert_eq!(answer.typical.scores(), vec![118.0, 183.0, 235.0]);
         let u = answer.u_topk.as_ref().unwrap();
@@ -488,7 +470,7 @@ mod tests {
                 .with_max_lines(0)
                 .with_algorithm(algorithm)
                 .with_u_topk(false);
-            let answer = Executor::new().execute(&table, &query).unwrap();
+            let answer = execute(&table, &query).unwrap();
             expected.push(answer.expected_score());
         }
         for pair in expected.windows(2) {
@@ -517,14 +499,10 @@ mod tests {
     #[test]
     fn invalid_parameters_are_rejected() {
         let table = soldier_table();
-        assert!(Executor::new().execute(&table, &TopkQuery::new(0)).is_err());
-        assert!(Executor::new()
-            .execute(&table, &TopkQuery::new(2).with_typical_count(0))
-            .is_err());
+        assert!(execute(&table, &TopkQuery::new(0)).is_err());
+        assert!(execute(&table, &TopkQuery::new(2).with_typical_count(0)).is_err());
         // k larger than the table can support.
-        assert!(Executor::new()
-            .execute(&table, &TopkQuery::new(10))
-            .is_err());
+        assert!(execute(&table, &TopkQuery::new(10)).is_err());
     }
 
     /// `answer` with its distribution's points passed through `corrupt`.
@@ -547,7 +525,7 @@ mod tests {
             .with_p_tau(1e-9)
             .with_max_lines(0)
             .with_u_topk(false);
-        let answer = Executor::new().execute(&table, &query).unwrap();
+        let answer = execute(&table, &query).unwrap();
         assert_eq!(answer_violation(&answer, 2), None);
         // The witnesses hold two ids each, so the same answer fails as a
         // top-3 answer.
@@ -617,7 +595,7 @@ mod tests {
     #[test]
     fn typical_answers_lie_inside_the_distribution_span() {
         let table = soldier_table();
-        let answer = Executor::new().execute(&table, &TopkQuery::new(3)).unwrap();
+        let answer = execute(&table, &TopkQuery::new(3)).unwrap();
         let lo = answer.distribution.min_score().unwrap();
         let hi = answer.distribution.max_score().unwrap();
         for score in answer.typical.scores() {
@@ -684,7 +662,7 @@ mod tests {
                 .with_p_tau(1e-9)
                 .with_coalesce_policy(policy)
                 .with_max_lines(max_lines);
-            if let Ok(answer) = Executor::new().execute(&table, &query) {
+            if let Ok(answer) = execute(&table, &query) {
                 let violation = answer_violation(&answer, query.k);
                 proptest::prop_assert!(violation.is_none(), "{probabilities:?} {query:?}: {violation:?}");
             }

@@ -9,7 +9,8 @@
 //! the loser-tree k-way merge. Because the wire format carries raw IEEE-754
 //! bits, the merged stream is **bit-identical** to scanning the same shards
 //! in-process, and every [`Session`](crate::Session) verb (`execute`,
-//! `execute_batch`, `explain`) works unchanged.
+//! `execute_batch`, `explain`) works unchanged. The merge pulls every
+//! connection synchronously on the scanning thread.
 //!
 //! Three knobs shape the scan:
 //!
@@ -17,10 +18,11 @@
 //!   into the same merge (the `--shard` + `--remote-shard` combination of
 //!   the CLI). Remote and local shards must partition one relation and
 //!   share a group-key namespace — servers derive stable keys by hashing
-//!   the group label, see `shard_import` in `ttk-pdb`.
-//! * [`RemoteShardDataset::with_prefetch`] reads each shard ahead through a
-//!   bounded [`TupleFeed`](ttk_uncertain::TupleFeed) channel, overlapping
-//!   network latency with the merge.
+//!   the group label, see `ShardImportOptions` in `ttk-pdb`.
+//! * [`RemoteShardDataset::with_pushdown`] announces the query's `(k, pτ)`
+//!   on every connection, so servers ship only their Theorem-2 prefix, and
+//!   [`RemoteShardDataset::with_bound_update_every`] sets how often the
+//!   merge-side gate pushes its tightening bound back.
 //! * [`RemoteShardDataset::with_connect_options`] bounds and retries the
 //!   dial: every connection attempt runs under [`ConnectOptions`] —
 //!   per-attempt connect timeout, optional read timeout on the established
@@ -48,8 +50,8 @@ use std::time::Duration;
 
 use ttk_uncertain::wire::{self, PushdownQuery};
 use ttk_uncertain::{
-    Error, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple, TupleBlock,
-    TupleSource, WireReader, WireScanStats,
+    Error, Result, ScanHandle, ShardAssignment, SourceTuple, TupleBlock, TupleSource, WireReader,
+    WireScanStats,
 };
 
 use crate::scan_depth::GateMeter;
@@ -117,7 +119,6 @@ pub struct RemoteShardDataset {
     addrs: Vec<String>,
     local: Option<LocalShardOpener>,
     local_count: usize,
-    prefetch: PrefetchPolicy,
     connect: ConnectOptions,
     pushdown: bool,
     bound_update_every: u64,
@@ -131,7 +132,6 @@ impl std::fmt::Debug for RemoteShardDataset {
         f.debug_struct("RemoteShardDataset")
             .field("addrs", &self.addrs)
             .field("local_shards", &self.local_count)
-            .field("prefetch", &self.prefetch)
             .field("connect", &self.connect)
             .field("pushdown", &self.pushdown)
             .field("bound_update_every", &self.bound_update_every)
@@ -147,7 +147,6 @@ impl RemoteShardDataset {
             addrs: addrs.into_iter().map(Into::into).collect(),
             local: None,
             local_count: 0,
-            prefetch: PrefetchPolicy::Off,
             connect: ConnectOptions::default(),
             pushdown: true,
             bound_update_every: 64,
@@ -193,13 +192,6 @@ impl RemoteShardDataset {
     ) -> Self {
         self.local = Some(Box::new(open));
         self.local_count = count;
-        self
-    }
-
-    /// Reads every shard (remote and local) ahead through a bounded feed
-    /// channel, overlapping per-shard I/O with the merge.
-    pub fn with_prefetch(mut self, prefetch: PrefetchPolicy) -> Self {
-        self.prefetch = prefetch;
         self
     }
 
@@ -499,7 +491,7 @@ impl RemoteShardDataset {
         if let Some(open) = &self.local {
             shards.extend(open()?);
         }
-        Ok(ScanHandle::merged_prefetched(shards, self.prefetch).with_wire_stats(stats))
+        Ok(ScanHandle::merged(shards).with_wire_stats(stats))
     }
 }
 
@@ -638,7 +630,6 @@ mod tests {
                     Box::new(VecSource::new(local_shard.clone())) as Box<dyn TupleSource + Send>
                 ])
             })
-            .with_prefetch(PrefetchPolicy::per_shard(8))
             .into_dataset();
         assert_eq!(
             session.explain(&dataset, &query).path,

@@ -105,9 +105,9 @@ impl ScanPrefix {
 }
 
 /// The streaming rank-scan executor: pulls a source through a gate and
-/// assembles [`ScanPrefix`]es. Stateless — cross-query reuse lives in
-/// [`crate::query::Executor`], which re-arms one [`ScanGate`] per query so
-/// its group-mass table keeps its allocation.
+/// assembles [`ScanPrefix`]es. Stateless — cross-query reuse lives in the
+/// executor each [`Session`](crate::Session) owns, which re-arms one
+/// [`ScanGate`] per query so its group-mass table keeps its allocation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RankScan;
 

@@ -66,8 +66,8 @@ pub struct ScanGate {
 
 /// A shared, lock-free view of a [`ScanGate`]'s accumulated mass: the gate
 /// publishes after every admitted tuple, and any number of clones — one per
-/// remote connection, possibly on prefetch producer threads — read the
-/// latest value to push bound updates to shard servers.
+/// remote connection of a `Send` scan — read the latest value to push bound
+/// updates to shard servers.
 #[derive(Debug, Clone, Default)]
 pub struct GateMeter(std::sync::Arc<std::sync::atomic::AtomicU64>);
 
@@ -136,7 +136,7 @@ impl ScanGate {
 
     /// Re-arms the gate for a fresh scan with the given parameters, keeping
     /// the group-mass table's allocation. This is what lets a long-lived
-    /// [`crate::query::Executor`] serve many queries without reallocating.
+    /// [`Session`](crate::Session) serve many queries without reallocating.
     ///
     /// # Errors
     ///

@@ -9,8 +9,9 @@
 //!   [`ScanHandle`], and replayable kinds cache
 //!   their expensive artifacts (a spilled CSV keeps its external-sort run
 //!   files) so *plan once, run many* holds across queries;
-//! * a [`Session`] owns the reusable [`Executor`] and exposes exactly three
-//!   verbs: [`Session::execute`], [`Session::execute_batch`] (cost-ordered,
+//! * a [`Session`] owns the reusable execution scratch (the rank scan and
+//!   its Theorem-2 gate) and exposes exactly three verbs:
+//!   [`Session::execute`], [`Session::execute_batch`] (cost-ordered,
 //!   optionally with a bounded-result-memory sink) and [`Session::explain`],
 //!   which reports the chosen scan path as a [`PlanDescription`] without
 //!   running anything.
@@ -39,7 +40,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 
-use ttk_uncertain::{Error, Result, ScanHandle, TupleSource, UncertainTable};
+use ttk_uncertain::{Error, Result, ScanHandle, TableSource, TupleSource, UncertainTable};
 
 use crate::query::{resolve_threads, Algorithm, Executor, QueryAnswer, TopkQuery};
 use crate::scan_depth::GateMeter;
@@ -86,15 +87,6 @@ pub enum ScanPath {
         remote: usize,
         /// Number of local shard streams merged alongside them.
         local: usize,
-    },
-    /// Per-shard streams feeding the loser-tree merge through bounded
-    /// prefetch channels (each shard on its own producer thread), so
-    /// per-shard I/O overlaps with the merge.
-    Prefetched {
-        /// Number of physical shard streams.
-        shards: usize,
-        /// Per-shard channel capacity in tuples.
-        buffer: usize,
     },
     /// The whole query shipped to a query-serving daemon (`ttk serve`): the
     /// server executes against its resident dataset and streams the answer
@@ -158,11 +150,6 @@ impl std::fmt::Display for ScanPath {
                 }
                 Ok(())
             }
-            ScanPath::Prefetched { shards, buffer } => write!(
-                f,
-                "k-way merge over {shards} shard streams, each prefetched \
-                 through a {buffer}-tuple channel"
-            ),
             ScanPath::RemoteQuery => write!(
                 f,
                 "remote query execution on a serving daemon (the answer ships, \
@@ -911,7 +898,7 @@ impl<'a> QueryJob<'a> {
     }
 }
 
-/// A long-lived query session: one [`Executor`] (scratch buffers reused
+/// A long-lived query session: one executor (scan and gate scratch reused
 /// across queries) behind the three verbs of the unified API —
 /// [`Session::execute`], [`Session::execute_batch`] and [`Session::explain`].
 ///
@@ -1041,7 +1028,7 @@ impl Session {
     ///
     /// Workers claim jobs from a queue ordered by [`BatchOptions::ordering`]
     /// (estimated-cost descending by default, so a big job submitted last no
-    /// longer serializes the tail); each worker owns one [`Executor`] whose
+    /// longer serializes the tail); each worker owns one executor whose
     /// scratch buffers persist across the jobs it claims. Jobs are
     /// deterministic and independent, so the result vector is identical to
     /// sequential execution regardless of ordering or interleaving.
@@ -1121,13 +1108,14 @@ fn execute_on(
     query: &TopkQuery,
 ) -> Result<(QueryAnswer, Option<WireObservation>)> {
     match dataset.as_table() {
-        Some(table) => executor.execute(table, query).map(|answer| (answer, None)),
+        Some(table) => executor
+            .run(&mut TableSource::new(table), query, Some(table), None)
+            .map(|answer| (answer, None)),
         None => {
             let spec = ScanSpec::for_query(query);
             let mut handle = dataset.open_for(&spec)?;
             let stats = handle.wire_stats().cloned();
-            let answer =
-                executor.run_source_metered(&mut handle, query, None, Some(spec.meter.clone()))?;
+            let answer = executor.run(&mut handle, query, None, Some(spec.meter.clone()))?;
             let observation = stats.map(|stats| WireObservation {
                 tuples: stats.tuples_received(),
                 blocks: stats.blocks_received(),
@@ -1139,7 +1127,7 @@ fn execute_on(
 }
 
 /// The shared parallel fan-out engine: claims indices from `order` on a pool
-/// of `threads` workers (each owning one [`Executor`]), runs `work` per
+/// of `threads` workers (each owning one executor), runs `work` per
 /// index, and delivers `(index, answer)` pairs to `sink` on the calling
 /// thread through a channel bounded to `capacity` in-flight results.
 ///

@@ -1,8 +1,8 @@
 //! Property-based validation of the columnar block pull path: for **any**
 //! table, partitioning and block-ask schedule, `next_block` composed through
 //! every source kind — in-memory vectors, loser-tree merges of shards
-//! (including all-ties partitions), feed channels, the wire codec at any
-//! block size, and a loopback remote scan — yields the
+//! (including all-ties partitions), the wire codec at any block size, and a
+//! loopback remote scan — yields the
 //! bit-identical tuple sequence of the tuple-at-a-time path; and the gated
 //! rank scan admits the identical Theorem-2 prefix with the identical
 //! stopping depth even when the gate closes in the middle of a pulled
@@ -16,8 +16,8 @@ use ttk_core::{
     Session, TopkQuery, MAX_BLOCK_TUPLES,
 };
 use ttk_uncertain::{
-    GroupKey, MergeSource, Result, SourceTuple, TupleFeed, TupleSource, UncertainTable, VecSource,
-    WireReader, WireWriter,
+    GroupKey, MergeSource, Result, SourceTuple, TupleSource, UncertainTable, VecSource, WireReader,
+    WireWriter,
 };
 
 mod support;
@@ -131,20 +131,6 @@ proptest! {
             &mut MergeSource::new(block_parts.iter_mut().collect()),
             &asks,
         );
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Feed channels (producer thread + bounded buffer): block pulls on the
-    /// consumer side reproduce the scalar sequence for any buffer size.
-    #[test]
-    fn feed_blocks_match_scalar(
-        table in table_with(4),
-        buffer in 1usize..48,
-        asks in ask_schedule(),
-    ) {
-        let expected = scalar_drain(&mut table.to_source());
-        let mut feed = TupleFeed::spawn(table.to_source(), buffer);
-        let got = block_drain(&mut feed, &asks);
         prop_assert_eq!(got, expected);
     }
 

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use ttk_core::{
     answer_hash, cost_descending_order, estimated_cost, BatchOptions, BatchOrdering, Dataset,
-    Executor, QueryAnswer, QueryJob, Session, TopkQuery,
+    QueryAnswer, QueryJob, Session, TopkQuery,
 };
 use ttk_uncertain::{partition_round_robin, Result, UncertainTable, UncertainTuple, VecSource};
 
@@ -218,9 +218,9 @@ fn bounded_memory_batch_matches_sequential_for_many_jobs() {
     );
     assert_eq!(deliveries, jobs.len());
 
-    let mut executor = Executor::new();
+    let mut session = Session::new();
     for (i, job) in jobs.iter().enumerate() {
-        let sequential = executor.execute(&table, &job.query).unwrap();
+        let sequential = session.execute(&dataset, &job.query).unwrap();
         let batched = delivered[i].as_ref().expect("every job delivered");
         assert_eq!(sequential.distribution, batched.distribution, "job {i}");
         assert_eq!(sequential.scan_depth, batched.scan_depth, "job {i}");

@@ -9,9 +9,7 @@
 //! Everything runs through the unified `Dataset`/`Session` API — the
 //! per-shape entry points of earlier releases are gone.
 
-use ttk_core::{
-    scan_depth, Algorithm, BatchOptions, Dataset, Executor, QueryJob, Session, TopkQuery,
-};
+use ttk_core::{scan_depth, Algorithm, BatchOptions, Dataset, QueryJob, Session, TopkQuery};
 use ttk_datagen::cartel::{generate_area, CartelConfig};
 use ttk_datagen::synthetic::{generate, MePolicy, SyntheticConfig};
 use ttk_uncertain::{
@@ -93,7 +91,9 @@ fn source_path_u_topk_keeps_full_table_semantics() {
     let counter = source.counter();
     let mut session = Session::new();
     let streamed = session.execute(&Dataset::stream(source), &query).unwrap();
-    let materialized = Executor::new().execute(&table, &query).unwrap();
+    let materialized = Session::new()
+        .execute(&Dataset::table(table.clone()), &query)
+        .unwrap();
 
     let (a, b) = (
         streamed.u_topk.as_ref().unwrap(),
@@ -131,7 +131,9 @@ fn exhaustive_variant_runs_through_the_source_too() {
         .unwrap();
     assert_eq!(counter.get(), table.len());
 
-    let materialized = Executor::new().execute(&table, &query).unwrap();
+    let materialized = Session::new()
+        .execute(&Dataset::table(table), &query)
+        .unwrap();
     assert_eq!(streamed.distribution, materialized.distribution);
 }
 
@@ -221,10 +223,10 @@ fn parallel_batch_matches_sequential_execution() {
                     }
                     other => panic!("job {index}: U-Topk presence mismatch {other:?}"),
                 }
-                // Spot-check against the plain one-executor API.
+                // Spot-check against a fresh session's single execution.
                 if index % 10 == 0 {
-                    let direct = Executor::new()
-                        .execute(&tables[job_tables[index]], &jobs[index].query)
+                    let direct = Session::new()
+                        .execute(&datasets[job_tables[index]], &jobs[index].query)
                         .unwrap();
                     assert_eq!(p.distribution, direct.distribution, "job {index}");
                 }
@@ -236,20 +238,20 @@ fn parallel_batch_matches_sequential_execution() {
 
 #[test]
 fn executor_scratch_reuse_does_not_leak_state_between_queries() {
-    let big = confident_synthetic_table();
-    let small = ttk_datagen::soldier::table().unwrap();
-    let mut executor = Executor::new();
+    let big = Dataset::table(confident_synthetic_table());
+    let small = Dataset::table(ttk_datagen::soldier::table().unwrap());
+    let mut session = Session::new();
 
-    let first = executor
+    let first = session
         .execute(&big, &TopkQuery::new(8).with_u_topk(false))
         .unwrap();
-    let second = executor
+    let second = session
         .execute(
             &small,
             &TopkQuery::new(2).with_p_tau(1e-9).with_max_lines(0),
         )
         .unwrap();
-    let third = executor
+    let third = session
         .execute(&big, &TopkQuery::new(8).with_u_topk(false))
         .unwrap();
 
@@ -257,8 +259,8 @@ fn executor_scratch_reuse_does_not_leak_state_between_queries() {
     assert_eq!(first.distribution, third.distribution);
     assert_eq!(second.typical.scores(), vec![118.0, 183.0, 235.0]);
 
-    // A fresh executor agrees with the reused one.
-    let fresh = Executor::new()
+    // A fresh session agrees with the reused one.
+    let fresh = Session::new()
         .execute(&big, &TopkQuery::new(8).with_u_topk(false))
         .unwrap();
     assert_eq!(first.distribution, fresh.distribution);
@@ -310,10 +312,11 @@ fn sharded_scan_over_read_is_bounded_by_the_block_ask_per_shard() {
 #[test]
 fn sharded_execution_matches_single_source_end_to_end() {
     let table = confident_synthetic_table();
+    let whole = Dataset::table(table.clone());
     let mut session = Session::new();
     for shards in [1usize, 2, 3, 7] {
         let query = TopkQuery::new(5).with_p_tau(1e-3).with_u_topk(false);
-        let single = Executor::new().execute(&table, &query).unwrap();
+        let single = Session::new().execute(&whole, &query).unwrap();
         let parts = partition_round_robin(TableSource::new(&table), shards).unwrap();
         let sharded = session.execute(&Dataset::shards(parts), &query).unwrap();
         assert_eq!(single.distribution, sharded.distribution, "{shards} shards");

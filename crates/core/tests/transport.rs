@@ -1,11 +1,11 @@
 //! Property-based validation of the transport layer: for **any** table and
-//! **any** partitioning, a scan whose shards run behind `TupleFeed`
-//! channels, per-shard prefetch threads, or loopback-TCP wire connections
-//! must be **bit-identical** — distribution, scan depth, typical answers,
-//! U-Topk — to the in-process single-source path, including the adversarial
-//! all-ties case where one tie group crosses every shard (and machine)
-//! boundary. A producer that errors mid-stream must surface as
-//! `Error::Source` on the consumer, never hang or truncate.
+//! **any** partitioning, a scan whose shards are merged in process or served
+//! over loopback-TCP wire connections must be **bit-identical** —
+//! distribution, scan depth, typical answers, U-Topk — to the in-process
+//! single-source path, including the adversarial all-ties case where one
+//! tie group crosses every shard (and machine) boundary. A server whose
+//! source errors or dies mid-stream must surface as `Error::Source` on the
+//! consumer, never hang or truncate.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -24,8 +24,8 @@ use ttk_uncertain::wire::{
     WIRE_VERSION_V6,
 };
 use ttk_uncertain::{
-    Error, LeaseRegistry, PrefetchPolicy, Result, ScanHandle, ShardAssignment, SourceTuple,
-    TupleBlock, TupleFeed, TupleSource, UncertainTable, UncertainTuple, VecSource, WireWriter,
+    Error, LeaseRegistry, Result, ShardAssignment, SourceTuple, TupleBlock, TupleSource,
+    UncertainTable, UncertainTuple, VecSource, WireWriter,
 };
 
 mod support;
@@ -107,44 +107,6 @@ fn assert_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A feed-wrapped source (producer thread + bounded channel) is
-    /// bit-identical to the direct pull, for any channel capacity.
-    #[test]
-    fn feed_wrapped_scan_matches_direct_scan(
-        table in table_with(8),
-        buffer in 1usize..48,
-        k in 1usize..5,
-        u_topk in any::<bool>(),
-    ) {
-        let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(u_topk);
-        let mut session = Session::new();
-        let direct = session.execute(&Dataset::stream(table.to_source()), &query);
-        let feed = TupleFeed::spawn(table.to_source(), buffer);
-        let fed = session.execute(&Dataset::stream(feed), &query);
-        assert_identical(direct, fed)?;
-    }
-
-    /// A prefetched sharded merge (every shard on its own producer thread)
-    /// is bit-identical to the synchronous merge and to the single stream.
-    #[test]
-    fn prefetched_shards_match_single_source(
-        table in table_with(8),
-        shards in 1usize..5,
-        buffer in 1usize..32,
-        k in 1usize..5,
-    ) {
-        let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
-        let mut session = Session::new();
-        let single = session.execute(&Dataset::stream(table.to_source()), &query);
-        let parts: Vec<VecSource> = partition(&table, shards)
-            .into_iter()
-            .map(VecSource::new)
-            .collect();
-        let handle = ScanHandle::merged_prefetched(parts, PrefetchPolicy::per_shard(buffer));
-        let prefetched = session.execute(&Dataset::stream(handle), &query);
-        assert_identical(single, prefetched)?;
-    }
-
     /// Remote shards over loopback TCP are bit-identical to the in-process
     /// scan — the acceptance property of the wire layer.
     #[test]
@@ -152,17 +114,12 @@ proptest! {
         table in table_with(8),
         shards in 1usize..4,
         k in 1usize..4,
-        prefetch in 0usize..3,
     ) {
         let query = TopkQuery::new(k).with_p_tau(1e-3).with_u_topk(false);
         let mut session = Session::new();
         let single = session.execute(&Dataset::stream(table.to_source()), &query);
         let addrs = serve_shards(partition(&table, shards));
-        let mut remote = RemoteShardDataset::new(addrs);
-        if prefetch > 0 {
-            remote = remote.with_prefetch(PrefetchPolicy::per_shard(prefetch * 8));
-        }
-        let dataset = remote.into_dataset();
+        let dataset = RemoteShardDataset::new(addrs).into_dataset();
         prop_assert_eq!(
             session.explain(&dataset, &query).path,
             ScanPath::RemotePushdown { remote: shards, local: 0 }
@@ -183,14 +140,13 @@ proptest! {
         let mut session = Session::new();
         let single = session.execute(&Dataset::stream(table.to_source()), &query);
 
-        // Prefetched merge.
+        // In-process merge.
         let parts: Vec<VecSource> = partition(&table, shards)
             .into_iter()
             .map(VecSource::new)
             .collect();
-        let handle = ScanHandle::merged_prefetched(parts, PrefetchPolicy::per_shard(2));
-        let prefetched = session.execute(&Dataset::stream(handle), &query);
-        assert_identical(single.clone(), prefetched)?;
+        let merged = session.execute(&Dataset::shards(parts), &query);
+        assert_identical(single.clone(), merged)?;
 
         // Remote loopback.
         let addrs = serve_shards(partition(&table, shards));
@@ -713,27 +669,6 @@ fn descending_tuples(n: u64) -> Vec<SourceTuple> {
     (0..n)
         .map(|i| SourceTuple::independent(UncertainTuple::new(i, (n - i) as f64, 0.9).unwrap()))
         .collect()
-}
-
-/// A producer that errors mid-stream surfaces as `Error::Source` through a
-/// feed, never as a hang or a silently short stream.
-#[test]
-fn feed_producer_error_surfaces_as_source_error() {
-    let feed = TupleFeed::spawn(
-        FailsAfter {
-            tuples: descending_tuples(5),
-            served: 0,
-        },
-        2,
-    );
-    // A draining query (U-Topk on) must hit the failure.
-    let err = Session::new()
-        .execute(&Dataset::stream(feed), &TopkQuery::new(2))
-        .unwrap_err();
-    assert!(
-        matches!(&err, Error::Source(m) if m.contains("mid-stream")),
-        "{err:?}"
-    );
 }
 
 /// A server that dies mid-stream (socket closed without the end frame)

@@ -18,8 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ttk_uncertain::{
-    GroupKey, MergeSource, PrefetchPolicy, SourceTuple, TupleBlock, TupleFeed, TupleSource,
-    UncertainTuple, VecSource,
+    GroupKey, MergeSource, SourceTuple, TupleBlock, TupleSource, UncertainTuple, VecSource,
 };
 
 use crate::error::{PdbError, Result};
@@ -250,28 +249,6 @@ pub fn table_from_csv(name: &str, text: &str, options: &CsvOptions) -> Result<PT
     Ok(table)
 }
 
-/// Parses CSV text straight into a rank-ordered
-/// [`TupleSource`], scoring each row with the
-/// given expression as it is read.
-///
-/// Unlike [`table_from_csv`] + [`PTable::to_tuple_source`], no relational
-/// table is built: after one parsing pass only the `(row index, score,
-/// probability, group)` quadruple of each record is retained, so the
-/// resulting source's footprint is independent of the relation's width.
-/// Tuple ids are 0-based data-record indexes, matching the row indexes a
-/// [`table_from_csv`] import would assign.
-///
-/// # Errors
-///
-/// Returns [`PdbError::CsvError`] for malformed input, expression
-/// validation/evaluation errors, and tuple validation errors.
-pub fn tuple_source_from_csv(text: &str, options: &CsvOptions, score: &Expr) -> Result<VecSource> {
-    // Exactly the 1-shard case of the sharded import: one parsing pass, one
-    // fresh id space and group-key namespace.
-    let mut shards = shard_sources_from_csv(&[text], options, score)?;
-    Ok(shards.pop().expect("one shard per input text"))
-}
-
 /// Options shaping how the shards of one partitioned relation are scored
 /// when the shard files are imported by **independent processes** (the
 /// `ttk serve-shard` scenario): each process must place its rows in the
@@ -387,36 +364,32 @@ impl ScoreState {
 }
 
 /// Parses several CSV texts — the **shards of one partitioned relation** —
-/// into one rank-ordered [`VecSource`] per shard.
+/// into one rank-ordered [`VecSource`] per shard, scoring each row with the
+/// given expression as it is read.
 ///
-/// The shards share a tuple-id space (ids keep counting across shards in the
-/// order given) and a group-key namespace (equal group-column strings in
-/// different shards name the **same** mutual-exclusion group), so merging the
+/// No relational table is built: after one parsing pass per shard only the
+/// `(tuple id, score, probability, group)` of each record is retained, so
+/// the sources' footprint is independent of the relation's width.
+///
+/// The shards share a tuple-id space (ids count up from
+/// [`ShardImportOptions::first_tuple_id`] across shards in the order given)
+/// and a group-key namespace (equal group-column strings in different
+/// shards name the **same** mutual-exclusion group), so merging the
 /// returned sources with [`MergeSource::new`] behaves exactly like importing
-/// the concatenation of the shards through [`tuple_source_from_csv`]. Each
-/// shard may carry its own column order; every shard's schema must satisfy
-/// the scoring expression.
+/// the concatenation of the shards. With the default options the ids are
+/// the 0-based data-record indexes a [`table_from_csv`] import assigns.
+/// Each shard may carry its own column order; every shard's schema must
+/// satisfy the scoring expression.
+///
+/// A process importing **some** shards of a relation whose other shards
+/// live elsewhere (`ttk serve-shard`, `--shard` mixed with `--remote-shard`)
+/// passes the rows' place in the shared id space as `first_tuple_id` and
+/// sets `hashed_group_keys` so every process derives the same group keys.
 ///
 /// # Errors
 ///
-/// As [`tuple_source_from_csv`], per shard.
-pub fn shard_sources_from_csv(
-    texts: &[&str],
-    options: &CsvOptions,
-    score: &Expr,
-) -> Result<Vec<VecSource>> {
-    shard_sources_from_csv_with(texts, options, score, &ShardImportOptions::default())
-}
-
-/// [`shard_sources_from_csv`] with explicit [`ShardImportOptions`] — the
-/// entry point for processes importing **some** shards of a relation whose
-/// other shards live elsewhere (`ttk serve-shard`, `--shard` mixed with
-/// `--remote-shard`): `first_tuple_id` places the rows in the shared id
-/// space and `hashed_group_keys` derives group keys every process agrees on.
-///
-/// # Errors
-///
-/// As [`tuple_source_from_csv`], per shard.
+/// [`PdbError::CsvError`] for malformed input, expression
+/// validation/evaluation errors, and tuple validation errors, per shard.
 pub fn shard_sources_from_csv_with(
     texts: &[&str],
     options: &CsvOptions,
@@ -679,9 +652,8 @@ impl TupleSource for RunSource {
     }
 
     /// Bulk pull: decodes up to `max` run lines straight into one columnar
-    /// block, so a replay (or the feed producer thread wrapping it under
-    /// prefetch) pays the dispatch and channel cost once per block instead
-    /// of once per line.
+    /// block, so a replay pays the merge's dispatch cost once per block
+    /// instead of once per line.
     fn next_block(&mut self, max: usize) -> ttk_uncertain::Result<Option<TupleBlock>> {
         let max = max.max(1);
         let mut block = TupleBlock::with_capacity(self.remaining.min(max));
@@ -741,29 +713,15 @@ pub struct SpillIndex {
 
 impl SpillIndex {
     /// Runs the external sort over CSV text and keeps the runs as a reusable
-    /// index.
+    /// index. `import` places the rows in the relation's tuple-id space and
+    /// picks the group-key discipline, as in [`shard_sources_from_csv_with`];
+    /// the replayed stream is bit-identical to that in-memory import.
     ///
     /// # Errors
     ///
-    /// As [`tuple_source_from_csv`], plus [`PdbError::Io`] for run-file
-    /// failures.
+    /// As [`shard_sources_from_csv_with`], plus [`PdbError::Io`] for
+    /// run-file failures.
     pub fn from_csv_text(
-        text: &str,
-        options: &CsvOptions,
-        score: &Expr,
-        spill: &SpillOptions,
-    ) -> Result<Self> {
-        SpillIndex::from_csv_text_with(text, options, score, spill, &ShardImportOptions::default())
-    }
-
-    /// [`SpillIndex::from_csv_text`] with explicit [`ShardImportOptions`]
-    /// (id base, hashed group keys) for serving one shard of a relation
-    /// whose other shards live in other processes.
-    ///
-    /// # Errors
-    ///
-    /// As [`SpillIndex::from_csv_text`].
-    pub fn from_csv_text_with(
         text: &str,
         options: &CsvOptions,
         score: &Expr,
@@ -773,27 +731,13 @@ impl SpillIndex {
         SpillIndex::build(|| Ok(text.as_bytes()), options, score, spill, import)
     }
 
-    /// Runs the external sort reading straight from a file path, so the raw
-    /// CSV text never needs to fit in memory either.
+    /// [`SpillIndex::from_csv_text`] reading straight from a file path, so
+    /// the raw CSV text never needs to fit in memory either.
     ///
     /// # Errors
     ///
     /// As [`SpillIndex::from_csv_text`].
     pub fn from_csv_path(
-        path: &Path,
-        options: &CsvOptions,
-        score: &Expr,
-        spill: &SpillOptions,
-    ) -> Result<Self> {
-        SpillIndex::from_csv_path_with(path, options, score, spill, &ShardImportOptions::default())
-    }
-
-    /// [`SpillIndex::from_csv_path`] with explicit [`ShardImportOptions`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SpillIndex::from_csv_text`].
-    pub fn from_csv_path_with(
         path: &Path,
         options: &CsvOptions,
         score: &Expr,
@@ -866,36 +810,15 @@ impl SpillIndex {
     ///
     /// [`PdbError::Io`] when a run file can no longer be opened.
     pub fn replay(self: &Arc<Self>) -> Result<SpilledSource> {
-        self.replay_with(PrefetchPolicy::Off)
-    }
-
-    /// [`SpillIndex::replay`] with a per-run prefetch: under
-    /// [`PrefetchPolicy::PerShard`], every run cursor is moved onto its own
-    /// producer thread behind a bounded [`TupleFeed`], so run-file decoding
-    /// and disk reads overlap with the loser-tree merge (and with the
-    /// consumer's scan). The merged stream is bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// [`PdbError::Io`] when a run file can no longer be opened.
-    pub fn replay_with(self: &Arc<Self>, prefetch: PrefetchPolicy) -> Result<SpilledSource> {
-        let mut sources: Vec<Box<dyn TupleSource + Send>> =
-            Vec::with_capacity(self.runs.paths.len() + 1);
-        let mut push = |run: RunSource| {
-            let boxed: Box<dyn TupleSource + Send> = match prefetch.buffer() {
-                None => Box::new(run),
-                Some(buffer) => Box::new(TupleFeed::spawn(run, buffer)),
-            };
-            sources.push(boxed)
-        };
+        let mut runs = Vec::with_capacity(self.runs.paths.len() + 1);
         for (path, &tuples) in self.runs.paths.iter().zip(&self.run_sizes) {
-            push(RunSource::file(path, tuples)?);
+            runs.push(RunSource::file(path, tuples)?);
         }
         if !self.tail.is_empty() {
-            push(RunSource::memory(self.tail.clone()));
+            runs.push(RunSource::memory(self.tail.clone()));
         }
         Ok(SpilledSource {
-            merge: MergeSource::new(sources),
+            merge: MergeSource::new(runs),
             index: Arc::clone(self),
         })
     }
@@ -929,12 +852,11 @@ impl SpillIndex {
 
 /// A rank-ordered [`TupleSource`] over a CSV relation larger than memory:
 /// sorted runs spilled to temporary files, replayed under a loser-tree k-way
-/// merge. Produced by [`tuple_source_from_csv_spilled`],
-/// [`tuple_source_from_csv_path`] and [`SpillIndex::replay`]; the run files
-/// live as long as any replayed source (or other holder) keeps the shared
-/// [`SpillIndex`] alive.
+/// merge. Produced by [`SpillIndex::replay`]; the run files live as long as
+/// any replayed source (or other holder) keeps the shared [`SpillIndex`]
+/// alive.
 pub struct SpilledSource {
-    merge: MergeSource<Box<dyn TupleSource + Send>>,
+    merge: MergeSource<RunSource>,
     index: Arc<SpillIndex>,
 }
 
@@ -1068,43 +990,6 @@ fn read_header<R: BufRead>(reader: R) -> Result<String> {
     })
 }
 
-/// Out-of-core variant of [`tuple_source_from_csv`]: scores CSV text into
-/// rank-ordered runs of at most `spill.run_buffer_tuples` tuples, spilling
-/// full runs to temporary files, and returns the k-way merge over the runs.
-///
-/// The merged stream is **bit-identical** to what [`tuple_source_from_csv`]
-/// produces for the same input, while peak memory stays bounded by the run
-/// buffer — the path that lets `ttk query` scan relations larger than RAM.
-/// One-shot convenience over [`SpillIndex::from_csv_text`] + replay; hold
-/// the [`SpilledSource::index`] to re-scan without re-sorting.
-///
-/// # Errors
-///
-/// As [`tuple_source_from_csv`], plus [`PdbError::Io`] for run-file failures.
-pub fn tuple_source_from_csv_spilled(
-    text: &str,
-    options: &CsvOptions,
-    score: &Expr,
-    spill: &SpillOptions,
-) -> Result<SpilledSource> {
-    Arc::new(SpillIndex::from_csv_text(text, options, score, spill)?).replay()
-}
-
-/// [`tuple_source_from_csv_spilled`] reading straight from a file path, so
-/// the raw CSV text never needs to fit in memory either.
-///
-/// # Errors
-///
-/// As [`tuple_source_from_csv_spilled`].
-pub fn tuple_source_from_csv_path(
-    path: &Path,
-    options: &CsvOptions,
-    score: &Expr,
-    spill: &SpillOptions,
-) -> Result<SpilledSource> {
-    Arc::new(SpillIndex::from_csv_path(path, options, score, spill)?).replay()
-}
-
 /// Serialises a probabilistic table back to CSV (probability and group
 /// columns appended after the data columns).
 pub fn table_to_csv(table: &PTable, options: &CsvOptions) -> String {
@@ -1220,9 +1105,10 @@ speed_limit,length,delay,probability,group_key
 60,900,240,0.5,
 ";
         let expr = crate::parser::parse_expression("speed_limit / (length / delay)").unwrap();
-        let mut direct = tuple_source_from_csv(csv, &CsvOptions::default(), &expr).unwrap();
+        let mut direct = scored(csv, &expr).unwrap();
         let table = table_from_csv("area", csv, &CsvOptions::default()).unwrap();
-        let mut via_table = table.to_tuple_source(&expr).unwrap();
+        let uncertain = table.to_uncertain_table(&expr).unwrap();
+        let mut via_table = uncertain.to_source();
         loop {
             let a = direct.next_tuple().unwrap();
             let b = via_table.next_tuple().unwrap();
@@ -1240,7 +1126,7 @@ speed_limit,length,delay,probability,group_key
         }
         // Expression referencing an unknown column fails up front.
         let bad = crate::parser::parse_expression("nope + 1").unwrap();
-        assert!(tuple_source_from_csv(csv, &CsvOptions::default(), &bad).is_err());
+        assert!(scored(csv, &bad).is_err());
     }
 
     fn drain(source: &mut dyn TupleSource) -> Vec<SourceTuple> {
@@ -1249,6 +1135,27 @@ speed_limit,length,delay,probability,group_key
             out.push(t);
         }
         out
+    }
+
+    /// The in-memory scoring pass over one CSV text, default import.
+    fn scored(csv: &str, expr: &Expr) -> Result<VecSource> {
+        let import = ShardImportOptions::default();
+        let mut shards =
+            shard_sources_from_csv_with(&[csv], &CsvOptions::default(), expr, &import)?;
+        Ok(shards.pop().expect("one shard per text"))
+    }
+
+    /// The external sort over one CSV text, default import, replayed once.
+    fn spilled(csv: &str, expr: &Expr, spill: &SpillOptions) -> Result<SpilledSource> {
+        let import = ShardImportOptions::default();
+        Arc::new(SpillIndex::from_csv_text(
+            csv,
+            &CsvOptions::default(),
+            expr,
+            spill,
+            &import,
+        )?)
+        .replay()
     }
 
     /// A CSV with many rows, score ties and ME groups straddling arbitrary
@@ -1272,16 +1179,10 @@ speed_limit,length,delay,probability,group_key
     fn spilled_source_is_bit_identical_to_the_in_memory_path() {
         let csv = big_csv(500);
         let expr = crate::parser::parse_expression("score").unwrap();
-        let in_memory =
-            drain(&mut tuple_source_from_csv(&csv, &CsvOptions::default(), &expr).unwrap());
+        let in_memory = drain(&mut scored(&csv, &expr).unwrap());
         for run_buffer in [7usize, 64, 499, 500, 10_000] {
-            let mut spilled = tuple_source_from_csv_spilled(
-                &csv,
-                &CsvOptions::default(),
-                &expr,
-                &SpillOptions::with_run_buffer(run_buffer),
-            )
-            .unwrap();
+            let mut spilled =
+                spilled(&csv, &expr, &SpillOptions::with_run_buffer(run_buffer)).unwrap();
             assert_eq!(spilled.len(), 500);
             if run_buffer <= 500 {
                 // The import spills; fan-in control then folds the runs into
@@ -1322,7 +1223,14 @@ speed_limit,length,delay,probability,group_key
             ..SpillOptions::default()
         };
         let index = Arc::new(
-            SpillIndex::from_csv_text(&csv, &CsvOptions::default(), &expr, &spill).unwrap(),
+            SpillIndex::from_csv_text(
+                &csv,
+                &CsvOptions::default(),
+                &expr,
+                &spill,
+                &ShardImportOptions::default(),
+            )
+            .unwrap(),
         );
         assert_eq!(index.len(), 300);
         assert_eq!(index.spilled_run_count(), 300 / 64);
@@ -1370,8 +1278,7 @@ speed_limit,length,delay,probability,group_key
             temp_dir: Some(dir.clone()),
             ..SpillOptions::default()
         };
-        let source =
-            tuple_source_from_csv_spilled(&csv, &CsvOptions::default(), &expr, &spill).unwrap();
+        let source = spilled(&csv, &expr, &spill).unwrap();
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 10);
         drop(source);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
@@ -1383,32 +1290,28 @@ speed_limit,length,delay,probability,group_key
         let path = std::env::temp_dir().join(format!("ttk-spill-input-{}.csv", std::process::id()));
         std::fs::write(&path, big_csv(120)).unwrap();
         let expr = crate::parser::parse_expression("score").unwrap();
-        let mut from_path = tuple_source_from_csv_path(
-            &path,
-            &CsvOptions::default(),
-            &expr,
-            &SpillOptions::with_run_buffer(16),
-        )
-        .unwrap();
+        let from_path = |path: &Path, spill: &SpillOptions| {
+            SpillIndex::from_csv_path(
+                path,
+                &CsvOptions::default(),
+                &expr,
+                spill,
+                &ShardImportOptions::default(),
+            )
+        };
+        let index = Arc::new(from_path(&path, &SpillOptions::with_run_buffer(16)).unwrap());
         let text = std::fs::read_to_string(&path).unwrap();
-        let in_memory =
-            drain(&mut tuple_source_from_csv(&text, &CsvOptions::default(), &expr).unwrap());
-        assert_eq!(drain(&mut from_path), in_memory);
+        let in_memory = drain(&mut scored(&text, &expr).unwrap());
+        assert_eq!(drain(&mut index.replay().unwrap()), in_memory);
         std::fs::remove_file(&path).unwrap();
 
         // Missing files and malformed input surface as errors.
         assert!(matches!(
-            tuple_source_from_csv_path(
-                Path::new("/nonexistent/ttk.csv"),
-                &CsvOptions::default(),
-                &expr,
-                &SpillOptions::default()
-            ),
+            from_path(Path::new("/nonexistent/ttk.csv"), &SpillOptions::default()),
             Err(PdbError::Io(_))
         ));
-        assert!(tuple_source_from_csv_spilled(
+        assert!(spilled(
             "score,probability\n1,huh\n",
-            &CsvOptions::default(),
             &expr,
             &SpillOptions::default()
         )
@@ -1421,8 +1324,14 @@ speed_limit,length,delay,probability,group_key
         // One relation split across two shard files; group "g1" spans both.
         let shard_a = "score,probability,group_key\n10,0.4,g1\n5,0.5,\n";
         let shard_b = "score,probability,group_key\n8,0.5,g1\n7,0.9,g2\n";
-        let shards =
-            shard_sources_from_csv(&[shard_a, shard_b], &CsvOptions::default(), &expr).unwrap();
+        let import = ShardImportOptions::default();
+        let shards = shard_sources_from_csv_with(
+            &[shard_a, shard_b],
+            &CsvOptions::default(),
+            &expr,
+            &import,
+        )
+        .unwrap();
         assert_eq!(shards.len(), 2);
         let merged = drain(&mut MergeSource::new(shards));
         // Ids count across shards: 0,1 in shard A; 2,3 in shard B.
@@ -1434,14 +1343,14 @@ speed_limit,length,delay,probability,group_key
         assert_ne!(merged[2].group, merged[0].group);
         // Equals the single-file import of the concatenation.
         let combined = "score,probability,group_key\n10,0.4,g1\n5,0.5,\n8,0.5,g1\n7,0.9,g2\n";
-        let single =
-            drain(&mut tuple_source_from_csv(combined, &CsvOptions::default(), &expr).unwrap());
+        let single = drain(&mut scored(combined, &expr).unwrap());
         assert_eq!(merged, single);
         // A shard whose schema misses the scored column fails validation.
-        assert!(shard_sources_from_csv(
+        assert!(shard_sources_from_csv_with(
             &[shard_a, "other,probability\n1,0.5\n"],
             &CsvOptions::default(),
-            &expr
+            &expr,
+            &import
         )
         .is_err());
     }
@@ -1452,8 +1361,7 @@ speed_limit,length,delay,probability,group_key
         std::fs::create_dir_all(&dir).unwrap();
         let csv = big_csv(400);
         let expr = crate::parser::parse_expression("score").unwrap();
-        let in_memory =
-            drain(&mut tuple_source_from_csv(&csv, &CsvOptions::default(), &expr).unwrap());
+        let in_memory = drain(&mut scored(&csv, &expr).unwrap());
 
         // A 3-tuple buffer forces 133 runs — well past the fan-in bound of 8,
         // so several intermediate merge passes must run.
@@ -1463,7 +1371,14 @@ speed_limit,length,delay,probability,group_key
             max_fan_in: 8,
         };
         let index = Arc::new(
-            SpillIndex::from_csv_text(&csv, &CsvOptions::default(), &expr, &spill).unwrap(),
+            SpillIndex::from_csv_text(
+                &csv,
+                &CsvOptions::default(),
+                &expr,
+                &spill,
+                &ShardImportOptions::default(),
+            )
+            .unwrap(),
         );
         let initial_runs = 400usize.div_ceil(spill.run_buffer_tuples);
         assert!(
@@ -1484,12 +1399,8 @@ speed_limit,length,delay,probability,group_key
             index.spilled_run_count()
         );
 
-        // Replays are bit-identical to the in-memory import, with and
-        // without per-run prefetching.
-        for prefetch in [PrefetchPolicy::Off, PrefetchPolicy::per_shard(4)] {
-            let streamed = drain(&mut index.replay_with(prefetch).unwrap());
-            assert_eq!(streamed, in_memory, "{prefetch:?}");
-        }
+        // Replays are bit-identical to the in-memory import.
+        assert_eq!(drain(&mut index.replay().unwrap()), in_memory);
 
         drop(index);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
@@ -1497,7 +1408,7 @@ speed_limit,length,delay,probability,group_key
     }
 
     #[test]
-    fn prefetched_replay_is_bit_identical_and_surfaces_errors() {
+    fn corrupt_run_files_surface_as_source_errors() {
         let csv = big_csv(200);
         let expr = crate::parser::parse_expression("score").unwrap();
         let index = Arc::new(
@@ -1506,19 +1417,17 @@ speed_limit,length,delay,probability,group_key
                 &CsvOptions::default(),
                 &expr,
                 &SpillOptions::with_run_buffer(16),
+                &ShardImportOptions::default(),
             )
             .unwrap(),
         );
-        let plain = drain(&mut index.replay().unwrap());
-        let prefetched = drain(&mut index.replay_with(PrefetchPolicy::per_shard(2)).unwrap());
-        assert_eq!(plain, prefetched);
 
-        // Corrupt a run file behind the index's back: the prefetched replay
-        // must surface the decode failure as an error, not hang or truncate.
+        // Corrupt a run file behind the index's back: the replay must
+        // surface the decode failure as an error, not truncate the stream.
         let victim = index.runs.paths[0].clone();
         let bytes = std::fs::read(&victim).unwrap();
         std::fs::write(&victim, "these are not tuple bits\n").unwrap();
-        let mut broken = index.replay_with(PrefetchPolicy::per_shard(2)).unwrap();
+        let mut broken = index.replay().unwrap();
         let mut result = Ok(());
         loop {
             match broken.next_tuple() {
@@ -1579,7 +1488,13 @@ speed_limit,length,delay,probability,group_key
         assert_ne!(merged[2].group, merged[0].group);
         // The group *partition* matches the coordinated import exactly.
         let coordinated = drain(&mut MergeSource::new(
-            shard_sources_from_csv(&[shard_a, shard_b], &CsvOptions::default(), &expr).unwrap(),
+            shard_sources_from_csv_with(
+                &[shard_a, shard_b],
+                &CsvOptions::default(),
+                &expr,
+                &ShardImportOptions::default(),
+            )
+            .unwrap(),
         ));
         for (x, y) in merged.iter().zip(&coordinated) {
             assert_eq!(x.tuple, y.tuple);
@@ -1597,7 +1512,7 @@ speed_limit,length,delay,probability,group_key
         // loser-tree merge and scan gate rely on; the error names row and
         // column.
         let nan_score = "score,probability\n1.5,0.5\nnan,0.5\n";
-        let err = tuple_source_from_csv(nan_score, &CsvOptions::default(), &expr).unwrap_err();
+        let err = scored(nan_score, &expr).unwrap_err();
         match &err {
             PdbError::CsvError { line, message } => {
                 assert_eq!(*line, 3);
@@ -1608,18 +1523,13 @@ speed_limit,length,delay,probability,group_key
         }
         // The spilled (out-of-core) import runs the same validation.
         assert!(matches!(
-            tuple_source_from_csv_spilled(
-                nan_score,
-                &CsvOptions::default(),
-                &expr,
-                &SpillOptions::with_run_buffer(1)
-            ),
+            spilled(nan_score, &expr, &SpillOptions::with_run_buffer(1)),
             Err(PdbError::CsvError { line: 3, .. })
         ));
         // An infinite score is just as rank-hostile as a NaN.
         let inf_score = "score,probability\ninf,0.5\n";
         assert!(matches!(
-            tuple_source_from_csv(inf_score, &CsvOptions::default(), &expr),
+            scored(inf_score, &expr),
             Err(PdbError::CsvError { line: 2, .. })
         ));
         // Non-finite probabilities are rejected naming the metadata column.
@@ -1634,11 +1544,7 @@ speed_limit,length,delay,probability,group_key
             other => panic!("expected CsvError, got {other:?}"),
         }
         assert!(matches!(
-            tuple_source_from_csv(
-                "score,probability\n1.0,inf\n",
-                &CsvOptions::default(),
-                &expr
-            ),
+            scored("score,probability\n1.0,inf\n", &expr),
             Err(PdbError::CsvError { line: 2, .. })
         ));
     }
@@ -1648,7 +1554,7 @@ speed_limit,length,delay,probability,group_key
         let csv = "\n\nscore,probability\n1,0.5\n\n2,0.25\n   \n3,0.125\n";
         assert_eq!(count_csv_records(csv.as_bytes()).unwrap(), 3);
         let expr = crate::parser::parse_expression("score").unwrap();
-        let imported = tuple_source_from_csv(csv, &CsvOptions::default(), &expr).unwrap();
+        let imported = scored(csv, &expr).unwrap();
         assert_eq!(
             count_csv_records(csv.as_bytes()).unwrap(),
             imported.size_hint().unwrap() as u64,

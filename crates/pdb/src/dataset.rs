@@ -36,7 +36,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use ttk_core::{Dataset, DatasetPlan, DatasetProvider, ScanPath};
-use ttk_uncertain::{PrefetchPolicy, ScanHandle, SourceTuple, TupleSource, VecSource};
+use ttk_uncertain::{ScanHandle, SourceTuple, TupleSource, VecSource};
 
 use crate::csv::{
     shard_sources_from_csv_with, CsvOptions, ShardImportOptions, SpillIndex, SpillOptions,
@@ -93,7 +93,6 @@ pub struct CsvDataset {
     options: CsvOptions,
     score: Expr,
     spill: Option<SpillOptions>,
-    prefetch: PrefetchPolicy,
     import: ShardImportOptions,
     cache: Mutex<Cache>,
     label: String,
@@ -105,7 +104,6 @@ impl std::fmt::Debug for CsvDataset {
             .field("label", &self.label)
             .field("input", &self.input)
             .field("spill", &self.spill)
-            .field("prefetch", &self.prefetch)
             .finish()
     }
 }
@@ -117,7 +115,6 @@ impl CsvDataset {
             options,
             score,
             spill: None,
-            prefetch: PrefetchPolicy::Off,
             import: ShardImportOptions::default(),
             cache: Mutex::new(Cache::Empty),
             label,
@@ -192,16 +189,6 @@ impl CsvDataset {
         }
         self.spill = Some(spill);
         Ok(self)
-    }
-
-    /// Enables per-shard prefetching: every shard stream (or replayed spill
-    /// run) of a merged open is moved onto its own producer thread behind a
-    /// bounded channel, overlapping per-shard I/O and decoding with the
-    /// merge. Single-stream opens are unaffected; the scanned stream is
-    /// bit-identical either way.
-    pub fn with_prefetch(mut self, prefetch: PrefetchPolicy) -> Self {
-        self.prefetch = prefetch;
-        self
     }
 
     /// Sets the [`ShardImportOptions`] of the scoring pass — the id base and
@@ -286,14 +273,14 @@ impl CsvDataset {
                     // `with_spill` rejects sharded inputs, so only the
                     // single-file kinds can reach this arm.
                     let built = match &self.input {
-                        CsvInput::Path(path) => SpillIndex::from_csv_path_with(
+                        CsvInput::Path(path) => SpillIndex::from_csv_path(
                             path,
                             &self.options,
                             &self.score,
                             spill,
                             &self.import,
                         )?,
-                        CsvInput::Text(text) => SpillIndex::from_csv_text_with(
+                        CsvInput::Text(text) => SpillIndex::from_csv_text(
                             text,
                             &self.options,
                             &self.score,
@@ -309,7 +296,7 @@ impl CsvDataset {
                     index
                 }
             };
-            return Ok(ScanHandle::single(index.replay_with(self.prefetch)?));
+            return Ok(ScanHandle::single(index.replay()?));
         }
 
         let sources = match &*cache {
@@ -362,7 +349,7 @@ impl CsvDataset {
             let source = sources.into_iter().next().expect("one source");
             ScanHandle::single(source)
         } else {
-            ScanHandle::merged_prefetched(sources, self.prefetch)
+            ScanHandle::merged(sources)
         })
     }
 }
@@ -384,16 +371,10 @@ impl DatasetProvider for CsvDataset {
         if self.spill.is_some() {
             return match &*cache {
                 Cache::Spilled(index) => DatasetPlan {
-                    path: match self.prefetch.buffer() {
-                        Some(buffer) => ScanPath::Prefetched {
-                            shards: index.run_count(),
-                            buffer,
-                        },
-                        None => ScanPath::SpilledRuns {
-                            runs: Some(index.run_count()),
-                            spilled: Some(index.spilled_run_count()),
-                            reused: true,
-                        },
+                    path: ScanPath::SpilledRuns {
+                        runs: Some(index.run_count()),
+                        spilled: Some(index.spilled_run_count()),
+                        reused: true,
                     },
                     rows: Some(index.len()),
                 },
@@ -416,10 +397,7 @@ impl DatasetProvider for CsvDataset {
             path: if shards == 1 {
                 ScanPath::Stream
             } else {
-                match self.prefetch.buffer() {
-                    Some(buffer) => ScanPath::Prefetched { shards, buffer },
-                    None => ScanPath::MergedShards { shards },
-                }
+                ScanPath::MergedShards { shards }
             },
             rows,
         }

@@ -54,18 +54,14 @@ pub mod value;
 
 pub use catalog::Database;
 pub use csv::{
-    count_csv_records, shard_sources_from_csv, shard_sources_from_csv_with, stable_group_key,
-    table_from_csv, table_to_csv, tuple_source_from_csv, tuple_source_from_csv_path,
-    tuple_source_from_csv_spilled, CsvOptions, ShardImportOptions, SpillIndex, SpillOptions,
-    SpilledSource,
+    count_csv_records, shard_sources_from_csv_with, stable_group_key, table_from_csv, table_to_csv,
+    CsvOptions, ShardImportOptions, SpillIndex, SpillOptions, SpilledSource,
 };
 pub use dataset::CsvDataset;
 pub use error::{PdbError, Result};
 pub use expr::{BinaryOp, Expr};
 pub use parser::parse_expression;
-pub use query::{
-    run_distribution_query, run_distribution_query_streamed, DistributionQuery, QueryResult,
-};
+pub use query::{run_distribution_query, DistributionQuery, QueryResult};
 pub use schema::{Column, Schema};
 pub use table::{PTable, UncertainRow};
 pub use value::{DataType, Value};

@@ -100,33 +100,11 @@ pub fn run_distribution_query(table: &PTable, query: &DistributionQuery) -> Resu
     })
 }
 
-/// Streaming variant of [`run_distribution_query`]: the rows are scored into
-/// a rank-ordered tuple source and pulled through the Theorem-2 scan gate, so
-/// only the scanned prefix is materialized as an uncertain table for the
-/// distribution. When the U-Topk comparison answer is requested the rest of
-/// the stream is drained for it (U-Topk has no probability threshold);
-/// disable it via the query's `with_u_topk(false)` to keep the scan bounded.
-///
-/// # Errors
-///
-/// As [`run_distribution_query`].
-pub fn run_distribution_query_streamed(
-    table: &PTable,
-    query: &DistributionQuery,
-) -> Result<QueryResult> {
-    let score_expression = parse_expression(&query.score)?;
-    let source = table.to_tuple_source(&score_expression)?;
-    let dataset = Dataset::stream(source).with_label(table.name().to_string());
-    let answer = Session::new().execute(&dataset, &query.topk)?;
-    Ok(QueryResult {
-        score_expression,
-        answer,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csv::{table_to_csv, CsvOptions};
+    use crate::dataset::CsvDataset;
     use crate::schema::Schema;
     use crate::value::DataType;
 
@@ -191,7 +169,21 @@ mod tests {
         let query = DistributionQuery::new("medical_score", 2)
             .with_topk(TopkQuery::new(2).with_p_tau(1e-9).with_max_lines(0));
         let materialized = run_distribution_query(&table, &query).unwrap();
-        let streamed = run_distribution_query_streamed(&table, &query).unwrap();
+        // The streamed route: the same rows exported as CSV, scored by the
+        // import pass and pulled through the scan gate as one stream.
+        let score_expression = parse_expression(&query.score).unwrap();
+        let csv = table_to_csv(&table, &CsvOptions::default());
+        let dataset = CsvDataset::from_text(
+            "soldiers",
+            csv,
+            CsvOptions::default(),
+            score_expression.clone(),
+        )
+        .into_dataset();
+        let streamed = QueryResult {
+            score_expression,
+            answer: Session::new().execute(&dataset, &query.topk).unwrap(),
+        };
         assert_eq!(
             materialized.answer.distribution,
             streamed.answer.distribution

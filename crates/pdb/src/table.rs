@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use ttk_uncertain::{SourceTuple, TupleId, UncertainTable, UncertainTuple, VecSource};
+use ttk_uncertain::{TupleId, UncertainTable, UncertainTuple};
 
 use crate::error::{PdbError, Result};
 use crate::expr::Expr;
@@ -143,43 +143,6 @@ impl PTable {
             .filter(|members| members.len() > 1)
             .collect();
         UncertainTable::new(tuples, rules).map_err(PdbError::Core)
-    }
-
-    /// Scores every row and returns a rank-ordered
-    /// [`TupleSource`](ttk_uncertain::TupleSource) over the result — the
-    /// streaming entry point of the probabilistic-database layer. Only the
-    /// `(row index, score, probability, group)` quadruples are retained;
-    /// downstream consumers stop at the Theorem-2 bound without ever
-    /// materializing an [`UncertainTable`] of the whole relation.
-    ///
-    /// # Errors
-    ///
-    /// Returns expression validation/evaluation errors and tuple validation
-    /// errors (non-finite scores, out-of-range probabilities).
-    pub fn to_tuple_source(&self, score: &Expr) -> Result<VecSource> {
-        if self.rows.is_empty() {
-            return Err(PdbError::InvalidQuery(format!(
-                "table `{}` is empty",
-                self.name
-            )));
-        }
-        score.validate(&self.schema)?;
-        let mut key_of_group: HashMap<&str, u64> = HashMap::new();
-        let mut tuples = Vec::with_capacity(self.rows.len());
-        for (idx, row) in self.rows.iter().enumerate() {
-            let score_value = score.evaluate(&self.schema, &row.values)?;
-            let tuple = UncertainTuple::new(idx as u64, score_value, row.probability)
-                .map_err(PdbError::Core)?;
-            tuples.push(match &row.group {
-                Some(g) => {
-                    let next_key = key_of_group.len() as u64;
-                    let key = *key_of_group.entry(g.as_str()).or_insert(next_key);
-                    SourceTuple::grouped(tuple, key)
-                }
-                None => SourceTuple::independent(tuple),
-            });
-        }
-        Ok(VecSource::new(tuples))
     }
 }
 

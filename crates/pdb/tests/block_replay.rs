@@ -1,14 +1,13 @@
 //! Property-based validation of the spilled-CSV replay's block pull path:
 //! for **any** imported relation, run-buffer size (so any number of spilled
-//! runs) and block-ask schedule, `next_block` over the run-file replay —
-//! with and without per-run prefetching — yields the bit-identical tuple
-//! sequence of the tuple-at-a-time replay.
+//! runs) and block-ask schedule, `next_block` over the run-file replay
+//! yields the bit-identical tuple sequence of the tuple-at-a-time replay.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use ttk_pdb::{parse_expression, CsvOptions, SpillIndex, SpillOptions};
-use ttk_uncertain::{GroupKey, PrefetchPolicy, SourceTuple, TupleSource};
+use ttk_pdb::{parse_expression, CsvOptions, ShardImportOptions, SpillIndex, SpillOptions};
+use ttk_uncertain::{GroupKey, SourceTuple, TupleSource};
 
 /// The full bit pattern of one streamed tuple: id, score bits, probability
 /// bits and group key.
@@ -61,7 +60,6 @@ proptest! {
         rows in csv_rows(),
         run_buffer in 1usize..40,
         asks in proptest::collection::vec(1usize..70, 1..6),
-        prefetch_buffer in 1usize..8,
     ) {
         let mut csv = String::from("score,probability,group_key\n");
         for (i, (score, tenths, grouped)) in rows.iter().enumerate() {
@@ -79,17 +77,13 @@ proptest! {
                 &CsvOptions::default(),
                 &expr,
                 &SpillOptions::with_run_buffer(run_buffer),
+                &ShardImportOptions::default(),
             )
             .unwrap(),
         );
-        for prefetch in [
-            PrefetchPolicy::Off,
-            PrefetchPolicy::per_shard(prefetch_buffer),
-        ] {
-            let expected = scalar_drain(&mut index.replay_with(prefetch).unwrap());
-            prop_assert_eq!(expected.len(), rows.len());
-            let got = block_drain(&mut index.replay_with(prefetch).unwrap(), &asks);
-            prop_assert_eq!(got, expected);
-        }
+        let expected = scalar_drain(&mut index.replay().unwrap());
+        prop_assert_eq!(expected.len(), rows.len());
+        let got = block_drain(&mut index.replay().unwrap(), &asks);
+        prop_assert_eq!(got, expected);
     }
 }

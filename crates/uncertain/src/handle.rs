@@ -8,7 +8,9 @@
 //! [`MergeSource`]. A `ScanHandle` erases that
 //! distinction behind one owned, `Send` stream that the rank-scan executor
 //! (and anything else consuming a [`TupleSource`]) can pull from without
-//! knowing how many physical streams feed it.
+//! knowing how many physical streams feed it. Every shard is pulled
+//! synchronously on the scanning thread, so a merged scan reads no more
+//! than the merge asks for.
 //!
 //! `Dataset::open` in `ttk-core` returns a `ScanHandle`; custom dataset
 //! providers (the CSV datasets of `ttk-pdb`, generator closures) construct
@@ -17,7 +19,6 @@
 use std::sync::Arc;
 
 use crate::error::Result;
-use crate::feed::{PrefetchPolicy, TupleFeed};
 use crate::merge::MergeSource;
 use crate::source::{SourceTuple, TupleBlock, TupleSource};
 use crate::wire::WireScanStats;
@@ -31,28 +32,19 @@ use crate::wire::WireScanStats;
 /// `Dataset` abstraction in `ttk-core`).
 pub struct ScanHandle {
     source: Box<dyn TupleSource + Send>,
-    shards: usize,
-    prefetch: Option<usize>,
     wire_stats: Option<Arc<WireScanStats>>,
 }
 
 impl ScanHandle {
     /// Wraps a single rank-ordered stream.
     pub fn single(source: impl TupleSource + Send + 'static) -> Self {
-        ScanHandle {
-            source: Box::new(source),
-            shards: 1,
-            prefetch: None,
-            wire_stats: None,
-        }
+        ScanHandle::from_boxed(Box::new(source))
     }
 
     /// Wraps an already-boxed single stream without double boxing.
     pub fn from_boxed(source: Box<dyn TupleSource + Send>) -> Self {
         ScanHandle {
             source,
-            shards: 1,
-            prefetch: None,
             wire_stats: None,
         }
     }
@@ -62,40 +54,7 @@ impl ScanHandle {
     /// executor path does — the merged stream is bit-identical to the
     /// unpartitioned stream.
     pub fn merged<S: TupleSource + Send + 'static>(shards: Vec<S>) -> Self {
-        ScanHandle::merged_prefetched(shards, PrefetchPolicy::Off)
-    }
-
-    /// [`ScanHandle::merged`] with an optional per-shard prefetch: under
-    /// [`PrefetchPolicy::PerShard`], every shard is moved onto its own
-    /// producer thread behind a bounded [`TupleFeed`], so per-shard I/O
-    /// (spill-run replay, socket reads) overlaps with the loser-tree merge.
-    /// The merged stream is bit-identical either way — prefetching changes
-    /// *when* tuples are pulled from the shards, never their order.
-    pub fn merged_prefetched<S: TupleSource + Send + 'static>(
-        shards: Vec<S>,
-        prefetch: PrefetchPolicy,
-    ) -> Self {
-        let shard_count = shards.len().max(1);
-        match prefetch.buffer() {
-            None => ScanHandle {
-                source: Box::new(MergeSource::new(shards)),
-                shards: shard_count,
-                prefetch: None,
-                wire_stats: None,
-            },
-            Some(buffer) => {
-                let feeds: Vec<TupleFeed> = shards
-                    .into_iter()
-                    .map(|shard| TupleFeed::spawn(shard, buffer))
-                    .collect();
-                ScanHandle {
-                    source: Box::new(MergeSource::new(feeds)),
-                    shards: shard_count,
-                    prefetch: Some(buffer),
-                    wire_stats: None,
-                }
-            }
-        }
+        ScanHandle::single(MergeSource::new(shards))
     }
 
     /// Attaches the shared wire-scan counters the handle's network-backed
@@ -112,31 +71,11 @@ impl ScanHandle {
     pub fn wire_stats(&self) -> Option<&Arc<WireScanStats>> {
         self.wire_stats.as_ref()
     }
-
-    /// Number of physical shard streams feeding this handle (1 for a single
-    /// stream).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// The per-shard prefetch buffer, when the shards feed the merge through
-    /// producer threads (`None` for synchronous pulls).
-    pub fn prefetch_buffer(&self) -> Option<usize> {
-        self.prefetch
-    }
-
-    /// An optional hint of how many tuples remain (delegates to the
-    /// underlying stream).
-    pub fn remaining_hint(&self) -> Option<usize> {
-        self.source.size_hint()
-    }
 }
 
 impl std::fmt::Debug for ScanHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScanHandle")
-            .field("shards", &self.shards)
-            .field("prefetch", &self.prefetch)
             .field("remaining", &self.source.size_hint())
             .finish()
     }
@@ -181,8 +120,7 @@ mod tests {
     #[test]
     fn single_handle_streams_the_source() {
         let handle = ScanHandle::single(VecSource::new(tuples(&[(1, 5.0), (2, 9.0)])));
-        assert_eq!(handle.shard_count(), 1);
-        assert_eq!(handle.remaining_hint(), Some(2));
+        assert_eq!(handle.size_hint(), Some(2));
         assert_eq!(drain(handle), vec![2, 1]);
     }
 
@@ -193,48 +131,14 @@ mod tests {
         let a = VecSource::new(vec![all[0], all[2]]);
         let b = VecSource::new(vec![all[1], all[3]]);
         let merged = ScanHandle::merged(vec![a, b]);
-        assert_eq!(merged.shard_count(), 2);
-        assert_eq!(merged.prefetch_buffer(), None);
+        assert_eq!(merged.size_hint(), Some(4));
         assert_eq!(drain(merged), single);
-    }
-
-    #[test]
-    fn prefetched_merge_is_bit_identical_to_the_synchronous_merge() {
-        let all: Vec<_> = (0..200u64)
-            .map(|i| {
-                SourceTuple::independent(
-                    UncertainTuple::new(i, ((i * 7) % 23) as f64, 0.5).unwrap(),
-                )
-            })
-            .collect();
-        let single = drain(ScanHandle::single(VecSource::new(all.clone())));
-        for buffer in [1usize, 4, 64] {
-            let shards: Vec<VecSource> = (0..3)
-                .map(|s| {
-                    VecSource::new(
-                        all.iter()
-                            .enumerate()
-                            .filter(|(i, _)| i % 3 == s)
-                            .map(|(_, t)| *t)
-                            .collect(),
-                    )
-                })
-                .collect();
-            let handle = ScanHandle::merged_prefetched(
-                shards,
-                crate::feed::PrefetchPolicy::per_shard(buffer),
-            );
-            assert_eq!(handle.shard_count(), 3);
-            assert_eq!(handle.prefetch_buffer(), Some(buffer));
-            assert_eq!(drain(handle), single, "buffer {buffer}");
-        }
     }
 
     #[test]
     fn boxed_handle_avoids_extra_indirection() {
         let boxed: Box<dyn TupleSource + Send> = Box::new(VecSource::new(tuples(&[(7, 1.0)])));
         let handle = ScanHandle::from_boxed(boxed);
-        assert_eq!(handle.shard_count(), 1);
         assert_eq!(drain(handle), vec![7]);
     }
 }

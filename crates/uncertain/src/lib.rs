@@ -26,17 +26,13 @@
 //!   channel, and framing overhead.
 //! * [`MergeSource`] — a loser-tree k-way merge fusing per-shard rank-ordered
 //!   sources into one stream, so a scan can span partitions (shard files,
-//!   external-sort spill runs) while reading at most one look-ahead tuple
-//!   per shard.
-//! * [`TupleFeed`] — the consumer side of a bounded tuple channel: any
-//!   source can run on its own producer thread (or process) while the
-//!   consumer still pulls a plain [`TupleSource`]; [`PrefetchPolicy`] uses
-//!   it to overlap per-shard I/O with the merge.
+//!   external-sort spill runs, remote shard servers) while reading at most
+//!   one look-ahead tuple per shard.
 //! * [`wire`] — a framed binary codec for [`SourceTuple`] streams over any
 //!   `Read`/`Write` (raw IEEE-754 bits, length-prefixed frames), so one
 //!   scan can span processes and machines.
 //! * [`ScanHandle`] — the uniform opened-input type: a single stream or a
-//!   merged shard set (optionally prefetched per shard) behind one owned
+//!   merged shard set, pulled on the scanning thread, behind one owned
 //!   [`TupleSource`], produced by the `Dataset` abstraction in `ttk-core`
 //!   and by custom dataset providers.
 //!
@@ -67,7 +63,6 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
-pub mod feed;
 pub mod handle;
 pub mod merge;
 pub mod pmf;
@@ -80,7 +75,6 @@ pub mod wire;
 pub mod worlds;
 
 pub use error::{Error, Result};
-pub use feed::{FeedSender, PrefetchPolicy, TupleFeed};
 pub use handle::ScanHandle;
 pub use merge::{partition_round_robin, MergeSource};
 pub use pmf::{

@@ -10,16 +10,11 @@
 //! classic k-way-merge structure: one comparison path of length ⌈log₂ N⌉ per
 //! emitted tuple, independent of how skewed the shards are.
 //!
-//! Two key-handling modes cover the two ways shards arise:
-//!
-//! * [`MergeSource::new`] — the shards are a **partition of one logical
-//!   relation**: [`GroupKey`]s share one namespace across shards, so a
-//!   mutual-exclusion group whose members were split across shards is
-//!   reunified by the merge. This is the mode for `--shard` inputs,
-//!   external-sort runs and the partitioned generators.
-//! * [`MergeSource::disjoint`] — the shards are **unrelated streams**: each
-//!   shard's keys are remapped into a private namespace so identical raw keys
-//!   in different shards do not collide.
+//! The shards are a **partition of one logical relation**: [`GroupKey`]s
+//! share one namespace across shards, so a mutual-exclusion group whose
+//! members were split across shards is reunified by the merge. That covers
+//! `--shard` inputs, external-sort runs, remote shard servers (which hash
+//! group labels into one namespace) and the partitioned generators.
 //!
 //! The merge is *stable on ties*: when two shard heads compare equal under
 //! the workspace rank order, the lower shard index wins, so equal-score
@@ -35,21 +30,10 @@
 //! merged prefix (asserted with per-shard [`CountingSource`] counters).
 //!
 //! [`CountingSource`]: crate::source::CountingSource
-
-use std::collections::HashMap;
+//! [`GroupKey`]: crate::source::GroupKey
 
 use crate::error::{Error, Result};
-use crate::source::{GroupKey, SourceTuple, TupleBlock, TupleSource, VecSource};
-
-/// How a [`MergeSource`] treats the [`GroupKey`] namespaces of its shards.
-#[derive(Debug)]
-enum KeyMode {
-    /// All shards share one key namespace (a partition of one relation).
-    Shared,
-    /// Each shard's keys live in a private namespace; raw keys are remapped
-    /// to fresh keys on first sight.
-    Disjoint(HashMap<(usize, u64), u64>),
-}
+use crate::source::{SourceTuple, TupleBlock, TupleSource, VecSource};
 
 /// One shard of a merge: its source, the buffered head tuple, and the rank
 /// key of the last tuple pulled (for per-shard order validation).
@@ -84,7 +68,7 @@ impl<S: TupleSource> Shard<S> {
 
 /// A rank-ordered k-way merge over per-shard rank-ordered [`TupleSource`]s.
 ///
-/// See the [module documentation](self) for the key-namespace modes, the
+/// See the [module documentation](self) for the shared key namespace, the
 /// stability guarantee and the per-shard read bound. The merge itself is a
 /// [`TupleSource`], so it plugs into the rank-scan executor, the batch
 /// executor and every other consumer unchanged.
@@ -98,24 +82,12 @@ pub struct MergeSource<S> {
     tree: Vec<usize>,
     initialized: bool,
     emitted: usize,
-    keys: KeyMode,
 }
 
 impl<S: TupleSource> MergeSource<S> {
     /// Merges shards that partition **one logical relation**: group keys are
     /// shared across shards, so an ME group split across shards is reunified.
     pub fn new(shards: Vec<S>) -> Self {
-        Self::with_mode(shards, KeyMode::Shared)
-    }
-
-    /// Merges **unrelated** streams: each shard's group keys are remapped
-    /// into a private namespace so equal raw keys in different shards stay
-    /// distinct groups.
-    pub fn disjoint(shards: Vec<S>) -> Self {
-        Self::with_mode(shards, KeyMode::Disjoint(HashMap::new()))
-    }
-
-    fn with_mode(shards: Vec<S>, keys: KeyMode) -> Self {
         let n = shards.len();
         MergeSource {
             shards: shards
@@ -129,7 +101,6 @@ impl<S: TupleSource> MergeSource<S> {
             tree: vec![0; n],
             initialized: false,
             emitted: 0,
-            keys,
         }
     }
 
@@ -223,18 +194,6 @@ impl<S: TupleSource> MergeSource<S> {
         }
         best
     }
-
-    /// Applies the key-namespace mode to an outgoing tuple.
-    fn rekey(&mut self, shard: usize, mut t: SourceTuple) -> SourceTuple {
-        if let KeyMode::Disjoint(map) = &mut self.keys {
-            if let GroupKey::Shared(raw) = t.group {
-                let next = map.len() as u64;
-                let key = *map.entry((shard, raw)).or_insert(next);
-                t.group = GroupKey::Shared(key);
-            }
-        }
-        t
-    }
 }
 
 impl<S: TupleSource> TupleSource for MergeSource<S> {
@@ -258,7 +217,7 @@ impl<S: TupleSource> TupleSource for MergeSource<S> {
             self.adjust(winner);
         }
         self.emitted += 1;
-        Ok(Some(self.rekey(winner, tuple)))
+        Ok(Some(tuple))
     }
 
     /// Batched pull: drains *runs* of same-shard winners per loser-tree
@@ -292,8 +251,7 @@ impl<S: TupleSource> TupleSource for MergeSource<S> {
                 let tuple = self.shards[winner].head.take().expect("head checked above");
                 self.shards[winner].refill(winner)?;
                 self.emitted += 1;
-                let rekeyed = self.rekey(winner, tuple);
-                block.push(&rekeyed);
+                block.push(&tuple);
                 if block.len() >= max
                     || self.shards[winner].head.is_none()
                     || second.is_some_and(|s| !self.beats(winner, s))
@@ -357,7 +315,7 @@ pub fn partition_round_robin<S: TupleSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::{CountingSource, TableSource};
+    use crate::source::{CountingSource, GroupKey, TableSource};
     use crate::table::UncertainTable;
     use crate::tuple::UncertainTuple;
 
@@ -427,20 +385,6 @@ mod tests {
         let out = drain(&mut MergeSource::new(vec![a, b]));
         assert_eq!(out[0].group, GroupKey::Shared(7));
         assert_eq!(out[1].group, GroupKey::Shared(7));
-    }
-
-    #[test]
-    fn disjoint_mode_keeps_equal_raw_keys_apart() {
-        let a = VecSource::new(vec![grouped(1, 9.0, 0.4, 0), grouped(3, 5.0, 0.5, 0)]);
-        let b = VecSource::new(vec![grouped(2, 8.0, 0.5, 0)]);
-        let out = drain(&mut MergeSource::disjoint(vec![a, b]));
-        // Shard A's key-0 tuples share a remapped key; shard B's differs.
-        assert_eq!(out[0].group, out[2].group);
-        assert_ne!(out[0].group, out[1].group);
-        // Independent tuples stay independent.
-        let c = VecSource::new(vec![tuple(10, 1.0, 0.5)]);
-        let out = drain(&mut MergeSource::disjoint(vec![c]));
-        assert_eq!(out[0].group, GroupKey::Independent);
     }
 
     #[test]

@@ -249,7 +249,7 @@ pub trait TupleSource {
     /// The default implementation assembles the block tuple-by-tuple from
     /// [`next_tuple`](TupleSource::next_tuple), so every source supports
     /// block pulls; adapters with a cheaper bulk path (tables, spill runs,
-    /// feeds, wire readers, merges) override it. A returned block may be
+    /// wire readers, merges) override it. A returned block may be
     /// shorter than `max` without implying end-of-stream — only `Ok(None)`
     /// does that.
     ///

@@ -1857,7 +1857,8 @@ impl<R: Read> TupleSource for WireReader<R> {
 /// Shared observability for one remote scan: every wire-backed connection
 /// feeding the scan records what actually crossed the network, so the
 /// planner can report shipped-vs-scanned tuples per query. All counters are
-/// atomic — prefetched connections record from their producer threads.
+/// atomic, so the connections and the handle reading them share one `Arc`
+/// across the `Send` scan.
 #[derive(Debug, Default)]
 pub struct WireScanStats {
     tuples: std::sync::atomic::AtomicU64,

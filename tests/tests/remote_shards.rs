@@ -16,7 +16,7 @@ use ttk_integration_tests::small_area;
 use ttk_pdb::{
     shard_sources_from_csv_with, table_to_csv, CsvDataset, CsvOptions, ShardImportOptions,
 };
-use ttk_uncertain::{PrefetchPolicy, ShardAssignment, TupleSource};
+use ttk_uncertain::{ShardAssignment, TupleSource};
 
 /// Exports the small CarTel area as `shards` CSV texts (round-robin rows,
 /// shared schema and group-key strings), returning the texts.
@@ -114,14 +114,14 @@ fn remote_shard_scan_is_bit_identical_to_the_local_shard_scan() {
             })
             .into_dataset();
 
-    // Serve each shard "process"-style; four connections each — one per
-    // (k, prefetch) combination the loop below issues.
+    // Serve each shard "process"-style; three connections each — one per k
+    // the loop below issues.
     let mut id_base = 0u64;
     let addrs: Vec<String> = texts
         .iter()
         .map(|text| {
             let rows = text.lines().filter(|l| !l.trim().is_empty()).count() as u64 - 1;
-            let (addr, _) = serve_as(text.clone(), id_base, 4, None);
+            let (addr, _) = serve_as(text.clone(), id_base, 3, None);
             id_base += rows;
             addr
         })
@@ -131,23 +131,16 @@ fn remote_shard_scan_is_bit_identical_to_the_local_shard_scan() {
     for k in [1usize, 3, 5] {
         let query = TopkQuery::new(k).with_p_tau(1e-3);
         let reference = session.execute(&local, &query).unwrap();
-        for prefetch in [PrefetchPolicy::Off, PrefetchPolicy::per_shard(32)] {
-            if k != 3 && prefetch != PrefetchPolicy::Off {
-                continue; // the prefetched client connects once, on k == 3
-            }
-            let remote = RemoteShardDataset::new(addrs.clone())
-                .with_prefetch(prefetch)
-                .into_dataset();
-            let answer = session.execute(&remote, &query).unwrap();
-            assert_eq!(answer.distribution, reference.distribution, "k={k}");
-            assert_eq!(answer.scan_depth, reference.scan_depth, "k={k}");
-            assert_eq!(answer.typical.scores(), reference.typical.scores(), "k={k}");
-            let (ua, ub) = (
-                answer.u_topk.as_ref().unwrap(),
-                reference.u_topk.as_ref().unwrap(),
-            );
-            assert_eq!(ua.vector.ids(), ub.vector.ids(), "k={k}");
-        }
+        let remote = RemoteShardDataset::new(addrs.clone()).into_dataset();
+        let answer = session.execute(&remote, &query).unwrap();
+        assert_eq!(answer.distribution, reference.distribution, "k={k}");
+        assert_eq!(answer.scan_depth, reference.scan_depth, "k={k}");
+        assert_eq!(answer.typical.scores(), reference.typical.scores(), "k={k}");
+        let (ua, ub) = (
+            answer.u_topk.as_ref().unwrap(),
+            reference.u_topk.as_ref().unwrap(),
+        );
+        assert_eq!(ua.vector.ids(), ub.vector.ids(), "k={k}");
     }
 
     // The hashed-key import is itself bit-identical (in distribution) to the
