@@ -6,14 +6,15 @@
 //! * `ttk generate cartel|synthetic [options]` — write a CSV dataset to
 //!   stdout (or `--out FILE`).
 //! * `ttk query DATA.csv --score EXPR --k K [options]` — run a top-k
-//!   distribution query over a CSV relation and print the histogram, the
-//!   typical answers and the U-Topk comparison point. Every input form
-//!   (positional/`--file` single file, repeatable `--shard`, out-of-core
-//!   `--spill-buffer`) resolves to one `Dataset` served by one `Session`.
+//!   distribution query over a CSV relation and print the plan, the
+//!   histogram, the typical answers and the U-Topk comparison point. Every
+//!   input form (positional/`--file` single file, repeatable `--shard`,
+//!   out-of-core `--spill-buffer`) resolves to one `Dataset` served by one
+//!   `Session`.
 //! * `ttk explain DATA.csv --score EXPR [--k K]` — print the execution plan
 //!   (chosen scan path, row/depth/cost estimates) without running the query;
 //!   `--after` executes the query first so the plan also reports the
-//!   observed scan depth and the cost model's drift.
+//!   observed scan depth next to the estimate.
 //! * `ttk serve-shard <input> --score EXPR --listen ADDR` — a long-lived
 //!   concurrent daemon serving the resolved dataset as a rank-ordered tuple
 //!   stream over TCP (the wire protocol of `ttk-uncertain`), one replay per
@@ -41,33 +42,32 @@
 //!   top-k subscription the daemon re-evaluates on every epoch advance,
 //!   pushing a fresh answer only when its distribution actually shifted.
 //! * `ttk soldier` — print the paper's toy example end to end.
+//!
+//! Each verb mode has one flag table listing exactly the flags it reads
+//! (the modes are chosen by the generator kind, by `--server` on `query`
+//! and `explain`, by `--coordinator` on `serve-shard` and by `--row` or
+//! `--file` on `append`); [`parse`] rejects every other flag before the
+//! verb reads a file or dials an address. The code is split by verb:
+//!
+//! * this file — dispatch, [`usage`], the flag tables and the flag helpers;
+//! * [`generate`] — `ttk generate`;
+//! * [`query`] — `ttk soldier`, `query` and `explain`: input resolution and
+//!   answer printing;
+//! * [`daemons`] — `ttk serve-shard`, `serve` and `coordinator`: their
+//!   connection handlers, the bootstrap they share and the signal handler;
+//! * [`clients`] — `ttk append`, `watch` and `admin`.
+
+mod clients;
+mod daemons;
+mod generate;
+mod query;
 
 use std::collections::HashMap;
-use std::net::TcpStream;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use ttk_core::remote;
-use ttk_core::{
-    bind_daemon_listener, run_daemon, serve_client, serve_stream, Algorithm, AppendLog,
-    BatchOptions, ConnectOptions, ConnectionHandler, DaemonControl, DaemonOptions, Dataset,
-    DatasetLoader, DatasetProvider, DatasetRegistry, PlanDescription, QueryJob, QueryServeOptions,
-    RemoteQueryClient, RemoteShardDataset, ResultCache, ScanPath, ServeOptions, Session,
-    ShedPolicy, TopkQuery,
-};
-use ttk_datagen::cartel::{generate_area, CartelConfig};
-use ttk_datagen::soldier;
-use ttk_datagen::synthetic::{generate, IntRange, MePolicy, SyntheticConfig};
-use ttk_pdb::{
-    count_csv_records, parse_expression, stable_group_key, table_to_csv, CsvDataset, CsvOptions,
-    DataType, Expr, PTable, Schema, ShardImportOptions, SpillOptions,
-};
-use ttk_uncertain::{
-    wire, LeaseRegistry, ScoreDistribution, ShardAssignment, SourceTuple, TupleSource,
-    UncertainTuple,
-};
+use ttk_core::{Algorithm, ConnectOptions, RemoteQueryClient, TopkQuery};
+use ttk_pdb::CsvOptions;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,6 +82,31 @@ fn main() -> ExitCode {
     }
 }
 
+/// Runs one `ttk` command line; a verb's errors start `ttk VERB:`.
+fn run(args: &[String]) -> Result<(), String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err("missing command".to_string());
+    };
+    let verb: fn(&[String]) -> Result<(), String> = match command.as_str() {
+        "soldier" => query::cmd_soldier,
+        "generate" => generate::cmd_generate,
+        "query" => query::cmd_query,
+        "explain" => query::cmd_explain,
+        "serve-shard" => daemons::cmd_serve_shard,
+        "serve" => daemons::cmd_serve,
+        "coordinator" => daemons::cmd_coordinator,
+        "append" => clients::cmd_append,
+        "watch" => clients::cmd_watch,
+        "admin" => clients::cmd_admin,
+        "help" | "--help" | "-h" => {
+            println!("{}", usage());
+            return Ok(());
+        }
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    verb(rest).map_err(|e| format!("ttk {command}: {e}"))
+}
+
 fn usage() -> &'static str {
     "usage:
   ttk soldier
@@ -94,15 +119,13 @@ fn usage() -> &'static str {
               [--c C] [--p-tau P] [--max-lines N] [--algorithm main|per-ending|state-expansion|k-combo]
               [--prob-column NAME] [--group-column NAME] [--buckets N]
               [--batch KS] [--threads N] [--spill-buffer TUPLES] [--id-base N]
-              [--remote-timeout SECS] [--remote-retries N]
-              [--no-pushdown] [--bound-update-every TUPLES]
+              [--remote-timeout SECS] [--remote-retries N] [--no-pushdown]
   ttk explain (DATA.csv | --file DATA.csv | --shard ... | --remote-shard ...
                | --server HOST:PORT --dataset NAME --after)
               --score EXPR [--k K] [--c C] [--p-tau P] [--max-lines N]
               [--algorithm ...] [--prob-column NAME] [--group-column NAME]
               [--spill-buffer TUPLES] [--id-base N] [--after]
-              [--remote-timeout SECS] [--remote-retries N]
-              [--no-pushdown] [--bound-update-every TUPLES]
+              [--remote-timeout SECS] [--remote-retries N] [--no-pushdown]
   ttk serve   [NAME=FILE.csv ...] [--live NAME ...] [--score EXPR]
               --listen HOST:PORT
               [--seal-every ROWS] [--compact-at SEGMENTS]
@@ -132,8 +155,10 @@ fn usage() -> &'static str {
                | reload NAME | compact NAME)
               [--remote-timeout SECS] [--remote-retries N]
 
-  Each command accepts exactly the flags listed for it above; any other
-  flag is an error naming the flag and the command.
+  Each command accepts exactly the flags listed for it above, and each of
+  its modes (the generator kind; --server on query and explain;
+  --coordinator on serve-shard; --row or --file on append) only the flags
+  that mode reads; any other flag is an error naming the flag and the mode.
 
   Every input form resolves to one dataset: a single CSV file (positional or
   --file), the shard files of one partitioned relation (--shard, repeatable;
@@ -149,10 +174,9 @@ fn usage() -> &'static str {
   Remote scans push the Theorem-2 scan gate down to the servers by default:
   the query's (k, p-tau) is announced on connect, servers stop at a
   conservative per-shard bound instead of draining the shard, and the client
-  refreshes each server's bound every --bound-update-every tuples pulled
-  (default 64) as its merge-side gate tightens. --no-pushdown announces
-  k = 0, which asks for the full replay. Results are bit-identical either
-  way.
+  refreshes each server's bound every 64 tuples pulled as its merge-side
+  gate tightens. --no-pushdown announces k = 0, which asks for the full
+  replay. Results are bit-identical either way.
 
   serve-shard scores its input once and then serves it as a rank-ordered
   binary tuple stream — a long-lived daemon handling up to --max-parallel
@@ -243,154 +267,196 @@ fn usage() -> &'static str {
 /// Parsed `--key value` flags; repeated flags accumulate in order.
 type Flags = HashMap<String, Vec<String>>;
 
-/// The flags one verb accepts, as space-separated names. Each takes one
-/// value, except the switches, whose presence means `true`.
-struct VerbFlags {
-    verb: &'static str,
+/// The flags one mode of a verb reads, as space-separated names. Each takes
+/// one value, except the switches, whose presence means `true`.
+struct Mode {
+    /// The verb, and what selects this mode when the verb has several.
+    name: &'static str,
+    /// Why a flag outside the table does not apply in this mode.
+    reason: &'static str,
     values: &'static str,
     switches: &'static str,
+    /// Whether the mode reads bare words (input files, dataset specs, the
+    /// generator kind, admin verbs).
+    positionals: bool,
 }
 
-impl VerbFlags {
-    fn is_switch(&self, name: &str) -> bool {
-        self.switches
-            .split_whitespace()
-            .any(|switch| switch == name)
-    }
-
-    fn accepts(&self, name: &str) -> bool {
-        self.is_switch(name) || self.values.split_whitespace().any(|value| value == name)
-    }
-}
-
-/// Every verb's flag table.
-const VERBS: [VerbFlags; 10] = [
-    SOLDIER,
-    GENERATE,
-    QUERY,
-    EXPLAIN,
-    SERVE,
-    APPEND,
-    WATCH,
-    SERVE_SHARD,
-    COORDINATOR,
-    ADMIN,
-];
-
-const SOLDIER: VerbFlags = VerbFlags {
-    verb: "soldier",
+const SOLDIER: Mode = Mode {
+    name: "soldier",
+    reason: "it runs the paper's fixed example",
     values: "",
     switches: "",
+    positionals: false,
 };
 
-const GENERATE: VerbFlags = VerbFlags {
-    verb: "generate",
-    values: "segments tuples rho sigma me-size me-gap seed out shards",
+const GENERATE_CARTEL: Mode = Mode {
+    name: "generate cartel",
+    reason: "a CarTel area is sized by --segments",
+    values: "segments seed out shards",
     switches: "",
+    positionals: true,
 };
 
-const QUERY: VerbFlags = VerbFlags {
-    verb: "query",
-    values: "file shard remote-shard server dataset score k c p-tau max-lines algorithm \
-             prob-column group-column buckets batch threads spill-buffer id-base \
-             remote-timeout remote-retries bound-update-every",
+const GENERATE_SYNTHETIC: Mode = Mode {
+    name: "generate synthetic",
+    reason: "a synthetic table is sized by --tuples and shaped by --rho, --sigma, --me-size and \
+             --me-gap",
+    values: "tuples rho sigma me-size me-gap seed out shards",
+    switches: "",
+    positionals: true,
+};
+
+const QUERY: Mode = Mode {
+    name: "query",
+    reason: "without --server it scans its own input (a CSV file, --shard files or \
+             --remote-shard servers) scored with --score",
+    values: "file shard remote-shard score k c p-tau max-lines algorithm prob-column \
+             group-column buckets batch threads spill-buffer id-base remote-timeout \
+             remote-retries",
     switches: "no-pushdown",
+    positionals: true,
 };
 
-const EXPLAIN: VerbFlags = VerbFlags {
-    verb: "explain",
-    values: "file shard remote-shard server dataset score k c p-tau max-lines algorithm \
-             prob-column group-column spill-buffer id-base remote-timeout remote-retries \
-             bound-update-every",
+const QUERY_SERVER: Mode = Mode {
+    name: "query --server",
+    reason: "the whole query ships to the daemon's resident dataset, scored when the daemon \
+             loaded it",
+    values: "server dataset k c p-tau max-lines algorithm buckets batch remote-timeout \
+             remote-retries",
+    switches: "",
+    positionals: false,
+};
+
+const EXPLAIN: Mode = Mode {
+    name: "explain",
+    reason: "without --server it plans a scan of its own input (a CSV file, --shard files or \
+             --remote-shard servers) scored with --score",
+    values: "file shard remote-shard score k c p-tau max-lines algorithm prob-column \
+             group-column spill-buffer id-base remote-timeout remote-retries",
     switches: "after no-pushdown",
+    positionals: true,
 };
 
-const SERVE: VerbFlags = VerbFlags {
-    verb: "serve",
+const EXPLAIN_SERVER: Mode = Mode {
+    name: "explain --server",
+    reason: "the whole query ships to the daemon's resident dataset, scored when the daemon \
+             loaded it",
+    values: "server dataset k c p-tau max-lines algorithm remote-timeout remote-retries",
+    switches: "after",
+    positionals: false,
+};
+
+const SERVE_SHARD: Mode = Mode {
+    name: "serve-shard",
+    reason: "without --coordinator it serves one local CSV input (a file or --shard files) at \
+             the operator's --id-base",
+    values: "file shard score listen id-base namespace spill-buffer max-conns max-parallel \
+             port-file write-timeout-ms prob-column group-column",
+    switches: "",
+    positionals: true,
+};
+
+const SERVE_SHARD_LEASED: Mode = Mode {
+    name: "serve-shard --coordinator",
+    reason: "the coordinator leases the id base and the namespace (set it with `ttk \
+             coordinator --namespace`)",
+    values: "file shard score listen coordinator spill-buffer max-conns max-parallel \
+             port-file write-timeout-ms prob-column group-column",
+    switches: "",
+    positionals: true,
+};
+
+const SERVE: Mode = Mode {
+    name: "serve",
+    reason: "the usage below lists the flags serve reads",
     values: "live score listen seal-every compact-at max-conns max-parallel cache-entries \
              cache-ttl-ms write-timeout-ms request-wait-ms port-file prob-column group-column",
     switches: "",
+    positionals: true,
 };
 
-const APPEND: VerbFlags = VerbFlags {
-    verb: "append",
-    values: "server dataset row file score prob-column group-column remote-timeout \
-             remote-retries",
+const COORDINATOR: Mode = Mode {
+    name: "coordinator",
+    reason: "it serves id-base leases, not data, and exits after --max-leases",
+    values: "listen namespace max-leases port-file write-timeout-ms",
+    switches: "",
+    positionals: false,
+};
+
+const APPEND_ROWS: Mode = Mode {
+    name: "append --row",
+    reason: "pass either --row literals or one --file CSV, not both; --row literals carry \
+             their own score and group",
+    values: "server dataset row remote-timeout remote-retries",
     switches: "seal",
+    positionals: false,
 };
 
-const WATCH: VerbFlags = VerbFlags {
-    verb: "watch",
+const APPEND_FILE: Mode = Mode {
+    name: "append",
+    reason: "without --row it scores one --file CSV with --score",
+    values: "server dataset file score prob-column group-column remote-timeout remote-retries",
+    switches: "seal",
+    positionals: false,
+};
+
+const WATCH: Mode = Mode {
+    name: "watch",
+    reason: "it subscribes to a resident dataset of a ttk serve daemon",
     values: "server dataset k c p-tau max-lines algorithm pushes buckets remote-timeout \
              remote-retries",
     switches: "",
+    positionals: false,
 };
 
-const SERVE_SHARD: VerbFlags = VerbFlags {
-    verb: "serve-shard",
-    values: "file shard score listen id-base namespace coordinator spill-buffer max-conns \
-             max-parallel port-file write-timeout-ms prob-column group-column",
-    switches: "",
-};
-
-const COORDINATOR: VerbFlags = VerbFlags {
-    verb: "coordinator",
-    values: "listen namespace max-leases port-file write-timeout-ms",
-    switches: "",
-};
-
-const ADMIN: VerbFlags = VerbFlags {
-    verb: "admin",
+const ADMIN: Mode = Mode {
+    name: "admin",
+    reason: "it ships one management verb to a ttk serve daemon",
     values: "server remote-timeout remote-retries",
     switches: "",
+    positionals: true,
 };
 
-/// Parses `--key value` style flags into a map; bare words are positional.
-/// A flag is a switch when the verbs' tables list it as one; a flag no verb
-/// accepts is an error.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    let mut positional = Vec::new();
-    let mut flags: Flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        if let Some(name) = arg.strip_prefix("--") {
-            if !VERBS.iter().any(|verb| verb.accepts(name)) {
-                return Err(format!("unknown flag --{name}"));
-            }
-            if VERBS.iter().any(|verb| verb.is_switch(name)) {
-                flags
-                    .entry(name.to_string())
-                    .or_default()
-                    .push("true".to_string());
-                i += 1;
-                continue;
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags
-                .entry(name.to_string())
-                .or_default()
-                .push(value.clone());
-            i += 2;
-        } else {
-            positional.push(arg.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
+/// Whether `args` pass the flag `--name`: what chooses between a verb's
+/// modes.
+fn passes(args: &[String], name: &str) -> bool {
+    args.iter().any(|arg| arg.strip_prefix("--") == Some(name))
 }
 
-/// Parses the arguments of `verb`, rejecting every flag outside its table.
-fn parse_args(verb: &VerbFlags, args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    let (positional, flags) = parse_flags(args).map_err(|e| format!("ttk {}: {e}", verb.verb))?;
-    let mut unknown: Vec<&String> = flags.keys().filter(|name| !verb.accepts(name)).collect();
-    unknown.sort();
-    match unknown.first() {
-        Some(name) => Err(format!("ttk {}: unknown flag --{name}", verb.verb)),
-        None => Ok((positional, flags)),
+/// Parses `args` against `mode`'s table in one pass into bare words and
+/// `--name value` flags. A flag outside the table, or a bare word where the
+/// mode reads none, is an error naming it and giving the mode's reason.
+fn parse(mode: &Mode, args: &[String]) -> Result<(Vec<String>, Flags), String> {
+    let lists = |names: &str, name: &str| names.split_whitespace().any(|listed| listed == name);
+    let mut positional = Vec::new();
+    let mut flags = Flags::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            if !mode.positionals {
+                return Err(format!(
+                    "{} takes no positional argument `{arg}`: {}",
+                    mode.name, mode.reason
+                ));
+            }
+            positional.push(arg.clone());
+            continue;
+        };
+        let value = if lists(mode.switches, name) {
+            "true".to_string()
+        } else if lists(mode.values, name) {
+            args.next()
+                .ok_or_else(|| format!("flag --{name} needs a value"))?
+                .clone()
+        } else {
+            return Err(format!(
+                "{} takes no --{name}: {}; drop --{name}",
+                mode.name, mode.reason
+            ));
+        };
+        flags.entry(name.to_string()).or_default().push(value);
     }
+    Ok((positional, flags))
 }
 
 /// The value of a single-valued flag (the last occurrence wins).
@@ -424,226 +490,8 @@ fn parse_buckets(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-fn parse_range(raw: &str) -> Result<IntRange, String> {
-    let (lo, hi) = raw
-        .split_once(':')
-        .ok_or_else(|| format!("expected LO:HI, got `{raw}`"))?;
-    let lo: u64 = lo.parse().map_err(|_| format!("invalid range `{raw}`"))?;
-    let hi: u64 = hi.parse().map_err(|_| format!("invalid range `{raw}`"))?;
-    if lo > hi {
-        return Err(format!("empty range `{raw}`"));
-    }
-    Ok(IntRange::new(lo, hi))
-}
-
-fn run(args: &[String]) -> Result<(), String> {
-    let Some(command) = args.first() else {
-        return Err("missing command".to_string());
-    };
-    let rest = &args[1..];
-    match command.as_str() {
-        "soldier" => cmd_soldier(rest),
-        "generate" => cmd_generate(rest),
-        "query" => cmd_query(rest),
-        "explain" => cmd_explain(rest),
-        "serve-shard" => cmd_serve_shard(rest),
-        "serve" => cmd_serve(rest),
-        "append" => cmd_append(rest),
-        "watch" => cmd_watch(rest),
-        "coordinator" => cmd_coordinator(rest),
-        "admin" => cmd_admin(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", usage());
-            Ok(())
-        }
-        other => Err(format!("unknown command `{other}`")),
-    }
-}
-
-fn cmd_soldier(args: &[String]) -> Result<(), String> {
-    parse_args(&SOLDIER, args)?;
-    let table = soldier::table().map_err(|e| e.to_string())?;
-    let dataset = Dataset::table(table).with_label("soldier (Figure 1)");
-    let query = TopkQuery::new(2).with_p_tau(1e-9).with_max_lines(0);
-    let answer = Session::new()
-        .execute(&dataset, &query)
-        .map_err(|e| e.to_string())?;
-    println!("The soldier-monitoring example of the paper (k = 2):");
-    print_histogram(&answer.distribution, 14, &markers(&answer));
-    print_answer_summary(&answer);
-    Ok(())
-}
-
-fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&GENERATE, args)?;
-    let kind = positional
-        .first()
-        .ok_or("generate needs a dataset kind: cartel or synthetic")?;
-    let seed = get_parse(&flags, "seed", 42u64)?;
-    let table = match kind.as_str() {
-        "cartel" => {
-            let segments = get_parse(&flags, "segments", 60usize)?;
-            let area = generate_area(&CartelConfig {
-                segments,
-                seed,
-                ..CartelConfig::default()
-            })
-            .map_err(|e| e.to_string())?;
-            let schema = Schema::default()
-                .with("segment_id", DataType::Integer)
-                .with("speed_limit", DataType::Float)
-                .with("length", DataType::Float)
-                .with("delay", DataType::Float);
-            let mut table = PTable::new("area", schema);
-            for segment in &area.segments {
-                for bin in &segment.bins {
-                    table
-                        .insert(
-                            vec![
-                                (segment.segment_id as i64).into(),
-                                segment.speed_limit_kmh.into(),
-                                segment.length_m.into(),
-                                bin.delay_seconds.into(),
-                            ],
-                            bin.probability.clamp(1e-6, 1.0),
-                            Some(&format!("segment-{}", segment.segment_id)),
-                        )
-                        .map_err(|e| e.to_string())?;
-                }
-            }
-            table
-        }
-        "synthetic" => {
-            let tuples = get_parse(&flags, "tuples", 300usize)?;
-            let rho = get_parse(&flags, "rho", 0.0f64)?;
-            let sigma = get_parse(&flags, "sigma", 60.0f64)?;
-            let group_size = match get(&flags, "me-size") {
-                Some(raw) => parse_range(raw)?,
-                None => IntRange::new(2, 3),
-            };
-            let gap = match get(&flags, "me-gap") {
-                Some(raw) => parse_range(raw)?,
-                None => IntRange::new(1, 8),
-            };
-            let table = generate(&SyntheticConfig {
-                tuples,
-                correlation: rho,
-                score_std: sigma,
-                me_policy: MePolicy {
-                    group_size,
-                    gap,
-                    portion: 1.0,
-                },
-                seed,
-                ..SyntheticConfig::default()
-            })
-            .map_err(|e| e.to_string())?;
-            // Export as a flat relation: score column + probability + group.
-            let schema = Schema::default().with("score", DataType::Float);
-            let mut out = PTable::new("synthetic", schema);
-            for pos in 0..table.len() {
-                let t = table.tuple(pos);
-                let group_label = {
-                    let members = table.group_members(pos);
-                    (members.len() > 1).then(|| format!("g{}", table.group_index(pos)))
-                };
-                out.insert(vec![t.score().into()], t.prob(), group_label.as_deref())
-                    .map_err(|e| e.to_string())?;
-            }
-            out
-        }
-        other => return Err(format!("unknown dataset kind `{other}`")),
-    };
-    let shards = get_parse(&flags, "shards", 1usize)?;
-    if shards > 1 {
-        let out = get(&flags, "out")
-            .ok_or("--shards needs --out FILE (used as the shard file name template)")?;
-        for (index, part) in split_rows_round_robin(&table, shards)?.iter().enumerate() {
-            let path = shard_path(out, index);
-            std::fs::write(&path, table_to_csv(part, &CsvOptions::default()))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-        println!(
-            "wrote {} rows as {shards} shard files: {} .. {}",
-            table.len(),
-            shard_path(out, 0),
-            shard_path(out, shards - 1)
-        );
-        return Ok(());
-    }
-    let csv = table_to_csv(&table, &CsvOptions::default());
-    match get(&flags, "out") {
-        Some(path) => std::fs::write(path, csv).map_err(|e| e.to_string())?,
-        None => print!("{csv}"),
-    }
-    Ok(())
-}
-
-/// Partitions a table's rows round-robin into `shards` tables sharing its
-/// schema (and therefore its global group-key strings).
-fn split_rows_round_robin(table: &PTable, shards: usize) -> Result<Vec<PTable>, String> {
-    let mut parts: Vec<PTable> = (0..shards)
-        .map(|i| PTable::new(format!("{}_shard{i}", table.name()), table.schema().clone()))
-        .collect();
-    for (i, row) in table.rows().iter().enumerate() {
-        parts[i % shards]
-            .insert(row.values.clone(), row.probability, row.group.as_deref())
-            .map_err(|e| e.to_string())?;
-    }
-    Ok(parts)
-}
-
-/// Names shard file `index` after the `--out` template: `area.csv` becomes
-/// `area.shard0.csv`, an extension-less name gets `.shard0` appended. Only
-/// the file-name component is rewritten, so dots in directory names are left
-/// alone.
-fn shard_path(out: &str, index: usize) -> String {
-    let path = std::path::Path::new(out);
-    let file = path
-        .file_name()
-        .map(|f| f.to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let sharded = match file.rsplit_once('.') {
-        Some((stem, ext)) if !stem.is_empty() => format!("{stem}.shard{index}.{ext}"),
-        _ => format!("{file}.shard{index}"),
-    };
-    path.with_file_name(sharded).to_string_lossy().into_owned()
-}
-
-/// Parses a `--batch` specification: `1,5,10` or `LO:HI` (inclusive).
-fn parse_k_list(raw: &str) -> Result<Vec<usize>, String> {
-    if let Some((lo, hi)) = raw.split_once(':') {
-        let lo: usize = lo
-            .parse()
-            .map_err(|_| format!("invalid batch range `{raw}`"))?;
-        let hi: usize = hi
-            .parse()
-            .map_err(|_| format!("invalid batch range `{raw}`"))?;
-        if lo == 0 || lo > hi {
-            return Err(format!("empty batch range `{raw}`"));
-        }
-        return Ok((lo..=hi).collect());
-    }
-    let ks: Vec<usize> = raw
-        .split(',')
-        .map(|part| part.trim().parse())
-        .collect::<Result<_, _>>()
-        .map_err(|_| format!("invalid batch list `{raw}`"))?;
-    if ks.contains(&0) {
-        return Err(format!("batch list `{raw}` must contain positive k values"));
-    }
-    Ok(ks)
-}
-
-/// The query-shape flags shared by `ttk query` and `ttk explain`.
-struct QuerySpec {
-    topk: TopkQuery,
-    expression_text: String,
-}
-
-/// Parses the query-shape flags alone (k, c, p-tau, max-lines, algorithm) —
-/// everything a `--server` query ships over the wire, where no local
-/// scoring expression applies.
+/// Parses the query-shape flags (k, c, p-tau, max-lines, algorithm):
+/// everything a `--server` query ships over the wire.
 fn parse_topk_params(flags: &Flags, k: usize) -> Result<TopkQuery, String> {
     let c = get_parse(flags, "c", 3usize)?;
     let p_tau = get_parse(flags, "p-tau", 1e-3f64)?;
@@ -662,42 +510,9 @@ fn parse_topk_params(flags: &Flags, k: usize) -> Result<TopkQuery, String> {
         .with_algorithm(algorithm))
 }
 
-/// Parses the query-parameter flags (everything except the input form).
-fn parse_query_spec(flags: &Flags, k: usize) -> Result<QuerySpec, String> {
-    let score = get(flags, "score").ok_or("--score is required")?;
-    Ok(QuerySpec {
-        topk: parse_topk_params(flags, k)?,
-        expression_text: score.to_string(),
-    })
-}
-
-/// Rejects the local-input flags that conflict with `--server` mode, where
-/// the whole query ships to the daemon's resident, already-scored dataset.
-fn reject_local_input_flags(positional: &[String], flags: &Flags) -> Result<(), String> {
-    if !positional.is_empty()
-        || get(flags, "file").is_some()
-        || flags.contains_key("shard")
-        || flags.contains_key("remote-shard")
-        || get(flags, "spill-buffer").is_some()
-    {
-        return Err(
-            "--server ships the whole query to the daemon's resident dataset; drop the local \
-             input flags (positional file, --file, --shard, --remote-shard, --spill-buffer)"
-                .to_string(),
-        );
-    }
-    if get(flags, "score").is_some() {
-        return Err(
-            "--server queries run against the daemon's already-scored dataset; drop --score \
-             (the scoring expression was fixed when the server loaded the dataset)"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
-
-/// The `--server`/`--dataset` client of `query`/`explain`.
-fn server_query_client(server: &str, flags: &Flags) -> Result<(RemoteQueryClient, String), String> {
+/// The `--server`/`--dataset` client of `query`, `explain` and `watch`.
+fn server_query_client(flags: &Flags) -> Result<(RemoteQueryClient, String), String> {
+    let server = get(flags, "server").ok_or("--server HOST:PORT is required")?;
     let dataset = get(flags, "dataset")
         .ok_or("--server queries name a resident dataset: add --dataset NAME")?
         .to_string();
@@ -705,10 +520,10 @@ fn server_query_client(server: &str, flags: &Flags) -> Result<(RemoteQueryClient
     Ok((client, dataset))
 }
 
-/// The remote-dial options of `query`/`explain`: `--remote-timeout SECS`
-/// bounds both the connect and the per-read wait on every shard server
-/// connection, `--remote-retries N` sets how many times a failed dial or
-/// lost handshake is retried (exponential backoff between attempts).
+/// The remote-dial options: `--remote-timeout SECS` bounds both the connect
+/// and the per-read wait on every connection, `--remote-retries N` sets how
+/// many times a failed dial or lost handshake is retried (exponential
+/// backoff between attempts).
 fn parse_connect_options(flags: &Flags) -> Result<ConnectOptions, String> {
     let mut connect = ConnectOptions::default();
     if let Some(raw) = get(flags, "remote-timeout") {
@@ -741,1245 +556,27 @@ fn parse_csv_options(flags: &Flags) -> CsvOptions {
     }
 }
 
-/// Resolves the input flags of `query`/`explain`/`serve-shard` to exactly
-/// one [`Dataset`].
-///
-/// The input forms — a single CSV file (positional or `--file`), a shard
-/// set (repeatable `--shard`), the out-of-core scan of a single file
-/// (`--spill-buffer`) and remote shard servers (repeatable `--remote-shard`,
-/// mixable with `--shard`) — are mutually constrained; any conflicting
-/// combination is rejected with one error naming the dataset kind each flag
-/// resolves to. `serving` marks the serve-shard mode, whose flag table has
-/// no `--remote-shard`: group keys are hashed so independently-served
-/// shards agree on ME groups without coordination.
-fn resolve_dataset(
-    positional: &[String],
-    flags: &Flags,
-    csv_options: &CsvOptions,
-    score: &str,
-    serving: bool,
-) -> Result<Dataset, String> {
-    let shard_files: Vec<String> = flags.get("shard").cloned().unwrap_or_default();
-    let remote_shards: Vec<String> = flags.get("remote-shard").cloned().unwrap_or_default();
-    let flag_file = get(flags, "file");
-    if positional.len() > 1 {
-        return Err(format!(
-            "unexpected extra positional arguments {:?}: a query scans one dataset — pass a \
-             single CSV file, or use --shard (repeatable) for the shard files of one \
-             partitioned relation",
-            &positional[1..]
-        ));
-    }
-    let positional_file = positional.first().map(String::as_str);
-    let spill_buffer = get_parse(flags, "spill-buffer", 0usize)?;
-    let id_base = get_parse(flags, "id-base", 0u64)?;
-    let expression = parse_expression(score).map_err(|e| e.to_string())?;
-
-    if let (Some(p), Some(f)) = (positional_file, flag_file) {
-        return Err(format!(
-            "conflicting input flags: the positional argument `{p}` and --file `{f}` both \
-             resolve to a single-file CSV dataset; pass the file once"
-        ));
-    }
-    let file = flag_file.or(positional_file);
-
-    if !remote_shards.is_empty() {
-        if let Some(file) = file {
-            return Err(format!(
-                "conflicting input flags: `{file}` resolves to a single-file CSV dataset, \
-                 but --remote-shard was also given ({} servers resolving to a remote shard \
-                 dataset); use --shard for local shards merged with remote ones",
-                remote_shards.len()
-            ));
-        }
-        if spill_buffer > 0 {
-            return Err(
-                "conflicting input flags: --spill-buffer configures the external sort of a \
-                 single-file CSV dataset, but the input resolved to a remote shard dataset; \
-                 spill on the serving side (ttk serve-shard --spill-buffer) instead"
-                    .to_string(),
-            );
-        }
-        let mut dataset = RemoteShardDataset::new(remote_shards)
-            .with_connect_options(parse_connect_options(flags)?)
-            .with_pushdown(!flags.contains_key("no-pushdown"))
-            .with_bound_update_every(get_parse(flags, "bound-update-every", 64u64)?.max(1));
-        if !shard_files.is_empty() {
-            // Local shards merged into the same relation: hashed group keys
-            // (matching the serving side) and the caller-provided id base.
-            // Wrapped in a CsvDataset so the scoring pass is cached — every
-            // open (e.g. each job of a --batch) replays the cached sources
-            // as one pre-merged stream instead of re-reading the files.
-            let count = shard_files.len();
-            let local = CsvDataset::from_shard_paths(shard_files, csv_options.clone(), expression)
-                .with_import(ShardImportOptions {
-                    first_tuple_id: id_base,
-                    hashed_group_keys: true,
-                });
-            dataset = dataset.with_local_shards(count, move || {
-                Ok(vec![Box::new(local.open()?) as Box<dyn TupleSource + Send>])
-            });
-        }
-        return Ok(dataset.into_dataset());
-    }
-
-    let import = ShardImportOptions {
-        first_tuple_id: id_base,
-        hashed_group_keys: serving,
-    };
-    match (file, shard_files.is_empty()) {
-        (Some(file), false) => Err(format!(
-            "conflicting input flags: `{file}` resolves to a single-file CSV dataset, but \
-             --shard was also given ({} shard files resolving to a sharded CSV dataset); \
-             pass exactly one input form",
-            shard_files.len()
-        )),
-        (None, true) => Err(
-            "no input: pass a CSV file (positional or --file), --shard files, or \
-             --remote-shard servers"
-                .to_string(),
-        ),
-        (Some(file), true) => {
-            let dataset =
-                CsvDataset::from_path(file, csv_options.clone(), expression).with_import(import);
-            Ok(if spill_buffer > 0 {
-                dataset
-                    .with_spill(SpillOptions::with_run_buffer(spill_buffer))
-                    .map_err(|e| e.to_string())?
-                    .into_dataset()
-            } else {
-                dataset.into_dataset()
-            })
-        }
-        (None, false) => {
-            if spill_buffer > 0 {
-                return Err(format!(
-                    "conflicting input flags: --spill-buffer configures the external sort of \
-                     a single-file CSV dataset, but the input resolved to a sharded CSV \
-                     dataset ({} --shard files, loaded as in-memory shard streams); drop \
-                     --spill-buffer or pass a single file",
-                    shard_files.len()
-                ));
-            }
-            Ok(
-                CsvDataset::from_shard_paths(shard_files, csv_options.clone(), expression)
-                    .with_import(import)
-                    .into_dataset(),
-            )
-        }
-    }
-}
-
-/// Set by the SIGINT/SIGTERM handler; the daemon runtime's drain watcher
-/// polls it, and the daemon drains in-flight connections instead of dying
-/// mid-stream.
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-/// Installs the graceful-shutdown signal handler (SIGINT + SIGTERM). The
-/// first signal requests a drain (an async-signal-safe atomic store); a
-/// second signal exits immediately — the escape hatch when the drain is
-/// held up by a worker blocked on a client that will never read.
-#[cfg(unix)]
-fn install_shutdown_handler() {
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-        fn _exit(status: i32) -> !;
-    }
-    extern "C" fn mark_shutdown(_signal: i32) {
-        if SHUTDOWN.swap(true, Ordering::SeqCst) {
-            // Second signal: the operator insists. `_exit` is
-            // async-signal-safe; 130 is the conventional fatal-signal code.
-            unsafe { _exit(130) }
-        }
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    // SAFETY: `signal`/`_exit` are provided by the C library std already
-    // links; the handler is async-signal-safe (atomic swap, `_exit`).
-    unsafe {
-        signal(SIGINT, mark_shutdown);
-        signal(SIGTERM, mark_shutdown);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_shutdown_handler() {}
-
-/// The optional per-socket write timeout of a daemon (`--write-timeout-ms`,
-/// default 0 = off): how long a worker's blocked reply write may stall on a
-/// client that stopped reading before the connection is shed and the worker
-/// freed.
-fn parse_write_timeout(flags: &Flags) -> Result<Option<Duration>, String> {
-    Ok(match get_parse(flags, "write-timeout-ms", 0u64)? {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    })
-}
-
-/// Counts the data records of the CSV files an input form resolves to — the
-/// row count a serve-shard daemon registers with the coordinator, obtained
-/// without scoring the relation. Delegates to
-/// [`ttk_pdb::count_csv_records`], which shares the record discipline of
-/// every import path, so the leased id range always covers exactly the rows
-/// the (leased) scoring pass then assigns.
-fn count_input_rows(positional: &[String], flags: &Flags) -> Result<u64, String> {
-    let mut paths: Vec<&str> = Vec::new();
-    if let Some(file) = get(flags, "file").or(positional.first().map(String::as_str)) {
-        paths.push(file);
-    }
-    if let Some(shards) = flags.get("shard") {
-        paths.extend(shards.iter().map(String::as_str));
-    }
-    if paths.is_empty() {
-        return Err("no input to count rows of".to_string());
-    }
-    let mut rows = 0u64;
-    for path in paths {
-        let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        rows += count_csv_records(std::io::BufReader::new(file))
-            .map_err(|e| format!("cannot count rows of {path}: {e}"))?;
-    }
-    Ok(rows)
-}
-
-/// Registers with the coordinator at `coordinator` and returns the leased
-/// `(id base, namespace)`. The coordinator may still be starting (daemons
-/// and coordinator are typically launched together), so the registration
-/// dial retries briefly with exponential backoff.
-fn obtain_lease(coordinator: &str, rows: u64, label: &str) -> Result<ShardAssignment, String> {
-    let options = ConnectOptions::default()
-        .with_timeout(Duration::from_secs(10))
-        .with_retries(5)
-        .with_backoff(Duration::from_millis(50));
-    let action = format!("registering with coordinator {coordinator}");
-    remote::retry(&options, &action, "remote registration failed", || {
-        let stream = remote::connect(coordinator, &options)?;
-        wire::write_register(&mut (&stream), rows, label)?;
-        wire::read_lease(&mut (&stream))
-    })
-    .map_err(|e| e.to_string())
-}
-
-/// The `ttk serve-shard` handler on the shared daemon runtime: every
-/// connection gets a fresh replay of the resolved dataset through
-/// [`serve_stream`] — the gate-bounded prefix for a client announcing
-/// `k > 0`, the full replay for `k = 0` — behind a hello advertising the
-/// daemon's assignment when it holds one. Failures — a poisoned socket, a
-/// dataset open error, a refused opening frame — are isolated to their
-/// connection by the runtime.
-struct ShardHandler {
-    dataset: Dataset,
-    assignment: Option<ShardAssignment>,
-}
-
-impl ConnectionHandler for ShardHandler {
-    type Worker = ();
-
-    fn worker(&self, _worker_id: usize) {}
-
-    fn serve(
-        &self,
-        _worker: &mut (),
-        stream: TcpStream,
-        _control: &DaemonControl<'_>,
-    ) -> Result<String, String> {
-        self.dataset
-            .open()
-            .and_then(|mut handle| {
-                let options = ServeOptions::default();
-                serve_stream(stream, &mut handle, self.assignment.as_ref(), &options)
-            })
-            .map(|summary| {
-                format!(
-                    "scanned {} rows, shipped {} tuples, stopped: {} ({})",
-                    summary.scanned,
-                    summary.shipped,
-                    summary.reason,
-                    if summary.pushdown {
-                        "scan-gate pushdown"
-                    } else {
-                        "full replay"
-                    }
-                )
-            })
-            // A failing replay (or a peer violating the protocol) is normal
-            // operation for a streaming server, not a reason to exit.
-            .map_err(|e| e.to_string())
-    }
-}
-
-/// `ttk serve-shard`: score the resolved dataset once, then serve it as a
-/// long-lived concurrent daemon — a framed binary tuple stream over TCP,
-/// one full replay per accepted connection (replayable datasets cache their
-/// scoring pass / spill index, so replays are cheap), up to `--max-parallel`
-/// connections at once. Exits after `--max-conns` connections or on
-/// SIGINT/SIGTERM, joining in-flight connections first; a slow or dead
-/// client only ever costs its own worker thread.
-fn cmd_serve_shard(args: &[String]) -> Result<(), String> {
-    let (positional, mut flags) = parse_args(&SERVE_SHARD, args)?;
-    let score = get(&flags, "score")
-        .ok_or("--score is required")?
-        .to_string();
-    let listen = get(&flags, "listen")
-        .ok_or("--listen HOST:PORT is required")?
-        .to_string();
-    let max_conns = get_parse(&flags, "max-conns", 0usize)?;
-    let max_parallel = get_parse(&flags, "max-parallel", 8usize)?;
-    if max_parallel == 0 {
-        return Err("--max-parallel must be at least 1".to_string());
-    }
-    let csv_options = parse_csv_options(&flags);
-
-    // The daemon's assignment: a coordinator lease (id base + namespace),
-    // or an operator-pinned namespace with the operator's --id-base. Served
-    // in every hello so clients can cross-check their shard set; absent
-    // both, the hello asserts nothing.
-    let assignment: Option<ShardAssignment> = match get(&flags, "coordinator") {
-        Some(coordinator) => {
-            if get(&flags, "id-base").is_some() {
-                return Err(
-                    "conflicting flags: --coordinator leases the id base; drop --id-base"
-                        .to_string(),
-                );
-            }
-            if get(&flags, "namespace").is_some() {
-                return Err(
-                    "conflicting flags: --coordinator leases the namespace (set it on the \
-                     coordinator with `ttk coordinator --namespace`); drop --namespace"
-                        .to_string(),
-                );
-            }
-            let rows = count_input_rows(&positional, &flags)?;
-            let label = positional
-                .first()
-                .map(String::as_str)
-                .or_else(|| get(&flags, "file"))
-                .unwrap_or("shard set")
-                .to_string();
-            let lease = obtain_lease(coordinator, rows, &label)?;
-            eprintln!(
-                "leased id base {} in namespace `{}` from {coordinator} ({rows} rows)",
-                lease.id_base, lease.namespace
-            );
-            // The scoring pass below places rows at the leased id base.
-            flags.insert("id-base".to_string(), vec![lease.id_base.to_string()]);
-            Some(lease)
-        }
-        None => get(&flags, "namespace")
-            .map(|namespace| {
-                Ok::<_, String>(ShardAssignment {
-                    id_base: get_parse(&flags, "id-base", 0u64)?,
-                    namespace: namespace.to_string(),
-                })
-            })
-            .transpose()?,
-    };
-
-    let dataset = resolve_dataset(&positional, &flags, &csv_options, &score, true)?;
-
-    let (listener, bound) = bind_daemon_listener(&listen, get(&flags, "port-file"))?;
-    install_shutdown_handler();
-    eprintln!(
-        "serving dataset `{}` on {bound} ({max_parallel} parallel connections{})",
-        dataset.label(),
-        if max_conns > 0 {
-            format!(", exiting after {max_conns}")
-        } else {
-            String::new()
-        }
-    );
-
-    let handler = ShardHandler {
-        dataset,
-        assignment,
-    };
-    let daemon_options = DaemonOptions {
-        workers: max_parallel,
-        max_conns,
-        write_timeout: parse_write_timeout(&flags)?,
-        // Streaming clients block on their replay anyway: when every worker
-        // is busy the flood waits in the listen backlog, as it always has.
-        shed: ShedPolicy::Block,
-    };
-    run_daemon(&listener, &handler, &daemon_options, &SHUTDOWN)?;
-    Ok(())
-}
-
-/// Builds the loader that (re-)imports `path` with the daemon's CSV options
-/// and score expression. Registered alongside every file-backed dataset so
-/// the admin plane's `reload` verb can re-import it without a restart, and
-/// the building block of the admin `register` importer.
-fn csv_loader(path: String, csv_options: CsvOptions, expression: Expr) -> DatasetLoader {
-    Box::new(move || {
-        let csv = CsvDataset::from_path(path.clone(), csv_options.clone(), expression.clone());
-        csv.warm()
-            .map_err(|e| ttk_uncertain::Error::Source(format!("cannot load {path}: {e}")))?;
-        Ok(csv.into_dataset())
-    })
-}
-
-/// The `ttk serve` handler on the shared daemon runtime: each worker owns
-/// one plan-once/run-many [`Session`], and every connection — a query, an
-/// append, a subscription or an admin request — is answered by
-/// [`serve_client`] from the shared registry and result cache. When every
-/// worker stays busy, shed connections get a busy/retry-after frame.
-struct QueryHandler {
-    registry: DatasetRegistry,
-    cache: ResultCache,
-    options: QueryServeOptions,
-}
-
-impl ConnectionHandler for QueryHandler {
-    type Worker = Session;
-
-    fn worker(&self, _worker_id: usize) -> Session {
-        Session::new()
-    }
-
-    fn serve(
-        &self,
-        session: &mut Session,
-        stream: TcpStream,
-        control: &DaemonControl<'_>,
-    ) -> Result<String, String> {
-        // Per-connection error isolation: a stalled client, a garbled
-        // request or a failing execution is logged and the worker moves on.
-        serve_client(
-            stream,
-            &self.registry,
-            &self.cache,
-            session,
-            &self.options,
-            control.shutdown_flag(),
-        )
-        .map(|outcome| outcome.to_string())
-        .map_err(|e| e.to_string())
-    }
-
-    fn shed(&self, stream: &TcpStream, retry_after_ms: u64) {
-        let _ = wire::write_busy(&mut &*stream, retry_after_ms);
-    }
-}
-
-/// `ttk serve`: a resident-dataset query daemon. Each `NAME=FILE.csv`
-/// positional is scored once at startup (failing fast on bad inputs) and
-/// registered under its name; a bounded pool of workers — each owning one
-/// plan-once/run-many [`Session`] — answers whole queries over the wire,
-/// consulting a shared LRU result cache so repeated (dataset, algorithm,
-/// k, pτ) queries skip execution entirely. Connections are handed to
-/// workers over a rendezvous channel: when every worker is busy the accept
-/// loop stops accepting and the flood queues in the listen backlog
-/// (admission control), and a stalled client is dropped after
-/// `--request-wait-ms` so it only ever costs its own worker. Exits after
-/// `--max-conns` accepted connections or on SIGINT/SIGTERM, draining
-/// in-flight queries first.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    /// Handoff polls (5 ms apart) before a connection nobody can serve is
-    /// shed with a busy frame instead of waiting for a worker.
-    const BUSY_GRACE_POLLS: usize = 10;
-    /// The retry-after hint stamped into shed busy frames.
-    const BUSY_RETRY_AFTER_MS: u64 = 100;
-    let (positional, flags) = parse_args(&SERVE, args)?;
-    let live_names: Vec<String> = flags.get("live").cloned().unwrap_or_default();
-    let listen = get(&flags, "listen")
-        .ok_or("--listen HOST:PORT is required")?
-        .to_string();
-    if positional.is_empty() && live_names.is_empty() {
-        return Err(
-            "no datasets: pass NAME=FILE.csv positionals naming the datasets to keep resident, \
-             or --live NAME for growing datasets fed by `ttk append`"
-                .to_string(),
-        );
-    }
-    let max_conns = get_parse(&flags, "max-conns", 0usize)?;
-    let max_parallel = get_parse(&flags, "max-parallel", 4usize)?;
-    if max_parallel == 0 {
-        return Err("--max-parallel must be at least 1".to_string());
-    }
-    let cache_entries = get_parse(&flags, "cache-entries", 64usize)?;
-    let seal_every = get_parse(&flags, "seal-every", 1024usize)?;
-    if seal_every == 0 {
-        return Err("--seal-every must be at least 1".to_string());
-    }
-    let compact_at = get_parse(&flags, "compact-at", 0usize)?;
-    if compact_at == 1 {
-        return Err("--compact-at must be 0 (disabled) or at least 2 sealed segments".to_string());
-    }
-    let cache_ttl = match get_parse(&flags, "cache-ttl-ms", 0u64)? {
-        0 => None,
-        ms => Some(Duration::from_millis(ms)),
-    };
-    let serve_options = QueryServeOptions {
-        request_wait: Duration::from_millis(get_parse(&flags, "request-wait-ms", 10_000u64)?),
-        ..QueryServeOptions::default()
-    };
-    let csv_options = parse_csv_options(&flags);
-    let expression = get(&flags, "score")
-        .map(|score| parse_expression(score).map_err(|e| e.to_string()))
-        .transpose()?;
-
-    let mut registry = DatasetRegistry::new();
-    if !positional.is_empty() {
-        let expression = expression
-            .clone()
-            .ok_or("--score is required to score the NAME=FILE.csv datasets")?;
-        for spec in &positional {
-            let (name, path) = spec.split_once('=').ok_or_else(|| {
-                format!(
-                    "expected NAME=FILE.csv, got `{spec}` (name the dataset clients will query)"
-                )
-            })?;
-            if name.is_empty() || path.is_empty() {
-                return Err(format!("expected NAME=FILE.csv, got `{spec}`"));
-            }
-            let csv = CsvDataset::from_path(path, csv_options.clone(), expression.clone());
-            // Warm eagerly: a missing file or malformed CSV fails the daemon
-            // here, before it accepts a query, and the scoring pass is cached
-            // so the first query opens warm.
-            csv.warm()
-                .map_err(|e| format!("cannot load dataset `{name}` from {path}: {e}"))?;
-            let dataset = csv.into_dataset().with_label(name);
-            // The loader lets the admin plane's `reload` verb re-import this
-            // dataset from its original path without a restart.
-            let loader = csv_loader(path.to_string(), csv_options.clone(), expression.clone());
-            let id = registry
-                .register_with_loader(name, dataset, loader)
-                .map_err(|e| e.to_string())?;
-            eprintln!("dataset `{name}` resident from {path} (dataset id {id})");
-        }
-    }
-    for name in &live_names {
-        let log = Arc::new(AppendLog::new(seal_every).with_compact_at(compact_at));
-        let id = registry
-            .register_live(name, log)
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "dataset `{name}` live (append-only, auto-seals every {seal_every} staged rows{}, \
-             dataset id {id})",
-            if compact_at > 0 {
-                format!(", compacts past {compact_at} sealed segments")
-            } else {
-                String::new()
-            }
-        );
-    }
-    // With a score expression the daemon can import datasets at runtime:
-    // the admin plane's `register NAME=FILE.csv` verb scores the server-side
-    // file exactly like a startup NAME=FILE.csv positional.
-    if let Some(expression) = expression {
-        let importer_options = csv_options.clone();
-        registry.set_importer(Box::new(move |path| {
-            let loader = csv_loader(
-                path.to_string(),
-                importer_options.clone(),
-                expression.clone(),
-            );
-            let dataset = loader()?;
-            Ok((dataset, loader))
-        }));
-    }
-    let registry = registry;
-    let cache = ResultCache::new(cache_entries).with_ttl(cache_ttl);
-    let (listener, bound) = bind_daemon_listener(&listen, get(&flags, "port-file"))?;
-    install_shutdown_handler();
-    eprintln!(
-        "serving {} resident dataset(s) on {bound} ({max_parallel} workers, result cache of \
-         {cache_entries} entries{})",
-        registry.len(),
-        if max_conns > 0 {
-            format!(", exiting after {max_conns} connections")
-        } else {
-            String::new()
-        }
-    );
-
-    let handler = QueryHandler {
-        registry,
-        cache,
-        options: serve_options,
-    };
-    let daemon_options = DaemonOptions {
-        workers: max_parallel,
-        max_conns,
-        write_timeout: parse_write_timeout(&flags)?,
-        // A pool that stays busy through the whole grace window sheds the
-        // connection with a busy/retry-after frame instead of parking it —
-        // the client retries with backoff, and the daemon never accumulates
-        // a queue of connections nobody is draining.
-        shed: ShedPolicy::Busy {
-            grace_polls: BUSY_GRACE_POLLS,
-            retry_after_ms: BUSY_RETRY_AFTER_MS,
-        },
-    };
-    run_daemon(&listener, &handler, &daemon_options, &SHUTDOWN)?;
-    eprintln!(
-        "result cache: {} hits, {} misses, {} evictions, {} expirations",
-        handler.cache.hits(),
-        handler.cache.misses(),
-        handler.cache.evictions(),
-        handler.cache.expirations()
-    );
-    Ok(())
-}
-
-/// The `ttk coordinator` handler on the shared daemon runtime. A pool of
-/// exactly one worker processes registrations strictly in arrival order, so
-/// the id ranges of the registered shards stay contiguous and
-/// non-overlapping; the worker owns the [`LeaseRegistry`] plus the count of
-/// leases *delivered* (lease frame written without error). A registrant
-/// dying mid-exchange advances the id watermark — re-leasing a range the
-/// peer may have received risks overlap, while a gap in the id space is
-/// harmless — but must not count toward `--max-leases`, or a failed
-/// delivery would exit the coordinator before every daemon got a lease.
-struct CoordinatorHandler {
-    namespace: String,
-    max_leases: usize,
-}
-
-impl ConnectionHandler for CoordinatorHandler {
-    type Worker = (LeaseRegistry, usize);
-
-    fn worker(&self, _worker_id: usize) -> (LeaseRegistry, usize) {
-        (LeaseRegistry::new(self.namespace.clone()), 0)
-    }
-
-    fn serve(
-        &self,
-        worker: &mut (LeaseRegistry, usize),
-        stream: TcpStream,
-        control: &DaemonControl<'_>,
-    ) -> Result<String, String> {
-        let (registry, delivered) = worker;
-        // Per-registration error isolation: a malformed, stalled or foreign
-        // registrant is answered with an error frame, logged and dropped; it
-        // never kills the lease loop (the read timeout bounds how long it
-        // can stall the line).
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .map_err(|e| e.to_string())?;
-        let (rows, label) = match wire::read_client_request(&mut (&stream)) {
-            Ok(wire::ClientRequest::Register { rows, label }) => Ok((rows, label)),
-            Ok(other) => Err(format!("a coordinator does not serve a {}", other.name())),
-            Err(e) => Err(e.to_string()),
-        }
-        .inspect_err(|refusal| {
-            let _ = wire::write_error(&mut (&stream), refusal);
-        })?;
-        let lease = registry.register(rows);
-        wire::write_lease(&mut (&stream), &lease).map_err(|e| e.to_string())?;
-        *delivered += 1;
-        if self.max_leases > 0 && *delivered >= self.max_leases {
-            eprintln!("--max-leases reached after {delivered} leases");
-            control.request_drain();
-        }
-        Ok(format!(
-            "leased id base {} (`{label}`, {rows} rows)",
-            lease.id_base
-        ))
-    }
-}
-
-/// `ttk coordinator`: hands out `(id base, namespace)` leases to
-/// registering `serve-shard` daemons. Registrations are a two-frame
-/// exchange (register in, lease out) processed in arrival order, so the id
-/// ranges of the registered shards are contiguous and non-overlapping —
-/// exactly the arithmetic operators previously did by hand with --id-base.
-fn cmd_coordinator(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&COORDINATOR, args)?;
-    if !positional.is_empty() {
-        return Err(format!(
-            "unexpected positional arguments {positional:?}: the coordinator serves leases, \
-             not data"
-        ));
-    }
-    let listen = get(&flags, "listen").ok_or("--listen HOST:PORT is required")?;
-    let namespace = get(&flags, "namespace")
-        .unwrap_or("ttk-coordinated")
-        .to_string();
-    let max_leases = get_parse(&flags, "max-leases", 0usize)?;
-
-    let (listener, bound) = bind_daemon_listener(listen, get(&flags, "port-file"))?;
-    install_shutdown_handler();
-    eprintln!("coordinating namespace `{namespace}` on {bound}");
-
-    let handler = CoordinatorHandler {
-        namespace,
-        max_leases,
-    };
-    let daemon_options = DaemonOptions {
-        workers: 1,
-        max_conns: 0,
-        write_timeout: parse_write_timeout(&flags)?,
-        shed: ShedPolicy::Block,
-    };
-    run_daemon(&listener, &handler, &daemon_options, &SHUTDOWN)?;
-    Ok(())
-}
-
-/// `ttk admin`: ships one management verb to a running `ttk serve` daemon
-/// over the admin plane and prints the server's report.
-fn cmd_admin(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&ADMIN, args)?;
-    let server = get(&flags, "server").ok_or("--server HOST:PORT is required")?;
-    let mut words = positional.iter().map(String::as_str);
-    let verb = words.next().ok_or(
-        "missing admin verb: expected stats, register NAME=FILE.csv, unregister NAME, \
-         reload NAME or compact NAME",
-    )?;
-    let mut named = |verb: wire::AdminVerb| -> Result<wire::AdminRequest, String> {
-        let name = words
-            .next()
-            .ok_or_else(|| format!("{verb} needs a dataset NAME"))?;
-        Ok(wire::AdminRequest {
-            verb,
-            name: name.to_string(),
-            arg: String::new(),
+/// Splits a `NAME=FILE.csv` dataset spec (a `serve` positional, `admin
+/// register`) into its two non-empty halves.
+fn parse_named_file(spec: &str) -> Result<(&str, &str), String> {
+    spec.split_once('=')
+        .filter(|(name, path)| !name.is_empty() && !path.is_empty())
+        .ok_or_else(|| {
+            format!("expected NAME=FILE.csv, got `{spec}` (name the dataset clients will query)")
         })
-    };
-    let request = match verb {
-        "stats" => wire::AdminRequest {
-            verb: wire::AdminVerb::Stats,
-            name: String::new(),
-            arg: String::new(),
-        },
-        "register" => {
-            let spec = words.next().ok_or("register needs NAME=FILE.csv")?;
-            let (name, path) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("expected NAME=FILE.csv, got `{spec}`"))?;
-            if name.is_empty() || path.is_empty() {
-                return Err(format!("expected NAME=FILE.csv, got `{spec}`"));
-            }
-            wire::AdminRequest {
-                verb: wire::AdminVerb::Register,
-                name: name.to_string(),
-                arg: path.to_string(),
-            }
-        }
-        "unregister" => named(wire::AdminVerb::Unregister)?,
-        "reload" => named(wire::AdminVerb::Reload)?,
-        "compact" => named(wire::AdminVerb::Compact)?,
-        other => {
-            return Err(format!(
-                "unknown admin verb `{other}`: expected stats, register, unregister, \
-                 reload or compact"
-            ))
-        }
-    };
-    if let Some(extra) = words.next() {
-        return Err(format!("unexpected argument `{extra}` after {verb}"));
-    }
-    let client =
-        RemoteQueryClient::new(server).with_connect_options(parse_connect_options(&flags)?);
-    let report = client.admin(&request).map_err(|e| e.to_string())?;
-    println!("{report}");
-    Ok(())
-}
-
-/// One line summarising what was scanned, from the post-execution plan.
-fn describe_scan(plan: &PlanDescription) -> String {
-    let rows = plan
-        .rows
-        .map(|r| r.to_string())
-        .unwrap_or_else(|| "?".to_string());
-    match plan.path {
-        ScanPath::InMemory => format!("{rows} rows (in-memory table) from {}", plan.dataset),
-        ScanPath::Stream => format!("{rows} rows loaded from {}", plan.dataset),
-        ScanPath::MergedShards { shards } => {
-            format!(
-                "{rows} rows loaded from {} ({shards} shard streams)",
-                plan.dataset
-            )
-        }
-        ScanPath::SpilledRuns {
-            runs: Some(runs),
-            spilled: Some(spilled),
-            ..
-        } => format!(
-            "{rows} rows external-sorted from {} into {runs} runs ({spilled} spilled to disk)",
-            plan.dataset
-        ),
-        ScanPath::SpilledRuns { .. } => {
-            format!("{rows} rows from {} (external sort pending)", plan.dataset)
-        }
-        ScanPath::Remote { remote, local } => {
-            if local > 0 {
-                format!(
-                    "{rows} rows merged from {remote} remote shard streams and {local} local \
-                     shards ({})",
-                    plan.dataset
-                )
-            } else {
-                format!(
-                    "{rows} rows streamed from {remote} remote shards ({})",
-                    plan.dataset
-                )
-            }
-        }
-        ScanPath::RemotePushdown { remote, local } => {
-            let blocks = match (plan.observed_wire_blocks, plan.mean_block_fill()) {
-                (Some(blocks), Some(fill)) => {
-                    format!(" in {blocks} blocks, mean fill {fill:.1}")
-                }
-                _ => String::new(),
-            };
-            let wire = plan
-                .observed_wire_tuples
-                .map(|n| format!(", {n} tuples observed over the wire{blocks}"))
-                .unwrap_or_default();
-            if local > 0 {
-                format!(
-                    "{rows} rows merged from {remote} remote shard streams (scan-gate \
-                     pushdown{wire}) and {local} local shards ({})",
-                    plan.dataset
-                )
-            } else {
-                format!(
-                    "{rows} rows streamed from {remote} remote shards (scan-gate \
-                     pushdown{wire}) ({})",
-                    plan.dataset
-                )
-            }
-        }
-        ScanPath::Live {
-            segments,
-            epoch,
-            compacted_epoch,
-        } => format!(
-            "{rows} rows from the live snapshot at epoch {epoch} ({segments} sealed segments, \
-             {}, {})",
-            if compacted_epoch > 0 {
-                format!("last compacted at epoch {compacted_epoch}")
-            } else {
-                "never compacted".to_string()
-            },
-            plan.dataset
-        ),
-        ScanPath::RemoteQuery => {
-            let cache = match plan.server_cache_hit {
-                Some(true) => ", server cache hit",
-                Some(false) => ", server cache miss",
-                None => "",
-            };
-            format!(
-                "whole query answered by the serving daemon ({}{cache})",
-                plan.dataset
-            )
-        }
-    }
-}
-
-fn cmd_query(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&QUERY, args)?;
-    let k = get_parse(&flags, "k", 0usize)?;
-    let batch_ks = match get(&flags, "batch") {
-        Some(raw) => Some(parse_k_list(raw)?),
-        None => None,
-    };
-    if k == 0 && batch_ks.is_none() {
-        return Err("--k (or --batch) is required and must be at least 1".to_string());
-    }
-    let buckets = parse_buckets(&flags)?;
-
-    if let Some(server) = get(&flags, "server") {
-        reject_local_input_flags(&positional, &flags)?;
-        let (client, dataset) = server_query_client(server, &flags)?;
-        let topk = parse_topk_params(&flags, k.max(1))?;
-        if let Some(ks) = batch_ks {
-            // The batch re-dials per k; repeated shapes land in the server's
-            // result cache, so a re-run of the batch is answered cache-hot.
-            let started = std::time::Instant::now();
-            let answers: Vec<ttk_uncertain::Result<ttk_core::QueryAnswer>> = ks
-                .iter()
-                .map(|&batch_k| {
-                    client
-                        .execute(&dataset, &topk.with_k(batch_k))
-                        .map(|remote| remote.answer)
-                })
-                .collect();
-            println!(
-                "batch served remotely from `{dataset}` on {}",
-                client.addr()
-            );
-            print_batch_summary(&ks, &answers, started.elapsed(), 1);
-            return Ok(());
-        }
-        let remote = client.execute(&dataset, &topk).map_err(|e| e.to_string())?;
-        let plan = client.plan(&dataset, &topk, &remote);
-        println!("{}", describe_scan(&plan));
-        print_histogram(
-            &remote.answer.distribution,
-            buckets,
-            &markers(&remote.answer),
-        );
-        print_answer_summary(&remote.answer);
-        return Ok(());
-    }
-
-    let spec = parse_query_spec(&flags, k.max(1))?;
-    let threads = get_parse(&flags, "threads", 0usize)?;
-    let csv_options = parse_csv_options(&flags);
-    let dataset = resolve_dataset(
-        &positional,
-        &flags,
-        &csv_options,
-        &spec.expression_text,
-        false,
-    )?;
-    let mut session = Session::new();
-
-    if let Some(ks) = batch_ks {
-        let jobs: Vec<QueryJob> = ks
-            .iter()
-            .map(|&batch_k| QueryJob::new(&dataset, spec.topk.with_k(batch_k)))
-            .collect();
-        let started = std::time::Instant::now();
-        let answers = session.execute_batch(&jobs, &BatchOptions::new().with_threads(threads));
-        let plan = session.explain(&dataset, &spec.topk);
-        println!(
-            "{}; scoring expression: {}",
-            describe_scan(&plan),
-            spec.expression_text
-        );
-        print_batch_summary(&ks, &answers, started.elapsed(), threads);
-        return Ok(());
-    }
-
-    let answer = session
-        .execute(&dataset, &spec.topk)
-        .map_err(|e| e.to_string())?;
-    let plan = session.explain(&dataset, &spec.topk);
-    println!(
-        "{}; scoring expression: {}",
-        describe_scan(&plan),
-        spec.expression_text
-    );
-    print_histogram(&answer.distribution, buckets, &markers(&answer));
-    print_answer_summary(&answer);
-    Ok(())
-}
-
-/// Parses one `--row ID:SCORE:PROB[:GROUP]` spec into a scored row. A GROUP
-/// label is hashed with the same FNV the CSV importer uses, so literal rows
-/// and CSV-file appends naming the same group land in the same ME group.
-fn parse_row_spec(raw: &str) -> Result<SourceTuple, String> {
-    let mut parts = raw.splitn(4, ':');
-    let bad = || format!("expected ID:SCORE:PROB[:GROUP], got `{raw}`");
-    let id: u64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    let score: f64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    let prob: f64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    let tuple = UncertainTuple::new(id, score, prob).map_err(|e| format!("row `{raw}`: {e}"))?;
-    Ok(match parts.next() {
-        Some(label) if !label.is_empty() => SourceTuple::grouped(tuple, stable_group_key(label)),
-        _ => SourceTuple::independent(tuple),
-    })
-}
-
-/// `ttk append`: ship scored rows to a live dataset of a `ttk serve` daemon.
-/// Rows come either from repeatable `--row ID:SCORE:PROB[:GROUP]` literals
-/// or from a local CSV scored with `--score` — exactly the scoring pass
-/// `ttk serve` itself would run. `--seal` publishes the staged rows as a new
-/// snapshot epoch in the same request.
-fn cmd_append(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&APPEND, args)?;
-    if !positional.is_empty() {
-        return Err(format!(
-            "unexpected positional arguments {positional:?}: appends name their input with \
-             --row or --file"
-        ));
-    }
-    let server = get(&flags, "server")
-        .ok_or("--server HOST:PORT is required (appends go to a ttk serve daemon)")?;
-    let dataset = get(&flags, "dataset")
-        .ok_or("--dataset NAME is required: name the live dataset to append to")?
-        .to_string();
-    let seal = get(&flags, "seal").is_some();
-
-    let row_specs: Vec<String> = flags.get("row").cloned().unwrap_or_default();
-    let file = get(&flags, "file");
-    let rows: Vec<SourceTuple> =
-        match (row_specs.is_empty(), file) {
-            (false, Some(_)) => return Err(
-                "conflicting input flags: pass either --row literals or one --file CSV, not both"
-                    .to_string(),
-            ),
-            (true, None) => {
-                return Err(
-                    "no rows: pass --row ID:SCORE:PROB[:GROUP] (repeatable) or --file DATA.csv \
-                 --score EXPR"
-                        .to_string(),
-                )
-            }
-            (false, None) => {
-                if get(&flags, "score").is_some() {
-                    return Err(
-                        "--score only applies to --file appends; --row literals carry their score"
-                            .to_string(),
-                    );
-                }
-                row_specs
-                    .iter()
-                    .map(|raw| parse_row_spec(raw))
-                    .collect::<Result<_, _>>()?
-            }
-            (true, Some(path)) => {
-                let score = get(&flags, "score")
-                    .ok_or("--score is required to score the --file CSV before appending")?;
-                let expression = parse_expression(score).map_err(|e| e.to_string())?;
-                CsvDataset::from_path(path, parse_csv_options(&flags), expression)
-                    .scored_rows()
-                    .map_err(|e| format!("cannot score {path}: {e}"))?
-            }
-        };
-
-    let accepted = rows.len();
-    let client =
-        RemoteQueryClient::new(server).with_connect_options(parse_connect_options(&flags)?);
-    let ack = client
-        .append(&dataset, rows, seal)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "appended {accepted} row(s) to `{dataset}` on {}: epoch {}, {} staged, {} rows visible{}",
-        client.addr(),
-        ack.epoch,
-        ack.staged,
-        ack.sealed_rows,
-        if ack.sealed_now { " (sealed now)" } else { "" }
-    );
-    Ok(())
-}
-
-/// `ttk watch`: hold a standing top-k subscription against a live dataset.
-/// The daemon pushes the answer once as a baseline and then again on every
-/// epoch advance that actually shifted its distribution; `--pushes N` asks
-/// the server to close the subscription after N pushes (0 = until either
-/// side disconnects).
-fn cmd_watch(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&WATCH, args)?;
-    reject_local_input_flags(&positional, &flags)?;
-    let server = get(&flags, "server")
-        .ok_or("--server HOST:PORT is required (watch subscribes to a ttk serve daemon)")?;
-    let k = get_parse(&flags, "k", 0usize)?;
-    if k == 0 {
-        return Err("--k is required and must be at least 1".to_string());
-    }
-    let buckets = parse_buckets(&flags)?;
-    let (client, dataset) = server_query_client(server, &flags)?;
-    let topk = parse_topk_params(&flags, k)?;
-    let pushes = get_parse(&flags, "pushes", 0u64)?;
-
-    let mut watch = client
-        .watch(&dataset, &topk, pushes)
-        .map_err(|e| e.to_string())?;
-    println!(
-        "watching `{dataset}` on {} (k = {k}{})",
-        client.addr(),
-        if pushes > 0 {
-            format!(", closing after {pushes} push(es)")
-        } else {
-            String::new()
-        }
-    );
-    let mut received = 0u64;
-    while let Some(push) = watch.next_push().map_err(|e| e.to_string())? {
-        received += 1;
-        println!(
-            "push {received}: epoch {}, answer hash {:016x}",
-            push.epoch, push.answer_hash
-        );
-        print_histogram(&push.answer.distribution, buckets, &markers(&push.answer));
-        print_answer_summary(&push.answer);
-    }
-    println!("subscription closed by the server after {received} push(es)");
-    Ok(())
-}
-
-fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse_args(&EXPLAIN, args)?;
-    let k = get_parse(&flags, "k", 1usize)?;
-    if k == 0 {
-        return Err("--k must be at least 1".to_string());
-    }
-
-    if let Some(server) = get(&flags, "server") {
-        reject_local_input_flags(&positional, &flags)?;
-        if get(&flags, "after").is_none() {
-            return Err(
-                "explain --server needs --after: the plan lives on the server, so the query \
-                 must execute once for the daemon to report its observed scan depth and \
-                 result-cache outcome"
-                    .to_string(),
-            );
-        }
-        let (client, dataset) = server_query_client(server, &flags)?;
-        let topk = parse_topk_params(&flags, k)?;
-        let remote = client.execute(&dataset, &topk).map_err(|e| e.to_string())?;
-        let plan = client.plan(&dataset, &topk, &remote);
-        println!("{plan}");
-        if let Some(drift) = plan.observed_vs_estimated() {
-            println!("cost-model drift (observed / estimated scan depth): {drift:.3}");
-        }
-        return Ok(());
-    }
-
-    let spec = parse_query_spec(&flags, k)?;
-    let csv_options = parse_csv_options(&flags);
-    let dataset = resolve_dataset(
-        &positional,
-        &flags,
-        &csv_options,
-        &spec.expression_text,
-        false,
-    )?;
-    let mut session = Session::new();
-    if get(&flags, "after").is_some() {
-        // Execute once so the plan can report the observed scan depth (and
-        // the cost model's drift) next to the estimate.
-        session
-            .execute(&dataset, &spec.topk)
-            .map_err(|e| e.to_string())?;
-    }
-    let plan = session.explain(&dataset, &spec.topk);
-    println!("{plan}");
-    if let Some(drift) = plan.observed_vs_estimated() {
-        println!("cost-model drift (observed / estimated scan depth): {drift:.3}");
-    }
-    Ok(())
-}
-
-/// Prints the per-k summary table of a batch run.
-fn print_batch_summary(
-    ks: &[usize],
-    answers: &[ttk_uncertain::Result<ttk_core::QueryAnswer>],
-    elapsed: std::time::Duration,
-    threads: usize,
-) {
-    println!(
-        "batch of {} queries executed in {:.3} s ({} worker threads)",
-        ks.len(),
-        elapsed.as_secs_f64(),
-        if threads == 0 {
-            "auto".to_string()
-        } else {
-            // The executor never spawns more workers than jobs.
-            threads.min(ks.len()).to_string()
-        }
-    );
-    println!(
-        "{:>4}  {:>10}  {:>9}  {:>6}  {:>10}  typical scores",
-        "k", "E[score]", "std dev", "depth", "U-Topk"
-    );
-    for (batch_k, answer) in ks.iter().zip(answers) {
-        match answer {
-            Ok(a) => {
-                let u = a
-                    .u_topk
-                    .as_ref()
-                    .map(|u| format!("{:.2}", u.vector.total_score()))
-                    .unwrap_or_else(|| "-".to_string());
-                let typical: Vec<String> = a
-                    .typical
-                    .scores()
-                    .iter()
-                    .map(|s| format!("{s:.2}"))
-                    .collect();
-                println!(
-                    "{batch_k:>4}  {:>10.2}  {:>9.2}  {:>6}  {u:>10}  [{}]",
-                    a.expected_score(),
-                    a.distribution.std_dev(),
-                    a.scan_depth,
-                    typical.join(", ")
-                );
-            }
-            Err(e) => println!("{batch_k:>4}  error: {e}"),
-        }
-    }
-}
-
-fn markers(answer: &ttk_core::QueryAnswer) -> Vec<(f64, String)> {
-    let mut markers = Vec::new();
-    if let Some(u) = &answer.u_topk {
-        markers.push((u.vector.total_score(), "U-Topk".to_string()));
-    }
-    for (i, s) in answer.typical.scores().iter().enumerate() {
-        markers.push((*s, format!("typical #{}", i + 1)));
-    }
-    markers
-}
-
-fn print_histogram(distribution: &ScoreDistribution, buckets: usize, markers: &[(f64, String)]) {
-    let Some(lo) = distribution.min_score() else {
-        println!("(empty distribution)");
-        return;
-    };
-    let hi = distribution.max_score().unwrap_or(lo);
-    let width = if hi > lo {
-        (hi - lo) / buckets as f64
-    } else {
-        1.0
-    };
-    let Some(hist) = distribution.histogram(width) else {
-        println!("(empty distribution)");
-        return;
-    };
-    let max_mass = hist
-        .buckets
-        .iter()
-        .cloned()
-        .fold(f64::MIN_POSITIVE, f64::max);
-    for (i, &mass) in hist.buckets.iter().enumerate() {
-        let start = hist.bucket_start(i);
-        let end = start + hist.width;
-        let bar = "#".repeat(((mass / max_mass) * 50.0).round() as usize);
-        let mut annotation = String::new();
-        for (value, label) in markers {
-            let in_last = i + 1 == hist.buckets.len() && *value >= start;
-            if (*value >= start && *value < end) || in_last {
-                annotation.push_str(&format!("  <-- {label} ({value:.1})"));
-            }
-        }
-        println!("[{start:9.2}, {end:9.2})  {mass:6.4}  {bar}{annotation}");
-    }
-}
-
-fn print_answer_summary(answer: &ttk_core::QueryAnswer) {
-    println!();
-    println!(
-        "captured mass {:.4}, expected score {:.2}, std dev {:.2}, scan depth {}",
-        answer.distribution.total_probability(),
-        answer.expected_score(),
-        answer.distribution.std_dev(),
-        answer.scan_depth
-    );
-    println!("typical answers:");
-    for t in &answer.typical.answers {
-        match &t.vector {
-            Some(v) => println!("  score {:10.2}  {}", t.score, v),
-            None => println!(
-                "  score {:10.2}  (probability {:.4})",
-                t.score, t.probability
-            ),
-        }
-    }
-    if let Some(u) = &answer.u_topk {
-        println!(
-            "U-Topk: {} ({} positions evaluated, depth {})",
-            u.vector, u.expansions, u.deepest_position
-        );
-        if let Some(p) = answer.u_topk_percentile() {
-            println!("U-Topk score percentile within the distribution: {:.3}", p);
-        }
-    }
-    println!(
-        "distribution computed in {:.3} s, typical selection in {:.6} s",
-        answer.distribution_time.as_secs_f64(),
-        answer.typical_time.as_secs_f64()
-    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpStream;
+    use std::time::Duration;
+
+    use crate::generate::{parse_range, shard_path};
+    use ttk_core::{RemoteShardDataset, Session};
+    use ttk_datagen::synthetic::IntRange;
+    use ttk_pdb::{parse_expression, CsvDataset, ShardImportOptions};
+    use ttk_uncertain::{wire, SourceTuple, UncertainTuple};
 
     fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
@@ -2005,38 +602,34 @@ mod tests {
 
     #[test]
     fn flag_parsing_separates_positionals_and_flags() {
-        let (pos, flags) = parse_flags(&s(&["cartel", "--segments", "40", "--seed", "7"])).unwrap();
+        let (pos, flags) = parse(
+            &GENERATE_CARTEL,
+            &s(&["cartel", "--segments", "40", "--seed", "7"]),
+        )
+        .unwrap();
         assert_eq!(pos, vec!["cartel"]);
         assert_eq!(get(&flags, "segments"), Some("40"));
         assert_eq!(get(&flags, "seed"), Some("7"));
-        assert!(parse_flags(&s(&["--oops"])).is_err());
+        assert!(parse(&GENERATE_CARTEL, &s(&["--oops"])).is_err());
         // Repeated flags accumulate in order; `get` returns the last value.
-        let (_, flags) = parse_flags(&s(&[
-            "--shard", "a.csv", "--shard", "b.csv", "--k", "1", "--k", "2",
-        ]))
+        let (_, flags) = parse(
+            &QUERY,
+            &s(&[
+                "--shard", "a.csv", "--shard", "b.csv", "--k", "1", "--k", "2",
+            ]),
+        )
         .unwrap();
         assert_eq!(flags.get("shard").unwrap(), &vec!["a.csv", "b.csv"]);
         assert_eq!(get(&flags, "k"), Some("2"));
     }
 
     #[test]
-    fn shard_paths_are_derived_from_the_out_template() {
-        assert_eq!(shard_path("area.csv", 0), "area.shard0.csv");
-        assert_eq!(shard_path("area.csv", 11), "area.shard11.csv");
-        assert_eq!(shard_path("area", 2), "area.shard2");
-        assert_eq!(shard_path(".hidden", 1), ".hidden.shard1");
-        // Dots in directory components never attract the shard suffix.
-        assert_eq!(shard_path("results.d/area", 0), "results.d/area.shard0");
-        assert_eq!(shard_path("data/v1.2/a.csv", 3), "data/v1.2/a.shard3.csv");
-    }
-
-    #[test]
     fn flag_value_parsing_and_ranges() {
-        let (_, flags) = parse_flags(&s(&["--k", "5"])).unwrap();
+        let (_, flags) = parse(&QUERY, &s(&["--k", "5"])).unwrap();
         assert_eq!(get_parse(&flags, "k", 0usize).unwrap(), 5);
         assert_eq!(get_parse(&flags, "missing", 3usize).unwrap(), 3);
         assert!(get_parse::<usize>(&flags, "k", 0).is_ok());
-        let (_, bad) = parse_flags(&s(&["--k", "five"])).unwrap();
+        let (_, bad) = parse(&QUERY, &s(&["--k", "five"])).unwrap();
         assert!(get_parse::<usize>(&bad, "k", 0).is_err());
         assert_eq!(parse_range("2:10").unwrap(), IntRange::new(2, 10));
         assert!(parse_range("10:2").is_err());
@@ -2052,9 +645,9 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected_naming_the_flag_and_the_verb() {
-        // Each case fails while parsing, before any file is read, any
-        // address bound or any server dialled.
-        let cases: [(&str, &[&str]); 11] = [
+        // Each case fails before any file is read, any address bound or any
+        // server dialled.
+        let cases: [(&str, &[&str]); 20] = [
             ("--k", &["soldier", "--k", "3"]),
             (
                 "--bogus",
@@ -2111,6 +704,109 @@ mod tests {
                     "x",
                 ],
             ),
+            // Flags of another mode of the same verb.
+            (
+                "--tuples",
+                &["generate", "cartel", "--segments", "2", "--tuples", "5"],
+            ),
+            (
+                "--segments",
+                &["generate", "synthetic", "--tuples", "3", "--segments", "2"],
+            ),
+            (
+                "--dataset",
+                &[
+                    "query",
+                    "x.csv",
+                    "--score",
+                    "d",
+                    "--k",
+                    "2",
+                    "--dataset",
+                    "d",
+                ],
+            ),
+            (
+                "--no-pushdown",
+                &[
+                    "query",
+                    "x.csv",
+                    "--score",
+                    "d",
+                    "--k",
+                    "2",
+                    "--no-pushdown",
+                ],
+            ),
+            (
+                "--remote-timeout",
+                &[
+                    "query",
+                    "x.csv",
+                    "--score",
+                    "d",
+                    "--k",
+                    "2",
+                    "--remote-timeout",
+                    "3",
+                ],
+            ),
+            (
+                "--threads",
+                &[
+                    "query",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--dataset",
+                    "d",
+                    "--k",
+                    "1",
+                    "--threads",
+                    "4",
+                ],
+            ),
+            (
+                "--no-pushdown",
+                &[
+                    "query",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--dataset",
+                    "d",
+                    "--k",
+                    "1",
+                    "--no-pushdown",
+                ],
+            ),
+            (
+                "--id-base",
+                &[
+                    "explain",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--dataset",
+                    "d",
+                    "--k",
+                    "1",
+                    "--after",
+                    "--id-base",
+                    "7",
+                ],
+            ),
+            (
+                "--prob-column",
+                &[
+                    "append",
+                    "--server",
+                    "127.0.0.1:1",
+                    "--dataset",
+                    "d",
+                    "--row",
+                    "1:2:0.5",
+                    "--prob-column",
+                    "p",
+                ],
+            ),
         ];
         for (flag, args) in cases {
             let err = run(&s(args)).unwrap_err();
@@ -2120,27 +816,55 @@ mod tests {
                 "{args:?}: {err}"
             );
         }
-        // A name is a switch for every verb that takes it, or for none.
-        for verb in &VERBS {
-            for switch in verb.switches.split_whitespace() {
-                assert!(
-                    VERBS
-                        .iter()
-                        .all(|other| other.is_switch(switch) || !other.accepts(switch)),
-                    "--{switch}"
-                );
-            }
-        }
     }
 
+    /// The synopsis of each verb in `usage()` lists exactly the flags of its
+    /// mode tables, and each generator kind's line those of its own table.
     #[test]
-    fn batch_specs_parse() {
-        assert_eq!(parse_k_list("1,5,10").unwrap(), vec![1, 5, 10]);
-        assert_eq!(parse_k_list("2:5").unwrap(), vec![2, 3, 4, 5]);
-        assert!(parse_k_list("0:4").is_err());
-        assert!(parse_k_list("5:2").is_err());
-        assert!(parse_k_list("1,0").is_err());
-        assert!(parse_k_list("abc").is_err());
+    fn usage_synopsis_lists_exactly_the_flags_of_the_mode_tables() {
+        use std::collections::{BTreeMap, BTreeSet};
+        let synopsis = usage().split("\n\n").next().unwrap();
+        let mut listed: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
+        let mut verb = String::new();
+        for line in synopsis.lines().skip(1) {
+            if let Some(rest) = line.trim_start().strip_prefix("ttk ") {
+                let words = if rest.starts_with("generate") { 2 } else { 1 };
+                verb = rest
+                    .split_whitespace()
+                    .take(words)
+                    .collect::<Vec<_>>()
+                    .join(" ");
+            }
+            let flags = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"));
+            listed.entry(verb.clone()).or_default().extend(flags);
+        }
+        let tables: [(&str, &[&Mode]); 11] = [
+            ("soldier", &[&SOLDIER]),
+            ("generate cartel", &[&GENERATE_CARTEL]),
+            ("generate synthetic", &[&GENERATE_SYNTHETIC]),
+            ("query", &[&QUERY, &QUERY_SERVER]),
+            ("explain", &[&EXPLAIN, &EXPLAIN_SERVER]),
+            ("serve", &[&SERVE]),
+            ("append", &[&APPEND_ROWS, &APPEND_FILE]),
+            ("watch", &[&WATCH]),
+            ("serve-shard", &[&SERVE_SHARD, &SERVE_SHARD_LEASED]),
+            ("coordinator", &[&COORDINATOR]),
+            ("admin", &[&ADMIN]),
+        ];
+        assert_eq!(listed.len(), tables.len(), "{:?}", listed.keys());
+        for (verb, modes) in tables {
+            let union: BTreeSet<&str> = modes
+                .iter()
+                .flat_map(|mode| {
+                    mode.values
+                        .split_whitespace()
+                        .chain(mode.switches.split_whitespace())
+                })
+                .collect();
+            assert_eq!(listed[verb], union, "ttk {verb}");
+        }
     }
 
     #[test]
@@ -2486,8 +1210,11 @@ mod tests {
 
     #[test]
     fn remote_flag_validation() {
-        let (_, flags) =
-            parse_flags(&s(&["--remote-timeout", "2.5", "--remote-retries", "7"])).unwrap();
+        let (_, flags) = parse(
+            &QUERY,
+            &s(&["--remote-timeout", "2.5", "--remote-retries", "7"]),
+        )
+        .unwrap();
         let connect = parse_connect_options(&flags).unwrap();
         assert_eq!(
             connect.connect_timeout,
@@ -2498,9 +1225,9 @@ mod tests {
             Some(std::time::Duration::from_millis(2500))
         );
         assert_eq!(connect.retries, 7);
-        let (_, bad) = parse_flags(&s(&["--remote-timeout", "-1"])).unwrap();
+        let (_, bad) = parse(&QUERY, &s(&["--remote-timeout", "-1"])).unwrap();
         assert!(parse_connect_options(&bad).is_err());
-        let (_, bad) = parse_flags(&s(&["--remote-timeout", "forever"])).unwrap();
+        let (_, bad) = parse(&QUERY, &s(&["--remote-timeout", "forever"])).unwrap();
         assert!(parse_connect_options(&bad).is_err());
     }
 
@@ -2683,7 +1410,6 @@ mod tests {
         assert!(plan_cold.to_string().contains("server result cache: miss"));
         let plan_cached = client.plan("alpha", &query, &cached);
         assert!(plan_cached.to_string().contains("server result cache: hit"));
-        assert!(describe_scan(&plan_cached).contains("server cache hit"));
 
         // The second resident dataset answers under its own cache key.
         let beta = client.execute("beta", &query).unwrap();

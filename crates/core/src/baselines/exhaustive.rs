@@ -9,28 +9,8 @@
 use std::collections::HashMap;
 
 use ttk_uncertain::{
-    PossibleWorlds, Result, ScoreDistribution, TupleId, TupleSource, UncertainTable, VectorWitness,
+    PossibleWorlds, Result, ScoreDistribution, TupleId, UncertainTable, VectorWitness,
 };
-
-use crate::scan::RankScan;
-use crate::scan_depth::ScanGate;
-
-/// Computes the exact top-k score distribution from a rank-ordered
-/// [`TupleSource`] by draining the stream (exhaustive enumeration needs every
-/// tuple, so the gate stays open) and enumerating possible worlds.
-///
-/// # Errors
-///
-/// Propagates source errors and [`PossibleWorlds`] limits.
-pub fn exhaustive_topk_distribution_streamed(
-    source: &mut dyn TupleSource,
-    k: usize,
-    world_limit: u128,
-) -> Result<ScoreDistribution> {
-    let mut gate = ScanGate::open();
-    let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
-    exhaustive_topk_distribution(&prefix.table, k, world_limit)
-}
 
 /// Computes the exact top-k score distribution *with witness vectors*: each
 /// line carries the most probable single vector attaining that score, where a

@@ -39,11 +39,7 @@
 //!
 //! On a table without mutual exclusion the decomposition degenerates to a
 //! single segment spanning all tuples, i.e. exactly the basic algorithm of
-//! §3.2. The pre-streaming pipeline (materialize the full table, truncate
-//! afterwards) is retained as
-//! [`materialized_topk_score_distribution`] — it is the reference the
-//! streaming path is property-tested against and the baseline the benches
-//! quantify the streaming win with.
+//! §3.2.
 //!
 //! # The tree
 //!
@@ -141,17 +137,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use ttk_uncertain::{
-    CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable,
+    CoalescePolicy, Error, Result, ScoreDistribution, TableSource, UncertainTable,
 };
 
 use crate::query::resolve_threads;
 use crate::scan::{RankScan, ScanPrefix};
-use crate::scan_depth::{scan_depth, ScanGate};
+use crate::scan_depth::ScanGate;
 use columns::{merge_segments, Finished, Span};
 use engine::{Branch, EngineConfig, Exported, Forward};
 
 /// Engine work — rows the walk applies × k — from which
-/// [`run_on_prefix_table`] starts helper workers (the measurements behind
+/// [`topk_from_prefix`] starts helper workers (the measurements behind
 /// it are in the module doc).
 const PARALLEL_MIN_CELLS: usize = 1_200;
 
@@ -219,11 +215,8 @@ pub struct MainOutput {
 }
 
 /// Runs the main dynamic-programming algorithm and returns the top-k score
-/// distribution.
-///
-/// This is a convenience wrapper streaming the in-memory table through the
-/// rank-scan executor; [`topk_score_distribution_streamed`] accepts any
-/// [`TupleSource`].
+/// distribution, streaming the table through the rank-scan executor so it
+/// reads at most one tuple past the Theorem-2 bound.
 ///
 /// # Errors
 ///
@@ -234,72 +227,25 @@ pub fn topk_score_distribution(
     k: usize,
     config: &MainConfig,
 ) -> Result<MainOutput> {
-    topk_score_distribution_streamed(&mut TableSource::new(table), k, config)
-}
-
-/// Runs the main algorithm against a rank-ordered [`TupleSource`], reading at
-/// most one tuple past the Theorem-2 bound.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] for invalid parameters and propagates
-/// source errors.
-pub fn topk_score_distribution_streamed(
-    source: &mut dyn TupleSource,
-    k: usize,
-    config: &MainConfig,
-) -> Result<MainOutput> {
     if k == 0 {
         return Err(Error::InvalidParameter("k must be at least 1".into()));
     }
     let mut gate = ScanGate::new(k, config.p_tau)?;
-    let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
+    let prefix = RankScan::new().collect_prefix(&mut TableSource::new(table), &mut gate)?;
     topk_from_prefix(&prefix, k, config, 0)
-}
-
-/// The pre-streaming pipeline: compute the Theorem-2 depth over the full
-/// materialized table, truncate, then run the dynamic program.
-///
-/// Retained as the reference implementation the streaming path is verified
-/// against (bit-identical outputs) and as the ablation baseline quantifying
-/// what fusing the stopping condition into the scan saves.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] when `k == 0` or the probability
-/// threshold is outside `(0, 1)`.
-pub fn materialized_topk_score_distribution(
-    table: &UncertainTable,
-    k: usize,
-    config: &MainConfig,
-) -> Result<MainOutput> {
-    if k == 0 {
-        return Err(Error::InvalidParameter("k must be at least 1".into()));
-    }
-    let depth = scan_depth(table, k, config.p_tau)?;
-    let working = table.truncate(depth);
-    run_on_prefix_table(&working, depth, k, config, 0)
 }
 
 /// Runs the main algorithm over an already-collected scan prefix on at
 /// most `max_workers` workers (0 = one per available core).
-/// Shared by the streaming entry points and the query executor.
+/// Shared by [`topk_score_distribution`] and the query executor.
 pub(crate) fn topk_from_prefix(
     prefix: &ScanPrefix,
     k: usize,
     config: &MainConfig,
     max_workers: usize,
 ) -> Result<MainOutput> {
-    run_on_prefix_table(&prefix.table, prefix.depth(), k, config, max_workers)
-}
-
-fn run_on_prefix_table(
-    working: &UncertainTable,
-    depth: usize,
-    k: usize,
-    config: &MainConfig,
-    max_workers: usize,
-) -> Result<MainOutput> {
+    let working = &prefix.table;
+    let depth = prefix.depth();
     if working.len() < k {
         // No possible world can contain k tuples from the considered prefix;
         // with a sensible pτ this only happens when the full table itself has
@@ -901,6 +847,7 @@ fn build_segments(table: &UncertainTable, strategy: MeStrategy) -> Vec<Range<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan_depth::scan_depth;
     use ttk_uncertain::{exact_topk_score_distribution, TupleId};
 
     fn soldier_table() -> UncertainTable {
@@ -1125,8 +1072,11 @@ mod tests {
                         ..MainConfig::default()
                     };
                     let streamed = topk_score_distribution(&table, k, &config).unwrap();
+                    // The pre-streaming pipeline: the Theorem-2 depth over
+                    // the whole table, then the DP over its truncation.
+                    let depth = scan_depth(&table, k, p_tau).unwrap();
                     let materialized =
-                        materialized_topk_score_distribution(&table, k, &config).unwrap();
+                        topk_score_distribution(&table.truncate(depth), k, &config).unwrap();
                     // PartialEq compares exact f64 values: bit-identical.
                     assert_eq!(streamed.distribution, materialized.distribution);
                     assert_eq!(streamed.scan_depth, materialized.scan_depth);

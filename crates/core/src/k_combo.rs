@@ -10,40 +10,24 @@
 //! the paper (a top-k vector with probability below pτ need not be
 //! reported).
 
-use ttk_uncertain::{
-    Error, Result, ScoreDistribution, TableSource, TupleSource, UncertainTable, VectorWitness,
-};
+use ttk_uncertain::{Error, Result, ScoreDistribution, TableSource, UncertainTable, VectorWitness};
 
 use crate::scan::RankScan;
 use crate::scan_depth::ScanGate;
 use crate::state_expansion::{BaselineOutput, NaiveConfig};
 
-/// Runs k-Combo and returns the top-k score distribution.
+/// Runs k-Combo and returns the top-k score distribution, streaming the
+/// table so it reads at most one tuple past the Theorem-2 bound.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidParameter`] for `k == 0` or an out-of-range pτ.
 pub fn k_combo(table: &UncertainTable, k: usize, config: &NaiveConfig) -> Result<BaselineOutput> {
-    k_combo_streamed(&mut TableSource::new(table), k, config)
-}
-
-/// Runs k-Combo against a rank-ordered [`TupleSource`], reading at most one
-/// tuple past the Theorem-2 bound.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] for invalid parameters and propagates
-/// source errors.
-pub fn k_combo_streamed(
-    source: &mut dyn TupleSource,
-    k: usize,
-    config: &NaiveConfig,
-) -> Result<BaselineOutput> {
     if k == 0 {
         return Err(Error::InvalidParameter("k must be at least 1".into()));
     }
     let mut gate = ScanGate::new(k, config.p_tau)?;
-    let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
+    let prefix = RankScan::new().collect_prefix(&mut TableSource::new(table), &mut gate)?;
     Ok(k_combo_on_prefix(&prefix.table, k, config))
 }
 

@@ -104,11 +104,8 @@ pub use daemon::{
     bind_daemon_listener, run_daemon, write_file_atomically, ConnectionHandler, DaemonControl,
     DaemonOptions, DaemonReport, DrainReason, ShedPolicy,
 };
-pub use dp::{
-    materialized_topk_score_distribution, topk_score_distribution,
-    topk_score_distribution_streamed, MainConfig, MainOutput, MeStrategy,
-};
-pub use k_combo::{k_combo, k_combo_streamed};
+pub use dp::{topk_score_distribution, MainConfig, MainOutput, MeStrategy};
+pub use k_combo::k_combo;
 pub use live::{AppendLog, AppendOutcome, LiveDataset, LiveSnapshot, SubscriberGuard};
 pub use query::{Algorithm, QueryAnswer, TopkQuery};
 pub use query_serve::{
@@ -125,7 +122,7 @@ pub use session::{
     cost_descending_order, estimated_cost, estimated_scan_depth, BatchOptions, BatchOrdering,
     Dataset, DatasetPlan, DatasetProvider, PlanDescription, QueryJob, ScanPath, ScanSpec, Session,
 };
-pub use state_expansion::{state_expansion, state_expansion_streamed, BaselineOutput, NaiveConfig};
+pub use state_expansion::{state_expansion, BaselineOutput, NaiveConfig};
 pub use typical::{typical_topk, typical_topk_brute_force, TypicalAnswer, TypicalSelection};
 
 // Re-export the data model so downstream users need a single dependency.

@@ -285,11 +285,6 @@ impl AppendLog {
         self.lock_state().staging.len()
     }
 
-    /// Rows visible to queries in the current snapshot.
-    pub fn total_rows(&self) -> usize {
-        self.lock_state().snapshot.rows
-    }
-
     /// Blocks until a snapshot with an epoch strictly beyond `epoch` is
     /// published, or `timeout` elapses. Returns the newer snapshot, or
     /// `None` on timeout — the caller's cue to re-check its own stop

@@ -20,9 +20,9 @@
 //!   share a group-key namespace — servers derive stable keys by hashing
 //!   the group label, see `ShardImportOptions` in `ttk-pdb`.
 //! * [`RemoteShardDataset::with_pushdown`] announces the query's `(k, pτ)`
-//!   on every connection, so servers ship only their Theorem-2 prefix, and
-//!   [`RemoteShardDataset::with_bound_update_every`] sets how often the
-//!   merge-side gate pushes its tightening bound back.
+//!   on every connection, so servers ship only their Theorem-2 prefix; the
+//!   merge-side gate pushes its tightening bound back every 64 tuples
+//!   pulled off a connection.
 //! * [`RemoteShardDataset::with_connect_options`] bounds and retries the
 //!   dial: every connection attempt runs under [`ConnectOptions`] —
 //!   per-attempt connect timeout, optional read timeout on the established
@@ -121,8 +121,12 @@ pub struct RemoteShardDataset {
     local_count: usize,
     connect: ConnectOptions,
     pushdown: bool,
-    bound_update_every: u64,
 }
+
+/// How many tuples the client pulls off a pushdown connection between two
+/// bound updates, which re-send the merge-side gate's accumulated mass so
+/// the server's shard gate can stop earlier.
+const BOUND_UPDATE_EVERY: u64 = 64;
 
 /// The announcement of a full replay: `k = 0` asks for the whole shard.
 const FULL_REPLAY: PushdownQuery = PushdownQuery { k: 0, p_tau: 0.0 };
@@ -134,7 +138,6 @@ impl std::fmt::Debug for RemoteShardDataset {
             .field("local_shards", &self.local_count)
             .field("connect", &self.connect)
             .field("pushdown", &self.pushdown)
-            .field("bound_update_every", &self.bound_update_every)
             .finish()
     }
 }
@@ -149,7 +152,6 @@ impl RemoteShardDataset {
             local_count: 0,
             connect: ConnectOptions::default(),
             pushdown: true,
-            bound_update_every: 64,
         }
     }
 
@@ -161,15 +163,6 @@ impl RemoteShardDataset {
     /// Results are bit-identical either way.
     pub fn with_pushdown(mut self, pushdown: bool) -> Self {
         self.pushdown = pushdown;
-        self
-    }
-
-    /// Sets how often (in tuples pulled off each connection) the client
-    /// re-sends the merge-side gate's accumulated probability mass to the
-    /// servers, letting their shard gates stop even earlier. Clamped to at
-    /// least 1; default 64.
-    pub fn with_bound_update_every(mut self, every: u64) -> Self {
-        self.bound_update_every = every.max(1);
         self
     }
 
@@ -371,15 +364,15 @@ fn validate_assignments(
 
 /// One remote connection as the merge sees it: decoded tuples counted into
 /// the shared [`WireScanStats`], with the merge-side gate's mass pushed back
-/// to the server every `cadence` pulls while the write half lives (a failed
-/// update write drops it, and the connection just counts from then on).
+/// to the server every [`BOUND_UPDATE_EVERY`] pulls while the write half
+/// lives (a failed update write drops it, and the connection just counts
+/// from then on).
 struct BoundSource {
     reader: WireReader<BufReader<TcpStream>>,
     write: Option<TcpStream>,
     meter: GateMeter,
     last_sent: f64,
     pulls: u64,
-    cadence: u64,
     stats: Arc<WireScanStats>,
     finished: bool,
     /// Frame counts already folded into `stats`, so each harvest only adds
@@ -429,7 +422,7 @@ impl BoundSource {
 impl TupleSource for BoundSource {
     fn next_tuple(&mut self) -> Result<Option<SourceTuple>> {
         self.pulls += 1;
-        if self.pulls.is_multiple_of(self.cadence) {
+        if self.pulls.is_multiple_of(BOUND_UPDATE_EVERY) {
             self.send_bound();
         }
         let pulled = self.reader.next_tuple();
@@ -442,7 +435,8 @@ impl TupleSource for BoundSource {
 
     fn next_block(&mut self, max: usize) -> Result<Option<TupleBlock>> {
         // Blocks are hundreds of tuples, so the bound-update cadence check
-        // runs once per block pull instead of every `cadence` tuples.
+        // runs once per block pull instead of every `BOUND_UPDATE_EVERY`
+        // tuples.
         self.send_bound();
         let pulled = self.reader.next_block(max);
         self.account(&pulled);
@@ -481,7 +475,6 @@ impl RemoteShardDataset {
                 meter: meter.clone(),
                 last_sent: 0.0,
                 pulls: 0,
-                cadence: self.bound_update_every.max(1),
                 stats: Arc::clone(&stats),
                 finished: false,
                 reported_frames: (0, 0),

@@ -12,8 +12,8 @@
 use std::collections::HashMap;
 
 use ttk_uncertain::{
-    CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleId, TupleSource,
-    UncertainTable, VectorWitness,
+    CoalescePolicy, Error, Result, ScoreDistribution, TableSource, TupleId, UncertainTable,
+    VectorWitness,
 };
 
 use crate::scan::RankScan;
@@ -91,7 +91,8 @@ impl State {
     }
 }
 
-/// Runs StateExpansion and returns the top-k score distribution.
+/// Runs StateExpansion and returns the top-k score distribution, streaming
+/// the table so it reads at most one tuple past the Theorem-2 bound.
 ///
 /// # Errors
 ///
@@ -101,26 +102,11 @@ pub fn state_expansion(
     k: usize,
     config: &NaiveConfig,
 ) -> Result<BaselineOutput> {
-    state_expansion_streamed(&mut TableSource::new(table), k, config)
-}
-
-/// Runs StateExpansion against a rank-ordered [`TupleSource`], reading at
-/// most one tuple past the Theorem-2 bound.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidParameter`] for invalid parameters and propagates
-/// source errors.
-pub fn state_expansion_streamed(
-    source: &mut dyn TupleSource,
-    k: usize,
-    config: &NaiveConfig,
-) -> Result<BaselineOutput> {
     if k == 0 {
         return Err(Error::InvalidParameter("k must be at least 1".into()));
     }
     let mut gate = ScanGate::new(k, config.p_tau)?;
-    let prefix = RankScan::new().collect_prefix(source, &mut gate)?;
+    let prefix = RankScan::new().collect_prefix(&mut TableSource::new(table), &mut gate)?;
     Ok(state_expansion_on_prefix(&prefix.table, k, config))
 }
 

@@ -2,11 +2,13 @@
 //! possible-world enumeration on random small tables (with score ties and
 //! mutual-exclusion groups).
 
+#[path = "support/materialized.rs"]
+mod materialized;
+
+use materialized::materialized_topk_score_distribution;
 use proptest::prelude::*;
 use ttk_core::baselines::{exhaustive_u_topk, u_topk, UTopkConfig};
-use ttk_core::dp::{
-    materialized_topk_score_distribution, topk_score_distribution, MainConfig, MeStrategy,
-};
+use ttk_core::dp::{topk_score_distribution, MainConfig, MeStrategy};
 use ttk_core::state_expansion::NaiveConfig;
 use ttk_core::typical::{typical_topk, typical_topk_brute_force};
 use ttk_core::{k_combo, state_expansion};

@@ -255,15 +255,6 @@ impl CsvDataset {
         Dataset::from_provider(self).with_label(label)
     }
 
-    /// The external-sort index, once a spilled open has built it (for
-    /// diagnostics and reuse assertions).
-    pub fn spill_index(&self) -> Option<Arc<SpillIndex>> {
-        match &*self.cache.lock().expect("csv dataset cache poisoned") {
-            Cache::Spilled(index) => Some(Arc::clone(index)),
-            _ => None,
-        }
-    }
-
     fn open_impl(&self) -> Result<ScanHandle> {
         let mut cache = self.cache.lock().expect("csv dataset cache poisoned");
         if let Some(spill) = &self.spill {

@@ -36,10 +36,6 @@ pub enum PdbError {
         /// Description of what went wrong.
         message: String,
     },
-    /// A table name was not found in the catalog.
-    UnknownTable(String),
-    /// A table with the same name already exists in the catalog.
-    DuplicateTable(String),
     /// The requested query was invalid (empty table, bad parameters, …).
     InvalidQuery(String),
     /// An I/O failure while reading input or spilling external-sort runs.
@@ -68,8 +64,6 @@ impl fmt::Display for PdbError {
             PdbError::CsvError { line, message } => {
                 write!(f, "CSV error on line {line}: {message}")
             }
-            PdbError::UnknownTable(name) => write!(f, "unknown table `{name}`"),
-            PdbError::DuplicateTable(name) => write!(f, "table `{name}` already exists"),
             PdbError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             PdbError::Io(msg) => write!(f, "I/O error: {msg}"),
             PdbError::Core(e) => write!(f, "top-k engine error: {e}"),

@@ -18,8 +18,7 @@
 //!   for the unified `Session` API of `ttk-core`, with cached scoring passes
 //!   and spill-index reuse;
 //! * [`query`] — execution of [`DistributionQuery`]s through the `ttk-core`
-//!   pipeline, with results mapped back to rows;
-//! * [`catalog`] — a trivial named-table catalog.
+//!   pipeline, with results mapped back to rows.
 //!
 //! ```
 //! use ttk_pdb::{run_distribution_query, table_from_csv, CsvOptions, DistributionQuery};
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod catalog;
 pub mod csv;
 pub mod dataset;
 pub mod error;
@@ -52,7 +50,6 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use catalog::Database;
 pub use csv::{
     count_csv_records, shard_sources_from_csv_with, stable_group_key, table_from_csv, table_to_csv,
     CsvOptions, ShardImportOptions, SpillIndex, SpillOptions, SpilledSource,

@@ -127,25 +127,6 @@ impl TupleBlock {
         }
     }
 
-    /// Appends one tuple from raw column values, validating the score and
-    /// probability exactly as [`UncertainTuple::new`] does — the entry point
-    /// for decoded wire frames and spill-run lines.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`UncertainTuple::new`] returns for invalid values.
-    pub fn try_push_raw(
-        &mut self,
-        id: u64,
-        score: f64,
-        probability: f64,
-        group: GroupKey,
-    ) -> Result<()> {
-        let tuple = UncertainTuple::new(id, score, probability)?;
-        self.push(&SourceTuple { tuple, group });
-        Ok(())
-    }
-
     /// The tuple at position `i` (panics when out of bounds).
     #[inline]
     pub fn get(&self, i: usize) -> SourceTuple {

@@ -375,11 +375,6 @@ impl UncertainTable {
         UncertainTable::new(tuples, rules)
             .expect("truncating a valid table always yields a valid table")
     }
-
-    /// Returns the tuple ids at the given positions, in the same order.
-    pub fn ids_at(&self, positions: &[usize]) -> Vec<TupleId> {
-        positions.iter().map(|&p| self.tuples[p].id()).collect()
-    }
 }
 
 #[cfg(test)]
